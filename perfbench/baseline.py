@@ -1,12 +1,12 @@
 """Record the benchmark baseline with its context.
 
-    python3 perfbench/baseline.py [--seed 1] [--out perfbench/baseline.json]
+    python3 perfbench/baseline.py [--seed 1]
 
 Runs every workload of BENCHMARK.json once untraced and once traced, and the
-known-defect probe, then writes one JSON file with the machine (Python
-version, CPU count, platform), the seed, the reason for each workload, the
-job and cell counts, every end-to-end and per-layer metric, and every
-failure by its cause.
+known-defect probe, then writes ``perfbench/baseline.json`` with the machine
+(Python version, CPU count, platform), the seed, the reason for each
+workload, the job and cell counts, every end-to-end and per-layer metric,
+and every failure by its cause.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--out", default=str(HERE / "baseline.json"))
     args = ap.parse_args(argv)
     bench = json.loads((run.ROOT / "BENCHMARK.json").read_text())
     record = {
@@ -62,8 +61,9 @@ def main(argv=None) -> int:
         "failures": probe["failures"],
         "first_mismatch": probe["first_mismatch"],
     }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    print("wrote", args.out)
+    out = HERE / "baseline.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print("wrote", out.relative_to(run.ROOT))
     return 0
 
 

@@ -56,7 +56,7 @@ def main() -> int:
         traced = _pass(name, 1, "trace")
         if traced["verdict_digest"] != a["verdict_digest"]:
             problems.append(f"{name}: tracing changed the verdicts")
-        if set(traced["module_self_s"]) != set(MODULES):
+        if not set(MODULES) <= set(traced["module_self_s"]):
             problems.append(f"{name}: trace lacks modules")
         print(f"{name}: {a['jobs']} jobs, {a['cells']} cells, "
               f"wall {a['wall_s']:.3f} s, traced {traced['wall_s']:.3f} s", flush=True)

@@ -1,6 +1,6 @@
 """Run-to-run spread of the end-to-end metrics across seeds.
 
-    python3 perfbench/spread.py --seeds 1-10 --seconds 20 [--workloads a,b] [--out FILE]
+    python3 perfbench/spread.py --seeds 1-10 [--workloads a,b] [--out FILE]
 
 For each workload it runs ``run.py`` once per seed and reports, per metric,
 the median and the distance between the first and third quartiles
@@ -30,12 +30,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seeds", default="1-10")
-    ap.add_argument("--seconds", type=int)
     ap.add_argument("--workloads")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     names = (args.workloads.split(",") if args.workloads
              else [w["name"] for w in bench["workloads"]])
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}

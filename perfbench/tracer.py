@@ -1,6 +1,6 @@
 """Layer tracing from outside the program: wrappers around the public
-functions of the six ``teamsem`` modules and the hot methods of ``Team``,
-``Model`` and ``Evaluator``.
+functions of the ``teamsem`` modules (the six layers, and any module added
+later) and the hot methods of ``Team``, ``Model`` and ``Evaluator``.
 
 Each wrapped call is a span named ``<module>.<function>`` with a parent (the
 innermost enclosing span).  Spans are aggregated in memory as they close:
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import pkgutil
 import time
 
 MODULES = ("syntax", "structures", "evaluator", "transforms", "analysis", "cli")
@@ -142,7 +143,11 @@ class Tracer:
     def install(self):
         """Patch every namespace; ``uninstall`` restores them."""
         package = importlib.import_module("teamsem")
-        modules = {m: importlib.import_module(f"teamsem.{m}") for m in MODULES}
+        # the six layers, plus any module the package gains later, so that
+        # program work never falls outside every span
+        names = {m.name for m in pkgutil.iter_modules(package.__path__)
+                 if not m.name.startswith("_")} | set(MODULES)
+        modules = {m: importlib.import_module(f"teamsem.{m}") for m in sorted(names)}
         namespaces = [package, *modules.values()]
         originals: dict[int, tuple[object, object]] = {}
         for mname, mod in modules.items():
@@ -172,11 +177,13 @@ class Tracer:
     # -- results
 
     def module_self(self) -> dict[str, float]:
+        """Self time per module: the six layers, and any other module that
+        has spans."""
         out = {m: 0.0 for m in MODULES}
         for name, entry in self.stats.items():
             module = name.split(".", 1)[0]
-            if module in out:
-                out[module] += entry[2]
+            if module != "harness":
+                out[module] = out.get(module, 0.0) + entry[2]
         return out
 
     def to_json(self) -> dict:

@@ -10,7 +10,9 @@ instances), the paper's theorems (rewriters are equivalent to their
 sources, witness bounds hold, the closed-form hierarchy numbers), pointwise
 ``tarski_eval`` for first-order cells, direct set computations on the rows
 for atom-only formulas, and a seeded sample cross-checked with the literal
-oracle in ``tests/naive.py`` under a cost bound.
+oracle in ``tests/naive.py`` under a cost bound.  Sweeps are also checked
+for coverage: the models and teams the program enumerated must match their
+closed-form counts, so a sweep that skips cells fails rather than speeds up.
 
 The job list depends only on the workload name and the seed.  Hardness of
 the ``hard_check`` instances is bounded by their generator parameters, never
@@ -28,7 +30,7 @@ from itertools import combinations, product
 from typing import Callable
 
 import teamsem as ts
-from teamsem import cli
+from teamsem import analysis, cli
 from teamsem.syntax import (
     And,
     Atom,
@@ -69,6 +71,47 @@ def _const(n: int) -> Callable[[object], int]:
     return lambda _out: n
 
 
+@dataclass
+class Swept:
+    """A sweep's output with the models and teams the program enumerated for
+    it, to be compared with closed-form counts."""
+
+    out: object
+    models: int
+    teams: int
+
+
+@contextlib.contextmanager
+def _counting(module):
+    """Count the items that ``module`` draws from its ``enumerate_models``
+    and ``enumerate_teams`` names while the block runs."""
+    seen = {"models": 0, "teams": 0}
+    originals = {name: getattr(module, name)
+                 for name in ("enumerate_models", "enumerate_teams")}
+
+    def counted(key, enumerate_):
+        def wrapper(*args, **kwargs):
+            for item in enumerate_(*args, **kwargs):
+                seen[key] += 1
+                yield item
+        return wrapper
+
+    module.enumerate_models = counted("models", originals["enumerate_models"])
+    module.enumerate_teams = counted("teams", originals["enumerate_teams"])
+    try:
+        yield seen
+    finally:
+        for name, fn in originals.items():
+            setattr(module, name, fn)
+
+
+def _coverage(label: str, swept: Swept, models: int, teams: int) -> str | None:
+    if (swept.models, swept.teams) == (models, teams):
+        return None
+    return (f"{label}: swept {swept.models} models and {swept.teams} teams, "
+            f"expected {models} and {teams}")
+
+
 def _repro(f, model, team, sig=ts.EMPTY_SIGNATURE, note="") -> str:
     """A mismatch as text that ``teamsem eval`` can replay."""
     rels = "".join(f" --rel {n}:{sig.arity(n)}" for n in sig.names)
@@ -84,10 +127,19 @@ def _models_count(sig: ts.Signature, n: int) -> int:
     return total
 
 
+def _sweep_models(sig, max_model) -> int:
+    return sum(_models_count(sig, n) for n in range(1, max_model + 1))
+
+
 def _sweep_pairs(sig, max_model, nvars, nonempty=False) -> int:
     """(model, team) pairs of an exhaustive sweep over all teams."""
     return sum(_models_count(sig, n) * (2 ** (n ** nvars) - (1 if nonempty else 0))
                for n in range(1, max_model + 1))
+
+
+#: unlabelled binary relations (directed graphs with loops) on 1, 2, 3
+#: points: the models of R:2 up to isomorphism (OEIS A000595)
+R2_CLASSES = {1: 2, 2: 10, 3: 104}
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +277,15 @@ def _equiv_job(kind, label, make, variables, sig=ts.EMPTY_SIGNATURE,
 
     def run():
         f, g = make()
-        return ts.equivalent(f, g, variables, sig, max_model, team_filter, registry)
+        with _counting(analysis) as seen:
+            report = ts.equivalent(f, g, variables, sig, max_model, team_filter, registry)
+        return Swept(report, seen["models"], seen["teams"])
 
-    def check(report):
-        if report.equivalent:
-            return None
-        return f"{label}: rewriter not equivalent to its source\n{report.to_text()}"
+    def check(swept):
+        if not swept.out.equivalent:
+            return f"{label}: rewriter not equivalent to its source\n{swept.out.to_text()}"
+        return _coverage(label, swept, _sweep_models(sig, max_model),
+                         _sweep_pairs(sig, max_model, len(variables)))
 
     cells = 2 * _sweep_pairs(sig, max_model, len(variables), team_filter == "nonempty")
     return Job(kind, label, run, check, _const(cells))
@@ -374,11 +429,12 @@ def _sweep_job(rng, sig, f, label, iso: bool, sampled: int) -> Job:
         return (ts.Team(variables, rows) for rows in sample3)
 
     def run():
-        verdicts = []
+        verdicts = []  # per size, per model, per team
         for size in (1, 2, 3):
+            verdicts.append([])
             for model in ts.enumerate_models(sig, size, up_to_isomorphism=iso):
                 ev = ts.Evaluator(model)
-                verdicts.append([ev.evaluate(team, f) for team in teams(model)])
+                verdicts[-1].append([ev.evaluate(team, f) for team in teams(model)])
         return verdicts
 
     def reference(model):
@@ -392,15 +448,24 @@ def _sweep_job(rng, sig, f, label, iso: bool, sampled: int) -> Job:
         return lambda rows: rows <= sat
 
     def check(verdicts):
-        i = 0
-        for size in (1, 2, 3):
-            for model in ts.enumerate_models(sig, size, up_to_isomorphism=iso):
+        for size, per_model in zip((1, 2, 3), verdicts):
+            models = list(ts.enumerate_models(sig, size, up_to_isomorphism=iso))
+            expected = R2_CLASSES[size] if iso else _models_count(sig, size)
+            if len(per_model) != expected or len(set(models)) != expected:
+                return (f"{label}: |M|={size} swept {len(per_model)} models "
+                        f"({len(set(models))} distinct), expected {expected}")
+            for model, got_all in zip(models, per_model):
+                team_list = list(teams(model))
+                expected = 2 ** (size * size) if size < 3 else len(sample3)
+                distinct = len({t.rows for t in team_list}) if size < 3 else expected
+                if len(got_all) != expected or distinct != expected:
+                    return (f"{label}: |M|={size} swept {len(got_all)} teams "
+                            f"({distinct} distinct), expected {expected}")
                 want = reference(model)
-                for team, got in zip(teams(model), verdicts[i]):
+                for team, got in zip(team_list, got_all):
                     if got != want(team.rows):
                         return _repro(f, model, team, sig,
                                       f"pointwise Tarski says {not got}, evaluator {got}")
-                i += 1
         # a seeded handful of cells also goes to the literal oracle
         picker = random.Random(label)
         target = picker.randrange(_models_count(sig, 2))
@@ -413,13 +478,24 @@ def _sweep_job(rng, sig, f, label, iso: bool, sampled: int) -> Job:
         return None
 
     def cells(verdicts):
-        return sum(len(v) for v in verdicts)
+        return sum(len(v) for per_model in verdicts for v in per_model)
 
     return Job("sweep", label, run, check, cells, repr(sample3))
 
 
 def _cli_job(rng, index: int) -> Job:
-    """One in-process ``teamsem transform NAME ... --verify N`` command."""
+    """One in-process ``teamsem transform NAME ... --verify N`` command.  The
+    verifier sweeps the teams over the free variables, so the cost grows
+    fourfold with each one: the seed's variables are drawn again (up to 20
+    times) until both x and y occur, as far as the shape has room for them."""
+    for _ in range(20):
+        job, nvars = _cli_draw(rng, index)
+        if nvars == 2:
+            break
+    return job
+
+
+def _cli_draw(rng, index: int) -> tuple[Job, int]:
     name = ("flatten", "dualneg", "restrict")[index % 3]
     sig, rel = (P1, "P:1") if index % 2 == 0 else (R2, "R:2")
     shape = shape_rng("cli", index)
@@ -427,32 +503,37 @@ def _cli_job(rng, index: int) -> Job:
         f = _fo_formula(shape, rng, {sig.names[0]: sig.arity(sig.names[0])}, ["x", "y"],
                         2 + index % 4, 0)
         args = [ts.pretty(f)]
-        nvars, compared = 2, 1
+        free, compared = ts.free_variables(f), 1
     else:
         f = _team_formula(shape, rng, ["x", "y"], 2 + index % 3, 0, bounded=False,
                           relation=sig.names[0])
         args = [ts.pretty(f)]
+        free, compared = ts.free_variables(f), 2
         if name == "restrict":
             theta = _fo_formula(shape, rng, {}, ["x", "y"], 1 + index % 2, 0)
             args.append(ts.pretty(theta))
-        nvars, compared = 2, 2
-    verify = 2
+            free |= ts.free_variables(theta)
+    # the verifier sweeps the teams over the free variables of the input
+    # (and of the restricting formula), which its output keeps
+    verify, nvars = 2, len(free)
     argv = ["transform", name, *args, "--verify", str(verify), "--rel", rel]
+    label = "teamsem " + " ".join(argv)
 
     def run():
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), _counting(cli) as seen:
             code = cli.main(argv)
-        return code, out.getvalue()
+        return Swept((code, out.getvalue()), seen["models"], seen["teams"])
 
-    def check(result):
-        code, text = result
+    def check(swept):
+        code, text = swept.out
         if code != 0 or "verified" not in text:
-            return f"teamsem {' '.join(argv)} exited {code}:\n{text}"
-        return None
+            return f"{label} exited {code}:\n{text}"
+        return _coverage(label, swept, _sweep_models(sig, verify),
+                         _sweep_pairs(sig, verify, nvars))
 
     cells = compared * _sweep_pairs(sig, verify, nvars)
-    return Job("cli", "teamsem " + " ".join(argv), run, check, _const(cells))
+    return Job("cli", label, run, check, _const(cells)), nvars
 
 
 def _bracket_formula(shape, pick, rels, index: int):
