@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable
 
-from .evaluator import EMPTY_REGISTRY, Evaluator, Registry, evaluate
+from .evaluator import EMPTY_REGISTRY, Evaluator, Registry, evaluate, upward_closed
 from .structures import (
     Model,
     Team,
@@ -37,8 +37,6 @@ from .syntax import (
     Signature,
     TensorOr,
     EMPTY_SIGNATURE,
-    free_variables,
-    relation_arities,
 )
 
 
@@ -59,9 +57,6 @@ def bound_value(bound: Bound, n: int) -> int:
     if form == "pow":
         return n ** c
     raise AnalysisError(f"unknown bound form {form!r}")
-
-
-_UPWARD_BUILTIN = frozenset({"ne", "ncon", "ndep", "geq", "all"})
 
 
 class GammaTable:
@@ -90,13 +85,12 @@ class GammaTable:
             case "all":
                 return ("pow", len(atom.parts[0]))
             case "custom":
-                spec = registry.get(atom.name)
-                if spec.claimed_upward_closed != "yes":
+                if not upward_closed(atom, registry):
                     raise AnalysisError(
                         f"custom atom {atom.name!r} is not claimed upward closed "
                         f"and has no bound override"
                     )
-                return ("pow", spec.arity)
+                return ("pow", registry.get(atom.name).arity)
         raise AnalysisError(f"atom {atom.kind} is outside the bounded fragment")
 
 
@@ -148,21 +142,18 @@ def minimal_satisfying_subteam(model: Model, team: Team, f: Formula,
 
 def _check_bounded_fragment(f: Formula, gamma: GammaTable, registry: Registry):
     for atom in _atom_occurrences(f):
-        if atom.kind == "const":
-            continue
         key = atom.name if atom.kind == "custom" else atom.kind
-        if key in gamma.overrides:
+        if (atom.kind == "const" or key in gamma.overrides
+                or upward_closed(atom, registry)):
             continue
         if atom.kind == "custom":
-            if registry.get(atom.name).claimed_upward_closed != "yes":
-                raise AnalysisError(
-                    f"custom atom {atom.name!r} is not upward closed; "
-                    f"give an explicit bound override to include it"
-                )
-        elif atom.kind not in _UPWARD_BUILTIN:
             raise AnalysisError(
-                f"atom {atom.kind} is not upward closed and has no bound override"
+                f"custom atom {atom.name!r} is not upward closed; "
+                f"give an explicit bound override to include it"
             )
+        raise AnalysisError(
+            f"atom {atom.kind} is not upward closed and has no bound override"
+        )
 
 
 @dataclass(frozen=True)
@@ -189,10 +180,10 @@ def check_boundedness(f: Formula, max_model: int,
     witness subteam within the computed bound exists."""
     gamma = gamma or GammaTable()
     registry = registry or EMPTY_REGISTRY
-    if relation_arities(f):
+    if f.arities:
         raise AnalysisError("boundedness sweeps cover empty-signature models only")
     _check_bounded_fragment(f, gamma, registry)
-    variables = sorted(free_variables(f))
+    variables = sorted(f.free_vars)
     reports = []
     for size in range(1, max_model + 1):
         model = Model(size)
@@ -300,7 +291,7 @@ def equivalent(f: Formula, g: Formula, variables: Iterable[str],
         raise AnalysisError("team_filter must be 'all' or 'nonempty'")
     variables = tuple(sorted(set(variables)))
     for h in (f, g):
-        extra = free_variables(h) - set(variables)
+        extra = h.free_vars - set(variables)
         if extra:
             raise AnalysisError(f"free variables {sorted(extra)} not swept")
     for size in range(1, max_model + 1):

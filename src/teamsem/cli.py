@@ -33,7 +33,6 @@ from .syntax import (
     Formula,
     ParseError,
     Signature,
-    free_variables,
     parse,
     pretty,
 )
@@ -107,7 +106,7 @@ def cmd_eval(args) -> int:
         with open(args.team, "r", encoding="utf-8") as fh:
             team = parse_team_text(fh.read())
     else:
-        if free_variables(formula):
+        if formula.free_vars:
             raise CliError("formula has free variables; give --team")
         team = _sentence_team()
     result = evaluate(model, team, formula, reg)
@@ -232,7 +231,7 @@ def _verify_transform(source: Formula | None, info: dict, args,
     elif kind in ("equiv", "equiv-nonempty", "flatten", "dualneg", "restrict"):
         if kind == "equiv-nonempty":
             team_filter = "nonempty"
-        variables = sorted(free_variables(source) | free_variables(out))
+        variables = sorted(source.free_vars | out.free_vars)
         if kind == "flatten":
             report = _verify_implication(source, out, variables, sig, reg, max_model)
         elif kind == "dualneg":
@@ -331,7 +330,7 @@ def cmd_equiv(args) -> int:
     f = parse(_read_formula_arg(args.left), sig)
     g = parse(_read_formula_arg(args.right), sig)
     variables = _split_tuple(args.vars) if args.vars else sorted(
-        free_variables(f) | free_variables(g))
+        f.free_vars | g.free_vars)
     report = analysis.equivalent(
         f, g, variables, sig, args.max_model,
         "nonempty" if args.nonempty_teams else "all", reg)
@@ -439,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ParseError, TransformError, analysis.AnalysisError,
             EvalError, EnumerationLimit, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too large ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

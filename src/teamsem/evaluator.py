@@ -24,11 +24,11 @@ evaluator that enumerates splits and choice functions outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Mapping
 
-from .structures import EnumerationLimit, Model, Team, tarski_eval, universal_extend
+from .structures import (EnumerationLimit, Model, Team, restrict, tarski_eval,
+                         universal_extend)
 from .syntax import (
     And,
     Atom,
@@ -47,9 +47,6 @@ from .syntax import (
     Signature,
     TensorOr,
     TOP,
-    free_variables,
-    is_first_order,
-    relation_arities,
     _ATOM_SHAPES,
 )
 
@@ -58,9 +55,6 @@ class EvalError(ValueError):
     """Evaluation hit a malformed input: unknown variables, unregistered
     custom atoms, or a non-first-order formula where one is required."""
 
-
-_UPWARD_KINDS = frozenset({"ne", "ncon", "ndep", "geq", "all"})
-_DOWNWARD_KINDS = frozenset({"const", "dep"})
 
 _RESERVED_ATOM_NAMES = frozenset(_ATOM_SHAPES) | {"custom"}
 
@@ -86,18 +80,18 @@ class DependencySpec:
             raise ValueError("arity must be >= 0")
         if self.claimed_upward_closed not in ("yes", "no", "unknown"):
             raise ValueError("claimed_upward_closed must be yes/no/unknown")
-        if not is_first_order(self.definition):
+        if not self.definition.first_order:
             raise ValueError("defining sentence must be first-order")
-        if free_variables(self.definition):
+        if self.definition.free_vars:
             raise ValueError("defining sentence must have no free variables")
-        for rel, arity in relation_arities(self.definition):
+        for rel, arity in self.definition.arities:
             if rel != "R":
                 raise ValueError(f"defining sentence may only use R, found {rel}")
             if arity != self.arity:
                 raise ValueError(
                     f"R used with arity {arity}, expected {self.arity}"
                 )
-        if self.arity == 0 and relation_arities(self.definition):
+        if self.arity == 0 and self.definition.arities:
             raise ValueError("0-ary notions are sentences over the empty signature")
 
 
@@ -138,89 +132,21 @@ def register(registry: Registry, spec: DependencySpec) -> Registry:
 # structural fragments used by the search pruning
 
 
-@lru_cache(maxsize=None)
 def envelope(f: Formula) -> Formula:
-    """First-order upper bound: every row of a satisfying team satisfies it.
-
-    Equals the flattening on formulas without ~, ||, ->, <>, [.]; other
-    constructs weaken to T at their (monotone) positions.
-    """
-    match f:
-        case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
-            return f
-        case And(l, r):
-            return _simp_and(envelope(l), envelope(r))
-        case TensorOr(l, r) | ClassicalOr(l, r):
-            return _simp_or(envelope(l), envelope(r))
-        case Exists(v, body):
-            e = envelope(body)
-            return TOP if e == TOP else Exists(v, e)
-        case Forall(v, body):
-            e = envelope(body)
-            return TOP if e == TOP else Forall(v, e)
-        case _:
-            return TOP
+    """First-order upper bound of f (see ``Formula.envelope``)."""
+    return f.envelope
 
 
-def _simp_and(l: Formula, r: Formula) -> Formula:
-    if l == TOP:
-        return r
-    if r == TOP:
-        return l
-    return And(l, r)
-
-
-def _simp_or(l: Formula, r: Formula) -> Formula:
-    if l == TOP or r == TOP:
-        return TOP
-    return TensorOr(l, r)
-
-
-@lru_cache(maxsize=None)
 def downward_part(f: Formula) -> Formula:
-    """Downward-closed weakening: implied by f, inherited by subteams.
-
-    Subtrees that are not downward closed collapse to T; what survives
-    (first-order parts, constancy, functional dependence) drives the
-    early rejection of partial witnesses.
-    """
-    if _is_downward(f):
-        return f
-    match f:
-        case And(l, r):
-            return _simp_and(downward_part(l), downward_part(r))
-        case TensorOr(l, r):
-            dl, dr = downward_part(l), downward_part(r)
-            return TOP if TOP in (dl, dr) else TensorOr(dl, dr)
-        case ClassicalOr(l, r):
-            dl, dr = downward_part(l), downward_part(r)
-            return TOP if TOP in (dl, dr) else ClassicalOr(dl, dr)
-        case Exists(v, body):
-            d = downward_part(body)
-            return TOP if d == TOP else Exists(v, d)
-        case Forall(v, body):
-            d = downward_part(body)
-            return TOP if d == TOP else Forall(v, d)
-        case _:
-            return TOP
+    """Downward-closed weakening of f (see ``Formula.downward_part``)."""
+    return f.downward_part
 
 
-@lru_cache(maxsize=None)
-def _is_downward(f: Formula) -> bool:
-    """Satisfaction transfers to every subteam."""
-    match f:
-        case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
-            return True
-        case Atom(kind):
-            return kind in _DOWNWARD_KINDS
-        case And(l, r) | TensorOr(l, r) | ClassicalOr(l, r):
-            return _is_downward(l) and _is_downward(r)
-        case Exists(_, body) | Forall(_, body):
-            return _is_downward(body)
-        case Bracket() | IntImpl():
-            return True
-        case _:
-            return False
+def upward_closed(f: Formula, registry: Registry) -> bool:
+    """Satisfaction transfers to envelope-satisfying superteams: built-in
+    constructs by their kind, custom atoms by their registered claim."""
+    return f.up_builtin and all(
+        registry.get(n).claimed_upward_closed == "yes" for n in f.custom_names)
 
 
 class Evaluator:
@@ -232,13 +158,12 @@ class Evaluator:
         self.registry = registry or EMPTY_REGISTRY
         self._memo: dict[tuple[Formula, Team], bool] = {}
         self._restrict_memo: dict[tuple[Formula, Team], Team] = {}
-        self._up_memo: dict[Formula, bool] = {}
         self._bracket_memo: dict[Formula, bool] = {}
 
     # -- public entry points
 
     def evaluate(self, team: Team, f: Formula) -> bool:
-        missing = free_variables(f) - set(team.variables)
+        missing = f.free_vars - set(team.variables)
         if missing:
             raise EvalError(f"free variables outside the team domain: {sorted(missing)}")
         return self._eval(team, f)
@@ -258,25 +183,40 @@ class Evaluator:
     # -- dispatch
 
     def _eval(self, team: Team, f: Formula) -> bool:
-        team = team.restrict_vars(free_variables(f))  # locality
+        team = team.restrict_vars(f.free_vars)  # locality
         key = (f, team)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._eval_raw(team, f)
-        self._memo[key] = result
+        result = self._memo.get(key)
+        if result is not None:
+            return result
+        cls = type(f)
+        if cls is not And and cls is not ClassicalOr:
+            result = self._memo[key] = self._eval_raw(team, f)
+            return result
+        # a left-nested & or || chain: walk down its spine to the first node
+        # with a verdict, then fold back up, one memo entry per spine node
+        spine = [key]
+        f = f.left
+        while type(f) is cls:
+            sub = (f, team.restrict_vars(f.free_vars))
+            result = self._memo.get(sub)
+            if result is not None:
+                break
+            spine.append(sub)
+            f = f.left
+        else:
+            result = self._eval(team, f)
+        for node, sub_team in reversed(spine):
+            if result == (cls is And):  # the left operand does not decide
+                result = self._eval(sub_team, node.right)
+            self._memo[node, sub_team] = result
         return result
 
     def _eval_raw(self, team: Team, f: Formula) -> bool:
         match f:
             case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
                 return len(self._restrict(team, f)) == len(team.rows)
-            case And(l, r):
-                return self._eval(team, l) and self._eval(team, r)
             case TensorOr(l, r):
                 return self._tensor_or(team, l, r)
-            case ClassicalOr(l, r):
-                return self._eval(team, l) or self._eval(team, r)
             case ContraNeg(body):
                 return not self._eval(team, body)
             case IntImpl(l, r):
@@ -369,13 +309,10 @@ class Evaluator:
             )
         if spec.arity == 0:
             # model-level truth, the team (even the empty one) is ignored
-            key = Atom("custom", ((),), name=a.name)
-            hit = self._bracket_memo.get(key)
-            if hit is None:
+            if a not in self._bracket_memo:
                 empty = Model(self.model.size)
-                hit = tarski_eval(empty, {}, spec.definition)
-                self._bracket_memo[key] = hit
-            return hit
+                self._bracket_memo[a] = tarski_eval(empty, {}, spec.definition)
+            return self._bracket_memo[a]
         relation = team.project_rows(a.parts[0])
         sig = Signature({"R": spec.arity})
         struct = Model(self.model.size, {"R": relation}, sig)
@@ -393,14 +330,9 @@ class Evaluator:
     def _restrict(self, team: Team, theta: Formula) -> Team:
         key = (theta, team)
         hit = self._restrict_memo.get(key)
-        if hit is not None:
-            return hit
-        vs = team.variables
-        kept = [row for row in team.rows
-                if tarski_eval(self.model, dict(zip(vs, row)), theta)]
-        out = team.with_rows(kept)
-        self._restrict_memo[key] = out
-        return out
+        if hit is None:
+            hit = self._restrict_memo[key] = restrict(self.model, team, theta)
+        return hit
 
     def _all_subteams(self, team: Team) -> Iterator[Team]:
         rows = sorted(team.rows)
@@ -408,51 +340,27 @@ class Evaluator:
             for combo in combinations(rows, size):
                 yield team.with_rows(combo)
 
-    def _is_upward(self, f: Formula) -> bool:
-        """Satisfaction transfers to envelope-satisfying superteams."""
-        hit = self._up_memo.get(f)
-        if hit is not None:
-            return hit
-        match f:
-            case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
-                result = True
-            case Atom(kind):
-                if kind == "custom":
-                    result = self.registry.get(f.name).claimed_upward_closed == "yes"
-                else:
-                    result = kind in _UPWARD_KINDS
-            case And(l, r) | TensorOr(l, r):
-                result = self._is_upward(l) and self._is_upward(r)
-            case Exists(_, body) | Forall(_, body):
-                result = self._is_upward(body)
-            case Bracket() | Possibly():
-                result = True
-            case _:
-                result = False
-        self._up_memo[f] = result
-        return result
-
     # -- splitting disjunction
 
     def _tensor_or(self, team: Team, left: Formula, right: Formula) -> bool:
-        ml = self._restrict(team, envelope(left))
-        mr = self._restrict(team, envelope(right))
+        ml = self._restrict(team, left.envelope)
+        mr = self._restrict(team, right.envelope)
         if not (ml.rows | mr.rows) >= team.rows:
             return False
-        fo_l, fo_r = is_first_order(left), is_first_order(right)
+        fo_l, fo_r = left.first_order, right.first_order
         if fo_l and fo_r:
             return True
         if fo_l:
             return self._exists_sat(right, mr, team.rows - ml.rows)
         if fo_r:
             return self._exists_sat(left, ml, team.rows - mr.rows)
-        if self._is_upward(right):
+        if upward_closed(right, self.registry):
             return self._eval(mr, right) and self._exists_sat(
                 left, ml, team.rows - mr.rows)
-        if self._is_upward(left):
+        if upward_closed(left, self.registry):
             return self._eval(ml, left) and self._exists_sat(
                 right, mr, team.rows - ml.rows)
-        if _is_downward(left) and _is_downward(right):
+        if left.downward and right.downward:
             return self._down_split(team, left, right, ml, mr)
         # generic: the right part must contain every row the left envelope
         # rejects; enumerate its optional extras, then close the left part
@@ -495,14 +403,14 @@ class Evaluator:
 
     def _exists_sat(self, f: Formula, upper: Team, lower: frozenset) -> bool:
         """Is there a team Y with lower <= Y <= upper satisfying f?"""
-        upper = self._restrict(upper, envelope(f))
+        upper = self._restrict(upper, f.envelope)
         if not lower <= upper.rows:
             return False
-        if is_first_order(f):
+        if f.first_order:
             return True
-        if self._is_upward(f):
+        if upward_closed(f, self.registry):
             return self._eval(upper, f)
-        if _is_downward(f):
+        if f.downward:
             return self._eval(upper.with_rows(lower), f)
         if self._eval(upper, f):
             return True
@@ -516,12 +424,12 @@ class Evaluator:
     # -- possibility
 
     def _possibly(self, team: Team, body: Formula) -> bool:
-        u = self._restrict(team, envelope(body))
+        u = self._restrict(team, body.envelope)
         if u.is_empty():
             return False
-        if self._is_upward(body):
+        if upward_closed(body, self.registry):
             return self._eval(u, body)
-        if _is_downward(body):
+        if body.downward:
             return any(self._eval(team.with_rows((row,)), body) for row in u.rows)
         rows = sorted(u.rows)
         for size in range(1, len(rows) + 1):
@@ -536,7 +444,7 @@ class Evaluator:
         """Lax witness search: a satisfying Y inside the universal extension
         must hit the extension block of every original row."""
         extended = universal_extend(self.model, team, v)
-        allowed = self._restrict(extended, envelope(body))
+        allowed = self._restrict(extended, body.envelope)
 
         # group the extension by the originating row (drop the v column)
         keep = [i for i, name in enumerate(extended.variables) if name != v]
@@ -552,18 +460,18 @@ class Evaluator:
                 blocks[key].append(row)
         if any(not rows for rows in blocks.values()):
             return False
-        if is_first_order(body):
+        if body.first_order:
             return True
-        if self._is_upward(body):
+        if upward_closed(body, self.registry):
             return self._eval(allowed, body)
         if self._eval(allowed, body):
             return True  # the full allowed extension is itself a witness
 
         block_list = [sorted(rows) for _, rows in sorted(blocks.items())]
-        if _is_downward(body):
+        if body.downward:
             return self._exists_dfs_singletons(extended, body, block_list)
-        skeleton = downward_part(body)
-        prune = None if skeleton == TOP else skeleton
+        skeleton = body.downward_part
+        prune = None if skeleton is TOP else skeleton
         return self._exists_dfs(extended, body, block_list, prune)
 
     def _exists_dfs_singletons(self, extended: Team, body: Formula,

@@ -23,8 +23,6 @@ from .syntax import (
     Signature,
     TensorOr,
     EMPTY_SIGNATURE,
-    free_variables,
-    is_first_order,
 )
 
 
@@ -206,10 +204,9 @@ def tarski_eval(model: Model, s: Mapping[str, int], f: Formula) -> bool:
 
 def restrict(model: Model, team: Team, theta: Formula) -> Team:
     """Keep exactly the assignments satisfying a first-order formula."""
-    if not is_first_order(theta):
+    if not theta.first_order:
         raise ValueError("restriction formula must be first-order")
-    fv = free_variables(theta)
-    missing = fv - set(team.variables)
+    missing = theta.free_vars - set(team.variables)
     if missing:
         raise ValueError(f"restriction uses variables outside the team: {sorted(missing)}")
     vs = team.variables

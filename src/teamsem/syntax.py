@@ -9,6 +9,11 @@ encloses a first-order sentence whose truth is read off the model alone.
 ``T`` and ``bot`` expand on parsing to ``forall v (v = v)`` and
 ``exists v (v != v)``.
 
+Formulas are interned (hash-consed): build them only through their
+constructors, which return the one live node for each structure, so ``==``
+is identity and each node's hash and structural properties are computed
+once, when it is first built (see :class:`Formula`).
+
 Variables match ``[a-z][a-zA-Z0-9_]*`` and relations ``[A-Z][a-zA-Z0-9_]*``.
 Dependency atoms group their arguments with ``;``: ``dep(x y; w)``,
 ``inc(x y; u w)``, ``ind(u; v; w)`` (read: v independent of w given u),
@@ -19,9 +24,8 @@ registered at evaluation time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
+from weakref import ref
 
 
 class ParseError(ValueError):
@@ -108,129 +112,185 @@ class Signature:
 EMPTY_SIGNATURE = Signature()
 
 
-@dataclass(frozen=True)
+_UPWARD_KINDS = frozenset({"ne", "ncon", "ndep", "geq", "all"})
+_DOWNWARD_KINDS = frozenset({"const", "dep"})
+
+#: (class, field values) -> weak reference to the one live node
+_TABLE: dict[tuple, ref] = {}
+_setattr = object.__setattr__
+
+
 class Formula:
+    """An interned, immutable formula node.
+
+    Nodes must be built through their constructors, which look the fields
+    up in a weak-value table: structurally equal constructions return the
+    same object, so ``==`` is identity.  Fields are validated before a new
+    node enters the table.  Every node stores, computed once from its
+    fields and its children's stored values:
+
+    ``_hash``         the hash, from the class name and the fields' hashes
+    ``free_vars``     the free variables
+    ``first_order``   only literals, &, |, exists and forall occur
+    ``arities``       the (relation, arity) pairs of its literals
+    ``downward``      satisfaction transfers to every subteam
+    ``up_builtin``    satisfaction transfers to envelope-satisfying
+                      superteams, given that every custom atom named in
+                      ``custom_names`` is upward closed
+    ``envelope``, ``downward_part``  the weakenings the search prunes with
+    """
+
+    # the fields live in __dict__, the stored properties in slots
+    __slots__ = ("_hash", "free_vars", "first_order", "arities", "downward",
+                 "up_builtin", "custom_names", "_envelope", "_downward_part",
+                 "__dict__", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *args):
+        fields = cls.__match_args__
+        if len(args) != len(fields):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
+        key = (cls, *args)
+        entry = _TABLE.get(key)
+        node = entry() if entry is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(fields, args):
+                _setattr(node, name, value)
+            node._validate()
+            _setattr(node, "_hash", hash((cls.__name__, *args)))
+            for name, value in zip(_DERIVED, _derive(node)):
+                _setattr(node, name, value)
+            # never store the node itself: refcounting cannot free a cycle
+            if not node.first_order:
+                _setattr(node, "_envelope", _envelope(node))
+            if not node.downward:
+                _setattr(node, "_downward_part", _downward_part(node))
+            _TABLE[key] = ref(node, lambda r: _TABLE.get(key) is r and _TABLE.pop(key))
+        return node
+
+    def _validate(self):
+        pass
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
     def __str__(self) -> str:
         return pretty(self)
 
+    @property
+    def envelope(self) -> Formula:
+        """First-order upper bound: every row of a satisfying team satisfies
+        it.  The formula itself when first-order; otherwise team-level
+        constructs weaken to T at their (monotone) positions."""
+        return self if self.first_order else self._envelope
 
-@dataclass(frozen=True)
+    @property
+    def downward_part(self) -> Formula:
+        """Downward-closed weakening: implied by the formula, inherited by
+        subteams.  Subtrees that are not downward closed collapse to T; what
+        survives (first-order parts, constancy, functional dependence)
+        drives the early rejection of partial witnesses."""
+        return self if self.downward else self._downward_part
+
+
 class PositiveLiteral(Formula):
-    relation: str
-    args: tuple[str, ...]
+    __match_args__ = ("relation", "args")
 
-    def __post_init__(self):
+    def _validate(self):
         _check_relation(self.relation)
         _check_vars(self.args)
 
 
-@dataclass(frozen=True)
 class NegativeLiteral(Formula):
-    relation: str
-    args: tuple[str, ...]
-
-    def __post_init__(self):
-        _check_relation(self.relation)
-        _check_vars(self.args)
+    __match_args__ = ("relation", "args")
+    _validate = PositiveLiteral._validate
 
 
-@dataclass(frozen=True)
 class Equal(Formula):
-    left: str
-    right: str
+    __match_args__ = ("left", "right")
 
-    def __post_init__(self):
+    def _validate(self):
         _check_vars((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class NotEqual(Formula):
-    left: str
-    right: str
-
-    def __post_init__(self):
-        _check_vars((self.left, self.right))
+    __match_args__ = ("left", "right")
+    _validate = Equal._validate
 
 
-@dataclass(frozen=True)
 class TensorOr(Formula):
     """Splitting disjunction: the team divides into two covering parts."""
 
-    left: Formula
-    right: Formula
+    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: str
-    body: Formula
+    __match_args__ = ("var", "body")
 
-    def __post_init__(self):
+    def _validate(self):
         _check_vars((self.var,))
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
-    var: str
-    body: Formula
-
-    def __post_init__(self):
-        _check_vars((self.var,))
+    __match_args__ = ("var", "body")
+    _validate = Exists._validate
 
 
-@dataclass(frozen=True)
 class ClassicalOr(Formula):
     """Whole-team disjunction: either disjunct holds on the full team."""
 
-    left: Formula
-    right: Formula
+    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class ContraNeg(Formula):
     """Contradictory negation: holds exactly when the operand fails."""
 
-    body: Formula
+    __match_args__ = ("body",)
 
 
-@dataclass(frozen=True)
 class IntImpl(Formula):
     """Intuitionistic implication, quantifying over all subteams."""
 
-    left: Formula
-    right: Formula
+    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Possibly(Formula):
     """Holds when some nonempty subteam satisfies the operand."""
 
-    body: Formula
+    __match_args__ = ("body",)
 
 
-@dataclass(frozen=True)
 class Bracket(Formula):
     """Model-level truth of a first-order sentence, even on the empty team."""
 
-    body: Formula
+    __match_args__ = ("body",)
 
-    def __post_init__(self):
-        if not is_first_order(self.body):
+    def _validate(self):
+        if not self.body.first_order:
             raise ValueError("bracket body must be first-order")
-        fv = free_variables(self.body)
-        if fv:
+        if self.body.free_vars:
             raise ValueError(
-                f"bracket body must be a sentence; free variables {sorted(fv)}"
+                f"bracket body must be a sentence; free variables {sorted(self.body.free_vars)}"
             )
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     """A dependency atom: built-in kind or a registered custom notion.
 
@@ -238,12 +298,13 @@ class Atom(Formula):
     numeric parameter of geq/count kinds, ``name`` the custom atom name.
     """
 
-    kind: str
-    parts: tuple[tuple[str, ...], ...] = ()
-    param: int | None = None
-    name: str | None = None
+    __match_args__ = ("kind", "parts", "param", "name")
 
-    def __post_init__(self):
+    def __new__(cls, kind: str, parts: tuple[tuple[str, ...], ...] = (),
+                param: int | None = None, name: str | None = None):
+        return super().__new__(cls, kind, parts, param, name)
+
+    def _validate(self):
         if self.kind == "custom":
             if not self.name or not _VARIABLE_NAME.match(self.name):
                 raise ValueError(f"bad custom atom name {self.name!r}")
@@ -275,6 +336,83 @@ class Atom(Formula):
             raise ValueError(f"{self.kind} sides must have equal length")
         if self.kind in _SINGLE_VAR_KINDS and len(self.parts[0]) != 1:
             raise ValueError(f"{self.kind} takes a single variable")
+
+
+#: the stored properties that _derive computes, in its order
+_DERIVED = ("free_vars", "first_order", "arities", "downward", "up_builtin",
+            "custom_names")
+_EMPTY: frozenset = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, sharing an operand when it already is the union."""
+    return a if b <= a else b if a <= b else a | b
+
+
+def _derive(f: Formula) -> tuple:
+    match f:
+        case PositiveLiteral(rel, args) | NegativeLiteral(rel, args):
+            return frozenset(args), True, frozenset({(rel, len(args))}), True, True, ()
+        case Equal(a, b) | NotEqual(a, b):
+            return frozenset((a, b)), True, _EMPTY, True, True, ()
+        case And(l, r) | TensorOr(l, r):
+            up = l.up_builtin and r.up_builtin
+            names = l.custom_names + tuple(
+                n for n in r.custom_names if n not in l.custom_names)
+            return (_union(l.free_vars, r.free_vars), l.first_order and r.first_order,
+                    _union(l.arities, r.arities), l.downward and r.downward,
+                    up, names if up else ())
+        case ClassicalOr(l, r) | IntImpl(l, r):
+            down = isinstance(f, IntImpl) or (l.downward and r.downward)
+            return (_union(l.free_vars, r.free_vars), False,
+                    _union(l.arities, r.arities), down, False, ())
+        case Exists(v, body) | Forall(v, body):
+            return (body.free_vars - {v}, body.first_order, body.arities,
+                    body.downward, body.up_builtin, body.custom_names)
+        case ContraNeg(body) | Possibly(body):
+            return (body.free_vars, False, body.arities, False,
+                    isinstance(f, Possibly), ())
+        case Bracket(body):
+            return _EMPTY, False, body.arities, True, True, ()
+        case Atom(kind, parts, _, name):
+            custom = kind == "custom"
+            return (frozenset(v for part in parts for v in part), False, _EMPTY,
+                    kind in _DOWNWARD_KINDS, custom or kind in _UPWARD_KINDS,
+                    (name,) if custom else ())
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _simp_and(l: Formula, r: Formula) -> Formula:
+    """l & r with a T conjunct dropped."""
+    return r if l is TOP else l if r is TOP else And(l, r)
+
+
+def _envelope(f: Formula) -> Formula:
+    """Formula.envelope of a node that is not first-order."""
+    match f:
+        case And(l, r):
+            return _simp_and(l.envelope, r.envelope)
+        case TensorOr(l, r) | ClassicalOr(l, r):
+            l, r = l.envelope, r.envelope
+            return TOP if TOP in (l, r) else TensorOr(l, r)
+        case Exists(v, body) | Forall(v, body):
+            e = body.envelope
+            return TOP if e is TOP else type(f)(v, e)
+    return TOP
+
+
+def _downward_part(f: Formula) -> Formula:
+    """Formula.downward_part of a node that is not downward closed."""
+    match f:
+        case And(l, r):
+            return _simp_and(l.downward_part, r.downward_part)
+        case TensorOr(l, r) | ClassicalOr(l, r):
+            dl, dr = l.downward_part, r.downward_part
+            return TOP if TOP in (dl, dr) else type(f)(dl, dr)
+        case Exists(v, body) | Forall(v, body):
+            d = body.downward_part
+            return TOP if d is TOP else type(f)(v, d)
+    return TOP
 
 
 def _check_relation(name: str):
@@ -325,52 +463,18 @@ def tuple_not_equal(left: tuple[str, ...], right: tuple[str, ...]) -> Formula:
     return or_all(NotEqual(a, b) for a, b in zip(left, right))
 
 
-@lru_cache(maxsize=None)
 def free_variables(f: Formula) -> frozenset[str]:
-    match f:
-        case PositiveLiteral(_, args) | NegativeLiteral(_, args):
-            return frozenset(args)
-        case Equal(a, b) | NotEqual(a, b):
-            return frozenset((a, b))
-        case TensorOr(l, r) | And(l, r) | ClassicalOr(l, r) | IntImpl(l, r):
-            return free_variables(l) | free_variables(r)
-        case Exists(v, body) | Forall(v, body):
-            return free_variables(body) - {v}
-        case ContraNeg(body) | Possibly(body):
-            return free_variables(body)
-        case Bracket():
-            return frozenset()
-        case Atom(_, parts):
-            return frozenset(v for part in parts for v in part)
-    raise TypeError(f"not a formula: {f!r}")
+    return f.free_vars
 
 
-@lru_cache(maxsize=None)
 def is_first_order(f: Formula) -> bool:
     """True when f uses only literals, &, |, exists, forall."""
-    match f:
-        case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
-            return True
-        case TensorOr(l, r) | And(l, r):
-            return is_first_order(l) and is_first_order(r)
-        case Exists(_, body) | Forall(_, body):
-            return is_first_order(body)
-        case _:
-            return False
+    return f.first_order
 
 
-@lru_cache(maxsize=None)
 def relation_arities(f: Formula) -> frozenset[tuple[str, int]]:
     """All (relation, arity) pairs occurring in literals of f."""
-    match f:
-        case PositiveLiteral(rel, args) | NegativeLiteral(rel, args):
-            return frozenset({(rel, len(args))})
-        case TensorOr(l, r) | And(l, r) | ClassicalOr(l, r) | IntImpl(l, r):
-            return relation_arities(l) | relation_arities(r)
-        case Exists(_, body) | Forall(_, body) | ContraNeg(body) | Possibly(body) | Bracket(body):
-            return relation_arities(body)
-        case _:
-            return frozenset()
+    return f.arities
 
 
 def fresh_variable(avoid: Iterable[str]) -> str:
@@ -671,8 +775,12 @@ def _pp(f: Formula, ctx: int) -> str:
         level, sep = _BINARY[cls]
         if cls is IntImpl:  # right associative
             s = _pp(f.left, level + 1) + sep + _pp(f.right, level)
-        else:
-            s = _pp(f.left, level) + sep + _pp(f.right, level + 1)
+        else:  # walk a left-nested chain instead of recursing down it
+            rights = []
+            while type(f) is cls:
+                rights.append(_pp(f.right, level + 1))
+                f = f.left
+            s = sep.join([_pp(f, level), *reversed(rights)])
         return f"({s})" if level < ctx else s
     return _pp_prefix(f)
 

@@ -35,9 +35,9 @@ from .syntax import (
     TOP,
     and_all,
     fresh_tuple,
-    is_first_order,
     or_all,
     tuple_not_equal,
+    _simp_and,
 )
 
 
@@ -91,7 +91,7 @@ def restrict_formula(f: Formula, theta: Formula) -> Formula:
 
     A team satisfies it exactly when the theta-rows of the team satisfy f.
     """
-    if not is_first_order(theta):
+    if not theta.first_order:
         raise TransformError("restriction condition must be first-order")
     return TensorOr(dual_negate(theta), And(theta, f))
 
@@ -183,7 +183,7 @@ def _negate(g: Formula) -> Formula:
 
 
 def _negate_plain(g: Formula) -> Formula:
-    if is_first_order(g):
+    if g.first_order:
         # some row must falsify g
         return restrict_formula(NE, dual_negate(g))
     match g:
@@ -213,7 +213,7 @@ def _negate_plain(g: Formula) -> Formula:
 
 def neg_restrict_commute(psi: Formula, theta: Formula) -> Formula:
     """~(psi restricted-to theta) commutes to (~psi) restricted-to theta."""
-    if not is_first_order(theta):
+    if not theta.first_order:
         raise TransformError("restriction condition must be first-order")
     return restrict_formula(ContraNeg(psi), theta)
 
@@ -476,7 +476,7 @@ def _extract(f: Formula) -> tuple[list[Formula], Formula]:
         case And(l, r):
             sl, cl = _extract(l)
             sr, cr = _extract(r)
-            return sl + sr, _simplify_and(cl, cr)
+            return sl + sr, _simp_and(cl, cr)
         case TensorOr(l, r):
             sl, cl = _extract(l)
             sr, cr = _extract(r)
@@ -500,14 +500,6 @@ def _extract(f: Formula) -> tuple[list[Formula], Formula]:
             )
         case _:
             return [], f
-
-
-def _simplify_and(l: Formula, r: Formula) -> Formula:
-    if l == TOP:
-        return r
-    if r == TOP:
-        return l
-    return And(l, r)
 
 
 def extract_brackets_dnf(f: Formula) -> list[tuple[list[Formula], Formula]]:

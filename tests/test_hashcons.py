@@ -1,0 +1,277 @@
+"""Hash-consed formula nodes: one object per structure, stored properties
+that agree with from-scratch recursive definitions, and pickling and
+garbage collection that respect the interning table."""
+
+import gc
+import pickle
+
+import pytest
+
+import teamsem as ts
+from corpus import BOUND_CORPUS, BRACKET_CORPUS, FO_CORPUS, NEG_CORPUS, SENTENCE_PAIRS
+from teamsem.evaluator import upward_closed
+from teamsem.syntax import (
+    _TABLE,
+    And,
+    Atom,
+    Bracket,
+    ClassicalOr,
+    ContraNeg,
+    Equal,
+    Exists,
+    Forall,
+    IntImpl,
+    NegativeLiteral,
+    NotEqual,
+    Possibly,
+    PositiveLiteral,
+    TensorOr,
+)
+
+SIG = ts.Signature({"P": 1, "R": 2})
+
+#: formulas outside the shared corpora: every construct, custom atoms in
+#: upward and non-upward positions, repeated custom names
+EXTRA = [
+    "x = y -> NE",
+    "<>(dep(x; y) | NE)",
+    "~const(x) || all(x y)",
+    "[exists z P(z)] & <>ncon(x)",
+    "exists z (inc(x; z) & ind(x; y; z))",
+    "forall z (ndep(x; z) | geq(x z, 2))",
+    "count_eq(x, 1) & cocount_neq(y, 0)",
+    "D:up(x) & NE",
+    "D:up(x) | D:down(y)",
+    "<>D:down(x) & D:up(y)",
+    "exists z (D:down(z) & D:up(x) & D:down(y))",
+    "D:up(x) || D:down(x)",
+    "~D:up(x) & const(y)",
+    "exists z (R(z, x) & const(z)) | !P(y) & x != y",
+]
+
+UP_SENTENCE = ts.parse("exists z R(z)", ts.Signature({"R": 1}))
+REGISTRIES = [
+    ts.EMPTY_REGISTRY
+    .register(ts.DependencySpec("up", 1, UP_SENTENCE, up_claim))
+    .register(ts.DependencySpec("down", 1, UP_SENTENCE, down_claim))
+    for up_claim in ("yes", "no") for down_claim in ("yes", "unknown")
+]
+
+
+def corpus() -> list:
+    texts = ([(sig, text) for sig, text in FO_CORPUS + BRACKET_CORPUS]
+             + [(ts.EMPTY_SIGNATURE, t) for t in NEG_CORPUS + BOUND_CORPUS]
+             + [(ts.EMPTY_SIGNATURE, t) for pair in SENTENCE_PAIRS for t in pair]
+             + [(SIG, t) for t in EXTRA])
+    return [ts.parse(text, sig) for sig, text in texts]
+
+
+def nodes(f) -> list:
+    """Every subformula of f, f included."""
+    out = [f]
+    for value in vars(f).values():
+        if isinstance(value, ts.Formula):
+            out += nodes(value)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference definitions, recursive and independent of the stored values
+
+
+def ref_free(f) -> frozenset:
+    match f:
+        case PositiveLiteral(_, args) | NegativeLiteral(_, args):
+            return frozenset(args)
+        case Equal(a, b) | NotEqual(a, b):
+            return frozenset((a, b))
+        case And(l, r) | TensorOr(l, r) | ClassicalOr(l, r) | IntImpl(l, r):
+            return ref_free(l) | ref_free(r)
+        case Exists(v, body) | Forall(v, body):
+            return ref_free(body) - {v}
+        case ContraNeg(body) | Possibly(body):
+            return ref_free(body)
+        case Bracket():
+            return frozenset()
+        case Atom(_, parts):
+            return frozenset(v for part in parts for v in part)
+
+
+def ref_fo(f) -> bool:
+    match f:
+        case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
+            return True
+        case And(l, r) | TensorOr(l, r):
+            return ref_fo(l) and ref_fo(r)
+        case Exists(_, body) | Forall(_, body):
+            return ref_fo(body)
+    return False
+
+
+def ref_arities(f) -> frozenset:
+    match f:
+        case PositiveLiteral(rel, args) | NegativeLiteral(rel, args):
+            return frozenset({(rel, len(args))})
+        case And(l, r) | TensorOr(l, r) | ClassicalOr(l, r) | IntImpl(l, r):
+            return ref_arities(l) | ref_arities(r)
+        case Exists(_, b) | Forall(_, b) | ContraNeg(b) | Possibly(b) | Bracket(b):
+            return ref_arities(b)
+    return frozenset()
+
+
+def ref_down(f) -> bool:
+    match f:
+        case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
+            return True
+        case Atom(kind):
+            return kind in ("const", "dep")
+        case And(l, r) | TensorOr(l, r) | ClassicalOr(l, r):
+            return ref_down(l) and ref_down(r)
+        case Exists(_, body) | Forall(_, body):
+            return ref_down(body)
+        case Bracket() | IntImpl():
+            return True
+    return False
+
+
+def ref_up(f, registry) -> bool:
+    match f:
+        case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
+            return True
+        case Atom(kind, _, _, name):
+            if kind == "custom":
+                return registry.get(name).claimed_upward_closed == "yes"
+            return kind in ("ne", "ncon", "ndep", "geq", "all")
+        case And(l, r) | TensorOr(l, r):
+            return ref_up(l, registry) and ref_up(r, registry)
+        case Exists(_, body) | Forall(_, body):
+            return ref_up(body, registry)
+        case Bracket() | Possibly():
+            return True
+    return False
+
+
+def ref_simp_and(l, r):
+    return r if l == ts.TOP else l if r == ts.TOP else And(l, r)
+
+
+def ref_envelope(f):
+    if ref_fo(f):
+        return f
+    match f:
+        case And(l, r):
+            return ref_simp_and(ref_envelope(l), ref_envelope(r))
+        case TensorOr(l, r) | ClassicalOr(l, r):
+            el, er = ref_envelope(l), ref_envelope(r)
+            return ts.TOP if ts.TOP in (el, er) else TensorOr(el, er)
+        case Exists(v, body) | Forall(v, body):
+            e = ref_envelope(body)
+            return ts.TOP if e == ts.TOP else type(f)(v, e)
+    return ts.TOP
+
+
+def ref_downward_part(f):
+    if ref_down(f):
+        return f
+    match f:
+        case And(l, r):
+            return ref_simp_and(ref_downward_part(l), ref_downward_part(r))
+        case TensorOr(l, r) | ClassicalOr(l, r):
+            dl, dr = ref_downward_part(l), ref_downward_part(r)
+            return ts.TOP if ts.TOP in (dl, dr) else type(f)(dl, dr)
+        case Exists(v, body) | Forall(v, body):
+            d = ref_downward_part(body)
+            return ts.TOP if d == ts.TOP else type(f)(v, d)
+    return ts.TOP
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+def test_equal_constructions_are_one_object():
+    assert Atom("ne") is Atom("ne", (), None, None) is ts.NE
+    assert Atom(kind="ne") is Atom("ne", parts=(), name=None) is ts.NE
+    assert Atom("geq", (("x",),), 2) is Atom("geq", (("x",),), param=2)
+    assert Atom("custom", (("x",),), name="d") is Atom("custom", (("x",),), None, "d")
+    eq = Equal("x", "y")
+    assert And(eq, ts.NE) is And(Equal("x", "y"), Atom("ne"))
+    assert Exists("v", NotEqual("v", "v")) is ts.BOT
+    assert ts.parse("T") is ts.TOP
+    assert And(eq, ts.NE) is not TensorOr(eq, ts.NE)
+    assert And(eq, ts.NE) != And(ts.NE, eq)
+    with pytest.raises(TypeError):
+        And(eq)
+    with pytest.raises(TypeError):
+        And(eq, ts.NE, eq)
+
+
+def test_round_trip_returns_the_same_node():
+    for f in corpus():
+        sig = SIG if f.arities else ts.EMPTY_SIGNATURE
+        assert ts.parse(ts.pretty(f), sig) is f, ts.pretty(f)
+
+
+def test_stored_hash_and_immutability():
+    f = ts.parse("exists z (dep(x; z) & NE) | x = y")
+    assert hash(f) == hash(ts.parse(ts.pretty(f)))
+    assert len({f, ts.parse("exists z (dep(x; z) & NE) | x = y")}) == 1
+    with pytest.raises(AttributeError):
+        f.left = ts.NE
+    with pytest.raises(AttributeError):
+        del f.right
+
+
+def test_invalid_construction_is_not_interned():
+    size = len(_TABLE)
+    with pytest.raises(ValueError):
+        Equal("x", "Bad")
+    with pytest.raises(ValueError):
+        Bracket(ts.NE)  # not first-order
+    with pytest.raises(ValueError):
+        Bracket(PositiveLiteral("R", ("x", "y")))  # free variables
+    with pytest.raises(ValueError):
+        Atom("geq", (("x",),))
+    gc.collect()
+    assert len(_TABLE) <= size
+    body = ts.parse("exists z R(z, z)", SIG)
+    assert Bracket(body) is Bracket(body)
+    assert ts.pretty(Bracket(body)) == "[exists z R(z, z)]"
+    assert Atom("geq", (("x",),), 0) is ts.parse("geq(x, 0)")
+
+
+def test_table_shrinks_after_collection():
+    gc.collect()
+    size = len(_TABLE)
+    f = ts.parse("exists qq1 (qq1 != qq2 & ncon(qq3)) || ~dep(qq2; qq3)")
+    assert len(_TABLE) > size
+    del f
+    gc.collect()
+    assert len(_TABLE) == size
+
+
+def test_pickle_returns_the_interned_node():
+    for f in corpus():
+        assert pickle.loads(pickle.dumps(f)) is f
+    assert pickle.loads(pickle.dumps([ts.NE, ts.TOP])) == [ts.NE, ts.TOP]
+
+
+def test_stored_properties_match_references():
+    for f in corpus():
+        for node in nodes(f):
+            label = ts.pretty(node)
+            assert node.free_vars == ref_free(node) == ts.free_variables(node), label
+            assert node.first_order is ref_fo(node) is ts.is_first_order(node), label
+            assert node.arities == ref_arities(node) == ts.syntax.relation_arities(node)
+            assert node.downward is ref_down(node), label
+            assert node.envelope is ref_envelope(node), label
+            assert node.downward_part is ref_downward_part(node), label
+            assert node.envelope.first_order and node.downward_part.downward, label
+            for registry in REGISTRIES:
+                assert upward_closed(node, registry) is ref_up(node, registry), label
+
+
+def test_custom_names_follow_upward_positions():
+    f = ts.parse("<>D:down(x) & D:up(y) & exists z (D:down(z) | D:up(z))")
+    assert f.custom_names == ("up", "down")
+    assert ts.parse("D:up(x) || D:down(x)").custom_names == ()
