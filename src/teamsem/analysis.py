@@ -11,10 +11,11 @@ sweep doubles as the correctness oracle for every rewriter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable
 
-from .evaluator import EMPTY_REGISTRY, Evaluator, Registry, evaluate, upward_closed
+from .evaluator import (EMPTY_REGISTRY, Evaluator, Registry, _subsets, evaluate,
+                        upward_closed)
 from .structures import (
     Model,
     Team,
@@ -87,11 +88,12 @@ class GammaTable:
             case "custom":
                 if not upward_closed(atom, registry):
                     raise AnalysisError(
-                        f"custom atom {atom.name!r} is not claimed upward closed "
-                        f"and has no bound override"
+                        f"custom atom {atom.name!r} is not upward closed (no claim "
+                        f"that passes check_upward_closed) and has no bound override"
                     )
                 return ("pow", registry.get(atom.name).arity)
-        raise AnalysisError(f"atom {atom.kind} is outside the bounded fragment")
+        raise AnalysisError(
+            f"atom {atom.kind} is not upward closed and has no bound override")
 
 
 def _atom_occurrences(f: Formula) -> list[Atom]:
@@ -128,32 +130,13 @@ def minimal_satisfying_subteam(model: Model, team: Team, f: Formula,
     if len(team) > cap:
         raise AnalysisError(f"team of size {len(team)} exceeds the cap of {cap}")
     ev = Evaluator(model, registry)
-    rows = sorted(team.rows)
-    for size in range(len(rows) + 1):
-        for combo in combinations(rows, size):
-            candidate = team.with_rows(combo)
-            if ev.evaluate(candidate, f):
-                # witnesses are re-validated with fresh state before return
-                if not evaluate(model, candidate, f, registry):
-                    raise AnalysisError("unstable evaluation result")
-                return candidate
+    for candidate in map(team.with_rows, _subsets(team.rows)):
+        if ev.evaluate(candidate, f):
+            # witnesses are re-validated with fresh state before return
+            if not evaluate(model, candidate, f, registry):
+                raise AnalysisError("unstable evaluation result")
+            return candidate
     return None
-
-
-def _check_bounded_fragment(f: Formula, gamma: GammaTable, registry: Registry):
-    for atom in _atom_occurrences(f):
-        key = atom.name if atom.kind == "custom" else atom.kind
-        if (atom.kind == "const" or key in gamma.overrides
-                or upward_closed(atom, registry)):
-            continue
-        if atom.kind == "custom":
-            raise AnalysisError(
-                f"custom atom {atom.name!r} is not upward closed; "
-                f"give an explicit bound override to include it"
-            )
-        raise AnalysisError(
-            f"atom {atom.kind} is not upward closed and has no bound override"
-        )
 
 
 @dataclass(frozen=True)
@@ -182,7 +165,7 @@ def check_boundedness(f: Formula, max_model: int,
     registry = registry or EMPTY_REGISTRY
     if f.arities:
         raise AnalysisError("boundedness sweeps cover empty-signature models only")
-    _check_bounded_fragment(f, gamma, registry)
+    nu_bound(f, 1, gamma, registry)  # rejects atoms outside the fragment up front
     variables = sorted(f.free_vars)
     reports = []
     for size in range(1, max_model + 1):
@@ -296,13 +279,12 @@ def equivalent(f: Formula, g: Formula, variables: Iterable[str],
             raise AnalysisError(f"free variables {sorted(extra)} not swept")
     for size in range(1, max_model + 1):
         for model in enumerate_models(signature, size):
-            ev_f = Evaluator(model, registry)
-            ev_g = Evaluator(model, registry)
+            ev = Evaluator(model, registry)
             for team in enumerate_teams(model, variables, limit=team_limit):
                 if team_filter == "nonempty" and team.is_empty():
                     continue
-                a = ev_f.evaluate(team, f)
-                b = ev_g.evaluate(team, g)
+                a = ev.evaluate(team, f)
+                b = ev.evaluate(team, g)
                 if a != b:
                     # revalidate with fresh state before reporting
                     a2 = evaluate(model, team, f, registry)

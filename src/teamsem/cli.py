@@ -12,10 +12,10 @@ import re
 import sys
 
 from . import analysis, transforms
-from .evaluator import EMPTY_REGISTRY, DependencySpec, EvalError, Registry, evaluate
+from .evaluator import (EMPTY_REGISTRY, DependencySpec, EvalError, Evaluator,
+                        Registry, evaluate)
 from .structures import (
     EnumerationLimit,
-    Model,
     Team,
     enumerate_models,
     enumerate_teams,
@@ -224,26 +224,24 @@ def _verify_transform(source: Formula | None, info: dict, args,
     out = info["out"]
 
     if kind == "count":
-        ckind, k, v = info["count"]
-        report = _verify_counting(ckind, k, v, out, max_model)
+        report = _sweep(out, _want(kind, source, info), (info["count"][2],),
+                        Signature(), reg, max_model, "nonempty")
     elif kind == "unary":
-        report = _verify_unary(info["desc"], info["var"], out, max_model)
-    elif kind in ("equiv", "equiv-nonempty", "flatten", "dualneg", "restrict"):
+        sentence = transforms.unary_description_sentence(info["desc"])
+        target = EMPTY_REGISTRY.register(DependencySpec("target", 1, sentence))
+        atom = Atom("custom", ((info["var"],),), name="target")
+        report = analysis.equivalent(atom, out, (info["var"],), Signature(),
+                                     max_model, "nonempty", target)
+    elif kind in ("equiv", "equiv-nonempty"):
         if kind == "equiv-nonempty":
             team_filter = "nonempty"
-        variables = sorted(source.free_vars | out.free_vars)
-        if kind == "flatten":
-            report = _verify_implication(source, out, variables, sig, reg, max_model)
-        elif kind == "dualneg":
-            report = _verify_dualneg(source, out, variables, sig, max_model)
-        elif kind == "restrict":
-            report = _verify_restrict(source, info["theta"], out, variables,
-                                      sig, reg, max_model)
-        else:
-            report = analysis.equivalent(source, out, variables, sig,
-                                         max_model, team_filter, reg)
+        report = analysis.equivalent(source, out,
+                                     sorted(source.free_vars | out.free_vars),
+                                     sig, max_model, team_filter, reg)
     else:
-        raise CliError(f"no verification defined for {kind}")
+        report = _sweep(out, _want(kind, source, info),
+                        sorted(source.free_vars | out.free_vars), sig, reg,
+                        max_model, team_filter)
 
     if report.equivalent:
         print(f"verified ({report.team_filter} teams, |M|<={max_model})")
@@ -252,65 +250,44 @@ def _verify_transform(source: Formula | None, info: dict, args,
     return 1
 
 
-def _verify_counting(kind, k, v, out, max_model) -> analysis.EquivReport:
-    for size in range(1, max_model + 1):
-        model = Model(size)
-        for team in enumerate_teams(model, (v,)):
-            if team.is_empty():
-                continue
+def _want(kind: str, source: Formula, info: dict):
+    """The check ``_sweep`` applies to a rewriter output of the given kind."""
+    if kind == "count":  # the output states a bound on the count of v values
+        ckind, k, v = info["count"]
+
+        def counted(ev, model, team):
             count = len(team.project_rows((v,)))
-            expected = {"le": count <= k, "ge": count >= k,
-                        "co_le": size - count <= k, "co_ge": size - count >= k}[kind]
-            if evaluate(model, team, out) != expected:
-                return analysis.EquivReport(False, max_model, "nonempty",
-                                            model, team, expected)
-    return analysis.EquivReport(True, max_model, "nonempty")
+            return {"le": count <= k, "ge": count >= k,
+                    "co_le": model.size - count <= k,
+                    "co_ge": model.size - count >= k}[ckind]
+        return counted
+    if kind == "flatten":  # the source implies the output
+        return lambda ev, model, team: True if ev.evaluate(team, source) else None
+    if kind == "dualneg":  # the output is the pointwise negation of the source
+        return lambda ev, model, team: all(
+            not tarski_eval(model, s, source) for s in team.assignments())
+    if kind == "restrict":  # the output agrees with the source on the restriction
+        return lambda ev, model, team: ev.evaluate(
+            restrict(model, team, info["theta"]), source)
+    raise CliError(f"no verification defined for {kind}")
 
 
-def _verify_unary(desc, v, out, max_model) -> analysis.EquivReport:
-    sentence = transforms.unary_description_sentence(desc)
-    reg = EMPTY_REGISTRY.register(DependencySpec("target", 1, sentence))
-    atom = Atom("custom", ((v,),), name="target")
-    return analysis.equivalent(atom, out, (v,), Signature(), max_model,
-                               "nonempty", reg)
-
-
-def _verify_implication(source, out, variables, sig, reg,
-                        max_model) -> analysis.EquivReport:
+def _sweep(out, want, variables, sig, reg, max_model,
+           team_filter) -> analysis.EquivReport:
+    """Check ``out`` on every model up to max_model and every team passing
+    the filter against ``want(ev, model, team)``: the value out must take,
+    or None when either value is fine.  One evaluator serves each model."""
     for size in range(1, max_model + 1):
         for model in enumerate_models(sig, size):
+            ev = Evaluator(model, reg)
             for team in enumerate_teams(model, variables):
-                if evaluate(model, team, source, reg) and not evaluate(
-                        model, team, out, reg):
-                    return analysis.EquivReport(False, max_model, "all",
-                                                model, team, True)
-    return analysis.EquivReport(True, max_model, "all")
-
-
-def _verify_dualneg(source, out, variables, sig, max_model) -> analysis.EquivReport:
-    for size in range(1, max_model + 1):
-        for model in enumerate_models(sig, size):
-            for team in enumerate_teams(model, variables):
-                got = evaluate(model, team, out)
-                want = all(not tarski_eval(model, s, source)
-                           for s in team.assignments())
-                if got != want:
-                    return analysis.EquivReport(False, max_model, "all",
-                                                model, team, want)
-    return analysis.EquivReport(True, max_model, "all")
-
-
-def _verify_restrict(source, theta, out, variables, sig, reg,
-                     max_model) -> analysis.EquivReport:
-    for size in range(1, max_model + 1):
-        for model in enumerate_models(sig, size):
-            for team in enumerate_teams(model, variables):
-                got = evaluate(model, team, out, reg)
-                want = evaluate(model, restrict(model, team, theta), source, reg)
-                if got != want:
-                    return analysis.EquivReport(False, max_model, "all",
-                                                model, team, want)
-    return analysis.EquivReport(True, max_model, "all")
+                if team_filter == "nonempty" and team.is_empty():
+                    continue
+                expected = want(ev, model, team)
+                if expected is not None and ev.evaluate(team, out) != expected:
+                    return analysis.EquivReport(False, max_model, team_filter,
+                                                model, team, expected)
+    return analysis.EquivReport(True, max_model, team_filter)
 
 
 def cmd_transform(args) -> int:

@@ -6,26 +6,32 @@ team into two covering (possibly overlapping) parts, the existential
 quantifier assigns each row a nonempty set of witness values, and atoms
 read properties of the team's projections.
 
-The split and witness searches would be hopeless if done literally, so the
-evaluator prunes them using three structural facts:
+The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
+whether some team Y between a forced lower bound and an upper bound
+satisfies a body.  ``_exists_sat`` is that bounded search and
+``_subsets`` the one enumerator of candidate subteams.  Done literally the
+search would be hopeless, so it prunes using three structural facts:
 
   * a team satisfying a formula satisfies its first-order envelope (the
-    formula with every team-level construct weakened to T), so witness rows
-    must pass the envelope pointwise;
+    formula with every team-level construct weakened to T), so the upper
+    bound shrinks to the rows passing the envelope pointwise;
   * formulas built from upward-closed atoms transfer upward to any
     envelope-satisfying superteam, so the largest candidate decides;
-  * formulas built from downward-closed atoms transfer to subteams, so a
-    partial witness that already fails can be discarded.
+  * formulas built from downward-closed atoms transfer to subteams, so the
+    smallest candidates decide and a failing partial witness is discarded.
 
-The test suite cross-checks all of this against a literal rule-by-rule
-evaluator that enumerates splits and choice functions outright.
+A custom atom counts as upward closed only once its claim passes
+:func:`check_upward_closed`.  The test suite cross-checks all of this
+against a literal rule-by-rule evaluator that enumerates splits and choice
+functions outright.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .structures import (EnumerationLimit, Model, Team, restrict, tarski_eval,
                          universal_extend)
@@ -58,14 +64,17 @@ class EvalError(ValueError):
 
 _RESERVED_ATOM_NAMES = frozenset(_ATOM_SHAPES) | {"custom"}
 
+#: relation-space cap of :func:`check_upward_closed`
+_TUPLE_CAP = 9
+
 
 @dataclass(frozen=True)
 class DependencySpec:
     """A dependency notion given by a defining first-order sentence over a
     single relation symbol R of the declared arity.
 
-    ``claimed_upward_closed`` is trusted by the evaluator's search pruning;
-    verify claims with :func:`check_upward_closed`.
+    A ``claimed_upward_closed="yes"`` claim is checked before the search
+    prunes with it; see :attr:`upward_closed`.
     """
 
     name: str
@@ -93,6 +102,19 @@ class DependencySpec:
                 )
         if self.arity == 0 and self.definition.arities:
             raise ValueError("0-ary notions are sentences over the empty signature")
+
+    @cached_property
+    def upward_closed(self) -> bool:
+        """A "yes" claim that :func:`check_upward_closed` confirms on every
+        domain size whose relation space fits its default cap of 9 tuples
+        (up to 9 at arity 1, 3 at arity 2, 2 at arity 3, 1 beyond).  A
+        failing claim is ignored, so the search runs unpruned.  0-ary
+        notions ignore the team, so their claim stands as given."""
+        if self.claimed_upward_closed != "yes" or self.arity == 0:
+            return self.claimed_upward_closed == "yes"
+        size = max(n for n in range(1, _TUPLE_CAP + 1)
+                   if n ** self.arity <= _TUPLE_CAP)
+        return check_upward_closed(self, size).holds
 
 
 class Registry:
@@ -144,9 +166,19 @@ def downward_part(f: Formula) -> Formula:
 
 def upward_closed(f: Formula, registry: Registry) -> bool:
     """Satisfaction transfers to envelope-satisfying superteams: built-in
-    constructs by their kind, custom atoms by their registered claim."""
+    constructs by their kind, custom atoms by their checked claim."""
     return f.up_builtin and all(
-        registry.get(n).claimed_upward_closed == "yes" for n in f.custom_names)
+        registry.get(n).upward_closed for n in f.custom_names)
+
+
+def _subsets(rows: Iterable[tuple[int, ...]], least: int = 0,
+             most: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Subsets of the sorted rows with least to most members, smaller sizes
+    first and combination order within a size."""
+    rows = sorted(rows)
+    top = len(rows) if most is None else min(most, len(rows))
+    for size in range(least, top + 1):
+        yield from combinations(rows, size)
 
 
 class Evaluator:
@@ -171,14 +203,8 @@ class Evaluator:
     def satisfying_subteams(self, team: Team, f: Formula) -> frozenset[Team]:
         """All subteams of the given team that satisfy f."""
         self.evaluate(team, f)  # validates variables up front
-        rows = sorted(team.rows)
-        out = []
-        for size in range(len(rows) + 1):
-            for combo in combinations(rows, size):
-                sub = team.with_rows(combo)
-                if self._eval(sub, f):
-                    out.append(sub)
-        return frozenset(out)
+        subteams = map(team.with_rows, _subsets(team.rows))
+        return frozenset(sub for sub in subteams if self._eval(sub, f))
 
     # -- dispatch
 
@@ -222,10 +248,10 @@ class Evaluator:
             case IntImpl(l, r):
                 return all(
                     not self._eval(sub, l) or self._eval(sub, r)
-                    for sub in self._all_subteams(team)
+                    for sub in map(team.with_rows, _subsets(team.rows))
                 )
             case Possibly(body):
-                return self._possibly(team, body)
+                return self._exists_sat(body, team, frozenset(), nonempty=True)
             case Exists(v, body):
                 return self._exists(team, v, body)
             case Forall(v, body):
@@ -334,12 +360,6 @@ class Evaluator:
             hit = self._restrict_memo[key] = restrict(self.model, team, theta)
         return hit
 
-    def _all_subteams(self, team: Team) -> Iterator[Team]:
-        rows = sorted(team.rows)
-        for size in range(len(rows) + 1):
-            for combo in combinations(rows, size):
-                yield team.with_rows(combo)
-
     # -- splitting disjunction
 
     def _tensor_or(self, team: Team, left: Formula, right: Formula) -> bool:
@@ -367,13 +387,11 @@ class Evaluator:
         if self._eval(ml, left) and self._eval(mr, right):
             return True
         forced = team.rows - ml.rows
-        optional = sorted(ml.rows & mr.rows)
-        for size in range(len(optional) + 1):
-            for combo in combinations(optional, size):
-                z = team.with_rows(forced | set(combo))
-                if self._eval(z, right) and self._exists_sat(
-                        left, ml, team.rows - z.rows):
-                    return True
+        for extra in _subsets(ml.rows & mr.rows):
+            z = team.with_rows(forced.union(extra))
+            if self._eval(z, right) and self._exists_sat(
+                    left, ml, team.rows - z.rows):
+                return True
         return False
 
     def _down_split(self, team: Team, left: Formula, right: Formula,
@@ -401,42 +419,26 @@ class Evaluator:
                 and self._eval(team.with_rows(empty), right)
                 and assign(0, empty, empty))
 
-    def _exists_sat(self, f: Formula, upper: Team, lower: frozenset) -> bool:
-        """Is there a team Y with lower <= Y <= upper satisfying f?"""
+    def _exists_sat(self, f: Formula, upper: Team, lower: frozenset,
+                    nonempty: bool = False) -> bool:
+        """Is there a team Y with lower <= Y <= upper satisfying f, and
+        with Y nonempty when asked?"""
         upper = self._restrict(upper, f.envelope)
-        if not lower <= upper.rows:
+        if not lower <= upper.rows or (nonempty and upper.is_empty()):
             return False
         if f.first_order:
             return True
         if upward_closed(f, self.registry):
             return self._eval(upper, f)
-        if f.downward:
-            return self._eval(upper.with_rows(lower), f)
-        if self._eval(upper, f):
+        least = 1 if nonempty and not lower else 0
+        if f.downward:  # the smallest candidates decide
+            most = least
+        elif self._eval(upper, f):
             return True
-        optional = sorted(upper.rows - lower)
-        for size in range(len(optional) + 1):
-            for combo in combinations(optional, size):
-                if self._eval(upper.with_rows(lower | set(combo)), f):
-                    return True
-        return False
-
-    # -- possibility
-
-    def _possibly(self, team: Team, body: Formula) -> bool:
-        u = self._restrict(team, body.envelope)
-        if u.is_empty():
-            return False
-        if upward_closed(body, self.registry):
-            return self._eval(u, body)
-        if body.downward:
-            return any(self._eval(team.with_rows((row,)), body) for row in u.rows)
-        rows = sorted(u.rows)
-        for size in range(1, len(rows) + 1):
-            for combo in combinations(rows, size):
-                if self._eval(team.with_rows(combo), body):
-                    return True
-        return False
+        else:
+            most = None
+        return any(self._eval(upper.with_rows(lower.union(extra)), f)
+                   for extra in _subsets(upper.rows - lower, least, most))
 
     # -- lax existential quantification
 
@@ -446,18 +448,13 @@ class Evaluator:
         extended = universal_extend(self.model, team, v)
         allowed = self._restrict(extended, body.envelope)
 
-        # group the extension by the originating row (drop the v column)
-        keep = [i for i, name in enumerate(extended.variables) if name != v]
-        blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for row in team.rows:
-            src = dict(zip(team.variables, row))
-            key = tuple(src[name] for i, name in enumerate(extended.variables)
-                        if name != v)
-            blocks.setdefault(key, [])
+        # group the extension by the originating row: v is bound here, so
+        # it is not a column of the team and dropping it gives that row
+        i = extended.column_index(v)
+        blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {
+            row: [] for row in team.rows}
         for row in allowed.rows:
-            key = tuple(row[i] for i in keep)
-            if key in blocks:
-                blocks[key].append(row)
+            blocks[row[:i] + row[i + 1:]].append(row)
         if any(not rows for rows in blocks.values()):
             return False
         if body.first_order:
@@ -467,44 +464,23 @@ class Evaluator:
         if self._eval(allowed, body):
             return True  # the full allowed extension is itself a witness
 
-        block_list = [sorted(rows) for _, rows in sorted(blocks.items())]
-        if body.downward:
-            return self._exists_dfs_singletons(extended, body, block_list)
-        skeleton = body.downward_part
-        prune = None if skeleton is TOP else skeleton
-        return self._exists_dfs(extended, body, block_list, prune)
-
-    def _exists_dfs_singletons(self, extended: Team, body: Formula,
-                               blocks: list[list[tuple[int, ...]]]) -> bool:
-        """Downward-closed body: one row per block suffices."""
-
-        def walk(i: int, acc: frozenset) -> bool:
-            if i == len(blocks):
-                return self._eval(extended.with_rows(acc), body)
-            for row in blocks[i]:
-                nxt = acc | {row}
-                if self._eval(extended.with_rows(nxt), body) and walk(i + 1, nxt):
-                    return True
-            return False
-
-        return walk(0, frozenset())
+        return self._exists_dfs(extended, body,
+                                [rows for _, rows in sorted(blocks.items())])
 
     def _exists_dfs(self, extended: Team, body: Formula,
-                    blocks: list[list[tuple[int, ...]]],
-                    prune: Formula | None) -> bool:
-        """General body: choose a nonempty subset per block, rejecting any
-        prefix whose downward-closed part already fails."""
-
-        def subsets(rows: list) -> Iterator[frozenset]:
-            for mask in range(1, 1 << len(rows)):
-                yield frozenset(rows[i] for i in range(len(rows)) if mask >> i & 1)
+                    blocks: list[list[tuple[int, ...]]]) -> bool:
+        """Choose a nonempty subset per block, rejecting any prefix whose
+        downward-closed part already fails.  A downward-closed body is its
+        own downward part, and one row per block suffices for it."""
+        prune = body.downward_part
+        most = 1 if body.downward else None
 
         def walk(i: int, acc: frozenset) -> bool:
             if i == len(blocks):
                 return self._eval(extended.with_rows(acc), body)
-            for chosen in subsets(blocks[i]):
-                nxt = acc | chosen
-                if prune is not None and not self._eval(extended.with_rows(nxt), prune):
+            for chosen in _subsets(blocks[i], 1, most):
+                nxt = acc.union(chosen)
+                if prune is not TOP and not self._eval(extended.with_rows(nxt), prune):
                     continue
                 if walk(i + 1, nxt):
                     return True
@@ -540,7 +516,7 @@ class UpwardClosedVerdict:
 
 
 def check_upward_closed(spec: DependencySpec, max_size: int,
-                        tuple_limit: int = 9) -> UpwardClosedVerdict:
+                        tuple_limit: int = _TUPLE_CAP) -> UpwardClosedVerdict:
     """Exhaustively test R subset-of S preservation up to a domain size.
 
     Growing a relation one tuple at a time reaches every superset, so

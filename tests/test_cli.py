@@ -3,6 +3,7 @@
 import pytest
 
 import teamsem as ts
+from teamsem import transforms
 from teamsem.cli import main
 
 
@@ -141,6 +142,41 @@ def test_transform_brackets(capsys):
     lines = out.splitlines()
     assert code == 0
     assert lines[0] == "[exists v1 (v1 = v1)]" and lines[1] == "NE"
+
+
+@pytest.mark.parametrize("argv", [
+    ("flatten", "NE | x = y"),
+    ("dualneg", "x = y | P(x)", "--rel", "P:1"),
+    ("restrict", "dep(x; y)", "x != y"),
+    ("dnf", "(x = y || x != y) & const(x)"),
+    ("brackets", "[exists v1 (v1 = v1)] & NE"),
+])
+def test_transform_verify_kinds(capsys, argv):
+    code, out, _ = run(capsys, "transform", *argv, "--verify", "2")
+    assert code == 0 and "verified (all teams, |M|<=2)" in out
+
+
+def test_transform_verify_nonempty_teams(capsys):
+    code, out, _ = run(capsys, "transform", "flatten", "NE", "--verify", "2",
+                       "--nonempty-teams")
+    assert code == 0 and "verified (nonempty teams, |M|<=2)" in out
+
+
+def test_transform_verify_counterexample_replays(workspace, capsys, monkeypatch):
+    # a rewriter that returns its input is wrong for dualneg
+    monkeypatch.setattr(transforms, "dual_negate", lambda f: f)
+    code, out, _ = run(capsys, "transform", "dualneg", "x = y", "--verify", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "x = y" and lines[1].startswith("counterexample at")
+    want = lines[1].endswith("left is True")
+    vars_at = next(i for i, ln in enumerate(lines) if ln.startswith("vars"))
+    (workspace / "cx.model").write_text("\n".join(lines[2:vars_at]) + "\n")
+    (workspace / "cx.team").write_text("\n".join(lines[vars_at:]) + "\n")
+    code, out, _ = run(capsys, "eval", lines[0],
+                       "--model", str(workspace / "cx.model"),
+                       "--team", str(workspace / "cx.team"))
+    assert out.strip() == ("false" if want else "true")
 
 
 def test_transform_fragment_violation(capsys):

@@ -238,6 +238,21 @@ def _all_subteams(t):
             for c in combinations(rows, k)}
 
 
+def test_subsets_order_and_bounds():
+    from teamsem.evaluator import _subsets
+
+    rows = [(2,), (0,), (1,)]
+    assert list(_subsets(rows)) == [
+        (), ((0,),), ((1,),), ((2,),), ((0,), (1,)), ((0,), (2,)),
+        ((1,), (2,)), ((0,), (1,), (2,))]
+    assert list(_subsets(rows, 1, 1)) == [((0,),), ((1,),), ((2,),)]
+    assert list(_subsets(rows, least=2)) == [
+        ((0,), (1,)), ((0,), (2,)), ((1,), (2,)), ((0,), (1,), (2,))]
+    assert list(_subsets(rows, most=0)) == [()]
+    assert list(_subsets(rows, 1, 9)) == list(_subsets(rows, 1))
+    assert list(_subsets([], 1)) == []
+
+
 # ---------------------------------------------------------------------------
 # cross-checks against the literal evaluator
 
@@ -250,6 +265,7 @@ CROSS_TEXTS = [
     "count_eq(x, 1) | count_eq(y, 1)", "inc(x; y) | inc(y; x)",
     "NE || const(x)", "~NE", "~(x = y)", "~dep(x; y)",
     "const(x) -> const(y)", "NE -> ncon(x)", "<>all(x)", "<>(x = y & NE)",
+    "<>(NE -> x = y)", "<>(dep(x; y) & ncon(x))",
     "exists z (dep(z; y) & z != x)", "exists z (all(z) | const(z))",
     "exists z ((NE & z = x) | z != y)", "forall z ((z = x & NE) | z != x)",
     "exists z (count_eq(z, 2))", "exists z (inc(z; x) & z != y)",
@@ -276,6 +292,7 @@ def test_existential_choice_function_agreement():
         "dep(z; y) & z != x", "const(z) & z != x", "all(z)", "NE & z = x",
         "(NE & z = x) | z != y", "count_eq(z, 1)", "inc(z; x)",
         "z = x | z = y", "ncon(z) & dep(z; x)",
+        "ndep(x y; z) & (x = y | const(z))",
     ]
     for size in (1, 2):
         m = ts.Model(size)
@@ -371,6 +388,32 @@ def test_soak_cross_check_larger_domains():
 
 # ---------------------------------------------------------------------------
 # upward-closure checking
+
+
+UCONST = ts.parse("forall a forall b (!R(a) | !R(b) | a = b)",
+                  ts.Signature({"R": 1}))
+
+
+def test_false_upward_claim_is_not_trusted():
+    """Unary constancy claimed upward closed: the claim fails the check, so
+    the search is not pruned by it and every verdict matches the oracle."""
+    from teamsem.evaluator import upward_closed
+
+    spec = ts.DependencySpec("uconst", 1, UCONST, claimed_upward_closed="yes")
+    reg = ts.EMPTY_REGISTRY.register(spec)
+    assert not spec.upward_closed
+    assert not upward_closed(ts.parse("D:uconst(x)"), reg)
+    f = ts.parse("exists z (D:uconst(z) & z != x)")
+    m = ts.Model(3)
+    for t in ts.enumerate_teams(m, ("x",)):
+        assert ts.evaluate(m, t, f, reg) == naive_eval(m, t, f, reg), sorted(t.rows)
+    true_claim = ts.DependencySpec(
+        "some", 1, ts.parse("exists x R(x)", ts.Signature({"R": 1})),
+        claimed_upward_closed="yes")
+    assert true_claim.upward_closed
+    # arity 0 ignores the team, so the claim stands as given
+    assert ts.DependencySpec("z", 0, ts.TOP, claimed_upward_closed="yes").upward_closed
+    assert not ts.DependencySpec("z", 0, ts.TOP).upward_closed
 
 
 def test_check_upward_closed():
