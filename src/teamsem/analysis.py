@@ -122,6 +122,11 @@ def nu_bound(f: Formula, n: int, gamma: GammaTable | None = None,
     )
 
 
+def _check_max_model(max_model: int):
+    if max_model < 1:
+        raise AnalysisError(f"max_model must be >= 1, got {max_model}")
+
+
 def minimal_satisfying_subteam(model: Model, team: Team, f: Formula,
                                registry: Registry | None = None,
                                cap: int = 16) -> Team | None:
@@ -129,11 +134,15 @@ def minimal_satisfying_subteam(model: Model, team: Team, f: Formula,
     (ties broken by enumeration order over sorted rows)."""
     if len(team) > cap:
         raise AnalysisError(f"team of size {len(team)} exceeds the cap of {cap}")
-    ev = Evaluator(model, registry)
+    return _first_witness(Evaluator(model, registry), team, f)
+
+
+def _first_witness(ev: Evaluator, team: Team, f: Formula) -> Team | None:
+    """The first subteam in size-then-combination order that satisfies f
+    under ev, re-validated with fresh state, or None."""
     for candidate in map(team.with_rows, _subsets(team.rows)):
         if ev.evaluate(candidate, f):
-            # witnesses are re-validated with fresh state before return
-            if not evaluate(model, candidate, f, registry):
+            if not evaluate(ev.model, candidate, f, ev.registry):
                 raise AnalysisError("unstable evaluation result")
             return candidate
     return None
@@ -161,6 +170,7 @@ def check_boundedness(f: Formula, max_model: int,
     """Sweep every empty-signature model up to max_model and every
     satisfying team over the formula's free variables, reporting whether a
     witness subteam within the computed bound exists."""
+    _check_max_model(max_model)
     gamma = gamma or GammaTable()
     registry = registry or EMPTY_REGISTRY
     if f.arities:
@@ -175,8 +185,9 @@ def check_boundedness(f: Formula, max_model: int,
         for team in enumerate_teams(model, variables, limit=team_limit):
             if not ev.evaluate(team, f):
                 continue
-            witness = minimal_satisfying_subteam(model, team, f, registry,
-                                                 cap=team_limit)
+            # every candidate comes before the team in the enumeration, so
+            # the sweep's memo already holds its verdict
+            witness = _first_witness(ev, team, f)
             wsize = len(witness) if witness is not None else len(team)
             reports.append(BoundReport(f, size, len(team), nu, wsize,
                                        witness is not None and wsize <= nu))
@@ -230,9 +241,10 @@ def hierarchy_witness(wide_arity: int, narrow_arity: int, occurrences: int,
     variables = tuple(f"w{i}" for i in range(1, wide_arity + 1))
     full = Team(variables, product(range(n), repeat=wide_arity))
     atom = Atom("all", (variables,))
-    if not evaluate(model, full, atom):
+    ev = Evaluator(model)
+    if not ev.evaluate(full, atom):
         raise AnalysisError("full team unexpectedly fails the totality atom")
-    witness = minimal_satisfying_subteam(model, full, atom, cap=team_cap)
+    witness = _first_witness(ev, full, atom)
     narrow_bound = occurrences * n ** narrow_arity
     wsize = len(witness)
     return HierarchyReport(wide_arity, narrow_arity, occurrences, n,
@@ -270,6 +282,7 @@ def equivalent(f: Formula, g: Formula, variables: Iterable[str],
     """Exhaustively compare two formulas over all models of the signature up
     to max_model and all teams over the given variables; the first
     disagreement (re-checked from scratch) becomes the counterexample."""
+    _check_max_model(max_model)
     if team_filter not in ("all", "nonempty"):
         raise AnalysisError("team_filter must be 'all' or 'nonempty'")
     variables = tuple(sorted(set(variables)))

@@ -2,7 +2,10 @@
 
 Exit codes: 0 for true/equivalent/all-hold, 1 for false/counterexample/
 violation, 2 for any usage, parse, or evaluation error.  Formulas are
-single shell arguments; ``@path`` reads one from a file.
+single shell arguments; ``@path`` reads one from a file.  A transform takes
+exactly the arguments ``_TRANSFORMS`` lists for it, and model sizes
+(``--verify``, ``--max-model``) must be at least 1: anything else is a usage
+error.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .structures import (
     team_to_text,
 )
 from .syntax import (
+    NE,
     And,
     Atom,
     Bracket,
@@ -125,8 +129,13 @@ def cmd_parse(args) -> int:
     return 0
 
 
-_TRANSFORMS = ("flatten", "dualneg", "restrict", "dnf", "negelim", "depdef",
-               "nedef", "countdef", "compile-unary", "brackets")
+#: transform name -> the arguments it takes
+_TRANSFORMS = {
+    "flatten": "FORMULA", "dualneg": "FORMULA", "restrict": "FORMULA THETA",
+    "dnf": "FORMULA", "negelim": "FORMULA", "depdef": "VARS VARS", "nedef": "",
+    "countdef": "KIND K VAR", "compile-unary": "DESCRIPTION VAR",
+    "brackets": "FORMULA",
+}
 
 
 def _split_tuple(text: str) -> tuple[str, ...]:
@@ -136,140 +145,93 @@ def _split_tuple(text: str) -> tuple[str, ...]:
     return parts
 
 
-def _run_transform(args, sig: Signature) -> tuple[Formula | None, list[str], dict]:
-    """Returns (input formula or None, printable output lines, verify info)."""
-    name = args.name
-    arg = list(args.args)
+def _run_transform(args, sig: Signature, reg: Registry):
+    """Run the named rewriter on its arguments.  Returns the lines to print
+    and ``verify(max_model, team_filter)``, which checks the output on every
+    model and team of the sweep and returns an ``analysis.EquivReport``."""
+    name, arg = args.name, args.args
+    usage = _TRANSFORMS[name]
+    if len(arg) != len(usage.split()):
+        raise CliError(f"usage: transform {name} {usage}".rstrip()
+                       + f" ({len(arg)} argument(s) given)")
+    f = parse(_read_formula_arg(arg[0]), sig) if usage.startswith("FORMULA") else None
 
-    def take_formula() -> Formula:
-        if not arg:
-            raise CliError(f"{name} needs a formula argument")
-        return parse(_read_formula_arg(arg.pop(0)), sig)
+    def same_as(source: Formula, out: Formula, only: str | None = None):
+        """out is equivalent to source, on ``only`` teams when given."""
+        return lambda max_model, team_filter: analysis.equivalent(
+            source, out, sorted(source.free_vars | out.free_vars), sig,
+            max_model, only or team_filter, reg)
 
-    if name == "flatten":
-        f = take_formula()
+    def swept(out: Formula, want):
+        """out takes the value ``want(ev, model, team)`` asks for."""
+        return lambda max_model, team_filter: _sweep(
+            out, want, sorted(f.free_vars | out.free_vars), sig, reg,
+            max_model, team_filter)
+
+    if name == "flatten":  # the source implies the output
         out = transforms.flatten(f)
-        return f, [pretty(out)], {"kind": "flatten", "out": out}
-    if name == "dualneg":
-        f = take_formula()
+        return [pretty(out)], swept(out, lambda ev, model, team:
+                                    True if ev.evaluate(team, f) else None)
+    if name == "dualneg":  # the output is the pointwise negation of the source
         out = transforms.dual_negate(f)
-        return f, [pretty(out)], {"kind": "dualneg", "out": out}
-    if name == "restrict":
-        f = take_formula()
-        theta = take_formula()
+        return [pretty(out)], swept(out, lambda ev, model, team: all(
+            not tarski_eval(model, s, f) for s in team.assignments()))
+    if name == "restrict":  # the output agrees with the source on the restriction
+        theta = parse(_read_formula_arg(arg[1]), sig)
         out = transforms.restrict_formula(f, theta)
-        return f, [pretty(out)], {"kind": "restrict", "out": out, "theta": theta}
+        return [pretty(out)], swept(out, lambda ev, model, team: ev.evaluate(
+            restrict(model, team, theta), f))
     if name == "dnf":
-        f = take_formula()
         parts = transforms.to_classical_dnf(f)
-        joined = transforms.classical_or_all(parts)
-        return f, [pretty(p) for p in parts], {"kind": "equiv", "out": joined}
+        return ([pretty(p) for p in parts],
+                same_as(f, transforms.classical_or_all(parts)))
     if name == "negelim":
-        f = take_formula()
         out = transforms.neg_eliminate(f)
-        return f, [pretty(out)], {"kind": "equiv", "out": out}
+        return [pretty(out)], same_as(f, out)
     if name == "depdef":
-        if len(arg) < 2:
-            raise CliError("depdef needs two variable tuples, e.g. depdef x y")
-        vs = _split_tuple(arg.pop(0))
-        ws = _split_tuple(arg.pop(0))
+        vs, ws = map(_split_tuple, arg)
         out = transforms.dep_via_neg_const(vs, ws)
-        target = parse(f"dep({' '.join(vs)}; {' '.join(ws)})", sig)
-        return target, [pretty(out)], {"kind": "equiv", "out": out}
+        return [pretty(out)], same_as(Atom("dep", (vs, ws)), out)
     if name == "nedef":
         out = transforms.ne_via_totality()
-        target = parse("NE", sig)
-        return target, [pretty(out)], {"kind": "equiv", "out": out}
+        return [pretty(out)], same_as(NE, out)
     if name == "countdef":
-        if len(arg) < 3:
-            raise CliError("countdef needs KIND K VAR, e.g. countdef eq 1 v")
-        kind, k, v = arg.pop(0), int(arg.pop(0)), arg.pop(0)
-        if kind in ("le", "ge", "co_le", "co_ge"):
-            out = transforms.counting_formula(kind, k, v)
-            return None, [pretty(out)], {"kind": "count", "out": out,
-                                         "count": (kind, k, v)}
+        kind, k, v = arg[0], int(arg[1]), arg[2]
         atom_kinds = {"eq": "count_eq", "neq": "count_neq",
                       "co_eq": "cocount_eq", "co_neq": "cocount_neq"}
-        if kind not in atom_kinds:
+        if kind in atom_kinds:
+            out = transforms.counting_atom_definition(kind, k, v)
+            return [pretty(out)], same_as(Atom(atom_kinds[kind], ((v,),), k),
+                                          out, "nonempty")
+        if kind not in ("le", "ge", "co_le", "co_ge"):
             raise CliError(
                 "countdef kinds: le ge co_le co_ge eq neq co_eq co_neq")
-        out = transforms.counting_atom_definition(kind, k, v)
-        target = parse(f"{atom_kinds[kind]}({v}, {k})", sig)
-        return target, [pretty(out)], {"kind": "equiv-nonempty", "out": out}
-    if name == "compile-unary":
-        if len(arg) < 2:
-            raise CliError("compile-unary needs DESCRIPTION VAR")
-        desc = UnaryDepDescription.parse(arg.pop(0))
-        v = arg.pop(0)
-        out = transforms.compile_unary_dependency(desc, v)
-        return None, [pretty(out)], {"kind": "unary", "out": out,
-                                     "desc": desc, "var": v}
-    if name == "brackets":
-        f = take_formula()
-        sentences, core = transforms.extract_brackets(f)
-        lines = [f"[{pretty(s)}]" for s in sentences] + [pretty(core)]
-        joined = core
-        for s in reversed(sentences):
-            joined = And(Bracket(s), joined)
-        return f, lines, {"kind": "equiv", "out": joined}
-    raise CliError(f"unknown transform {name!r}; choose from {', '.join(_TRANSFORMS)}")
+        out = transforms.counting_formula(kind, k, v)
 
-
-def _verify_transform(source: Formula | None, info: dict, args,
-                      sig: Signature, reg: Registry) -> int:
-    """Oracle-check a transform output; prints the verdict, returns exit code."""
-    max_model = args.verify
-    team_filter = "nonempty" if args.nonempty_teams else "all"
-    kind = info["kind"]
-    out = info["out"]
-
-    if kind == "count":
-        report = _sweep(out, _want(kind, source, info), (info["count"][2],),
-                        Signature(), reg, max_model, "nonempty")
-    elif kind == "unary":
-        sentence = transforms.unary_description_sentence(info["desc"])
-        target = EMPTY_REGISTRY.register(DependencySpec("target", 1, sentence))
-        atom = Atom("custom", ((info["var"],),), name="target")
-        report = analysis.equivalent(atom, out, (info["var"],), Signature(),
-                                     max_model, "nonempty", target)
-    elif kind in ("equiv", "equiv-nonempty"):
-        if kind == "equiv-nonempty":
-            team_filter = "nonempty"
-        report = analysis.equivalent(source, out,
-                                     sorted(source.free_vars | out.free_vars),
-                                     sig, max_model, team_filter, reg)
-    else:
-        report = _sweep(out, _want(kind, source, info),
-                        sorted(source.free_vars | out.free_vars), sig, reg,
-                        max_model, team_filter)
-
-    if report.equivalent:
-        print(f"verified ({report.team_filter} teams, |M|<={max_model})")
-        return 0
-    print(report.to_text(), end="")
-    return 1
-
-
-def _want(kind: str, source: Formula, info: dict):
-    """The check ``_sweep`` applies to a rewriter output of the given kind."""
-    if kind == "count":  # the output states a bound on the count of v values
-        ckind, k, v = info["count"]
-
-        def counted(ev, model, team):
+        def counted(ev, model, team):  # the bound the output states
             count = len(team.project_rows((v,)))
             return {"le": count <= k, "ge": count >= k,
                     "co_le": model.size - count <= k,
-                    "co_ge": model.size - count >= k}[ckind]
-        return counted
-    if kind == "flatten":  # the source implies the output
-        return lambda ev, model, team: True if ev.evaluate(team, source) else None
-    if kind == "dualneg":  # the output is the pointwise negation of the source
-        return lambda ev, model, team: all(
-            not tarski_eval(model, s, source) for s in team.assignments())
-    if kind == "restrict":  # the output agrees with the source on the restriction
-        return lambda ev, model, team: ev.evaluate(
-            restrict(model, team, info["theta"]), source)
-    raise CliError(f"no verification defined for {kind}")
+                    "co_ge": model.size - count >= k}[kind]
+        return [pretty(out)], lambda max_model, team_filter: _sweep(
+            out, counted, (v,), Signature(), reg, max_model, "nonempty")
+    if name == "compile-unary":
+        desc, v = UnaryDepDescription.parse(arg[0]), arg[1]
+        out = transforms.compile_unary_dependency(desc, v)
+
+        def verify(max_model, team_filter):  # against the described notion
+            sentence = transforms.unary_description_sentence(desc)
+            target = EMPTY_REGISTRY.register(DependencySpec("target", 1, sentence))
+            return analysis.equivalent(
+                Atom("custom", ((v,),), name="target"), out, (v,), Signature(),
+                max_model, "nonempty", target)
+        return [pretty(out)], verify
+    # brackets
+    sentences, core = transforms.extract_brackets(f)
+    joined = core
+    for s in reversed(sentences):
+        joined = And(Bracket(s), joined)
+    return [f"[{pretty(s)}]" for s in sentences] + [pretty(core)], same_as(f, joined)
 
 
 def _sweep(out, want, variables, sig, reg, max_model,
@@ -293,12 +255,19 @@ def _sweep(out, want, variables, sig, reg, max_model,
 def cmd_transform(args) -> int:
     sig = _signature(args.rel)
     reg = _registry(args.dep)
-    source, lines, info = _run_transform(args, sig)
+    if args.verify is not None and args.verify < 1:
+        raise CliError(f"--verify needs a model size >= 1, got {args.verify}")
+    lines, verify = _run_transform(args, sig, reg)
     for line in lines:
         print(line)
-    if args.verify:
-        return _verify_transform(source, info, args, sig, reg)
-    return 0
+    if args.verify is None:
+        return 0
+    report = verify(args.verify, "nonempty" if args.nonempty_teams else "all")
+    if report.equivalent:
+        print(f"verified ({report.team_filter} teams, |M|<={args.verify})")
+        return 0
+    print(report.to_text(), end="")
+    return 1
 
 
 def cmd_equiv(args) -> int:

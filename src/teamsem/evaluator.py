@@ -64,6 +64,10 @@ class EvalError(ValueError):
 
 _RESERVED_ATOM_NAMES = frozenset(_ATOM_SHAPES) | {"custom"}
 
+#: negated atom kind -> the positive kind whose kernel it fails
+_NEGATES = {"ncon": "const", "ndep": "dep", "ninc": "inc", "nind": "ind",
+            "count_neq": "count_eq", "cocount_neq": "cocount_eq"}
+
 #: relation-space cap of :func:`check_upward_closed`
 _TUPLE_CAP = 9
 
@@ -152,16 +156,6 @@ def register(registry: Registry, spec: DependencySpec) -> Registry:
 
 # ---------------------------------------------------------------------------
 # structural fragments used by the search pruning
-
-
-def envelope(f: Formula) -> Formula:
-    """First-order upper bound of f (see ``Formula.envelope``)."""
-    return f.envelope
-
-
-def downward_part(f: Formula) -> Formula:
-    """Downward-closed weakening of f (see ``Formula.downward_part``)."""
-    return f.downward_part
 
 
 def upward_closed(f: Formula, registry: Registry) -> bool:
@@ -265,64 +259,49 @@ class Evaluator:
     # -- atoms
 
     def _atom(self, team: Team, a: Atom) -> bool:
-        n = self.model.size
-        rows = team.rows
-        match a.kind:
+        base = _NEGATES.get(a.kind)
+        if base is not None:  # a witnessed failure of the base kind
+            return not self._kernel(team, base, a)
+        return self._kernel(team, a.kind, a)
+
+    def _kernel(self, team: Team, kind: str, a: Atom) -> bool:
+        """Whether the team satisfies the positive atom kind over a's
+        arguments."""
+        match kind:
             case "ne":
-                return bool(rows)
+                return bool(team.rows)
             case "const":
                 return len(team.project_rows(a.parts[0])) <= 1
-            case "ncon":
-                return len(team.project_rows(a.parts[0])) >= 2
             case "all":
-                k = len(a.parts[0])
-                return len(team.project_rows(a.parts[0])) == n ** k
+                vs = a.parts[0]
+                return len(team.project_rows(vs)) == self.model.size ** len(vs)
             case "geq":
                 return len(team.project_rows(a.parts[0])) >= a.param
-            case "dep" | "ndep":
-                vs, ws = a.parts
-                seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-                functional = True
-                vi = [team.column_index(v) for v in vs]
-                wi = [team.column_index(w) for w in ws]
-                for row in rows:
-                    key = tuple(row[i] for i in vi)
-                    val = tuple(row[i] for i in wi)
-                    if seen.setdefault(key, val) != val:
-                        functional = False
-                        break
-                return functional if a.kind == "dep" else not functional
-            case "inc" | "ninc":
-                pv = team.project_rows(a.parts[0])
-                pw = team.project_rows(a.parts[1])
-                return (pv <= pw) if a.kind == "inc" else not (pv <= pw)
-            case "ind" | "nind":
-                us, vs, ws = a.parts
-                ui = [team.column_index(u) for u in us]
-                vi = [team.column_index(v) for v in vs]
-                wi = [team.column_index(w) for w in ws]
-                full = {tuple(row[i] for i in ui + vi + wi) for row in rows}
-                ok = True
-                for r1 in rows:
-                    for r2 in rows:
-                        if tuple(r1[i] for i in ui) != tuple(r2[i] for i in ui):
-                            continue
-                        want = (tuple(r1[i] for i in ui) + tuple(r1[i] for i in vi)
-                                + tuple(r2[i] for i in wi))
-                        if want not in full:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                return ok if a.kind == "ind" else not ok
             case "count_eq":
                 return len(team.project_rows(a.parts[0])) == a.param
-            case "count_neq":
-                return len(team.project_rows(a.parts[0])) != a.param
             case "cocount_eq":
-                return n - len(team.project_rows(a.parts[0])) == a.param
-            case "cocount_neq":
-                return n - len(team.project_rows(a.parts[0])) != a.param
+                return self.model.size - len(team.project_rows(a.parts[0])) == a.param
+            case "dep":  # exits early: comparing projection sizes is slower
+                vs, ws = a.parts
+                vi = [team.column_index(v) for v in vs]
+                wi = [team.column_index(w) for w in ws]
+                seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+                for row in team.rows:
+                    val = tuple(row[i] for i in wi)
+                    if seen.setdefault(tuple(row[i] for i in vi), val) != val:
+                        return False
+                return True
+            case "inc":
+                return team.project_rows(a.parts[0]) <= team.project_rows(a.parts[1])
+            case "ind":  # every u v and u w seen together make a u v w row
+                us, vs, ws = a.parts
+                k = len(us)
+                by_u: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+                for uw in team.project_rows(us + ws):
+                    by_u.setdefault(uw[:k], []).append(uw[k:])
+                full = team.project_rows(us + vs + ws)
+                return all(uv + w in full for uv in team.project_rows(us + vs)
+                           for w in by_u[uv[:k]])
             case "custom":
                 return self._custom(team, a)
         raise EvalError(f"unknown atom kind {a.kind!r}")
@@ -333,12 +312,8 @@ class Evaluator:
             raise EvalError(
                 f"{a.name} has arity {spec.arity}, used with {len(a.parts[0])} argument(s)"
             )
-        if spec.arity == 0:
-            # model-level truth, the team (even the empty one) is ignored
-            if a not in self._bracket_memo:
-                empty = Model(self.model.size)
-                self._bracket_memo[a] = tarski_eval(empty, {}, spec.definition)
-            return self._bracket_memo[a]
+        if spec.arity == 0:  # a sentence with no relation: the team is ignored
+            return self._bracket(spec.definition)
         relation = team.project_rows(a.parts[0])
         sig = Signature({"R": spec.arity})
         struct = Model(self.model.size, {"R": relation}, sig)

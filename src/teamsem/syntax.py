@@ -42,12 +42,6 @@ _VARIABLE_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 #: relation names that would collide with formula syntax
 _RESERVED_RELATIONS = frozenset({"T", "NE"})
 
-_ATOM_KEYWORDS = frozenset({
-    "const", "dep", "inc", "ind", "all", "ncon", "ndep", "ninc", "nind",
-    "geq", "count_eq", "count_neq", "cocount_eq", "cocount_neq",
-})
-_KEYWORDS = _ATOM_KEYWORDS | {"exists", "forall", "bot"}
-
 #: atom kind -> (number of ;-separated groups, takes a numeric parameter)
 _ATOM_SHAPES = {
     "const": (1, False),
@@ -69,6 +63,9 @@ _ATOM_SHAPES = {
 
 #: kinds whose first (only) group must be a single variable
 _SINGLE_VAR_KINDS = frozenset({"count_eq", "count_neq", "cocount_eq", "cocount_neq"})
+
+_ATOM_KEYWORDS = frozenset(_ATOM_SHAPES) - {"ne"}
+_KEYWORDS = _ATOM_KEYWORDS | {"exists", "forall", "bot"}
 
 
 class Signature:
@@ -638,14 +635,7 @@ class _Parser:
             return self.literal(negative=True)
         if kind == "CUSTOM":
             self.take()
-            name = value[2:]
-            args = self.atom_groups(pos)
-            if len(args) != 1:
-                raise ParseError("custom atoms take a single argument tuple", pos)
-            vars_, nums = args[0]
-            if nums:
-                raise ParseError("custom atoms take no numeric parameter", pos)
-            return Atom("custom", (tuple(vars_),), name=name)
+            return self.atom("custom", pos, value[2:])
         if kind == "RELNAME":
             if value == "T":
                 self.take()
@@ -660,7 +650,7 @@ class _Parser:
                 return BOT
             if value in _ATOM_KEYWORDS:
                 self.take()
-                return self.dependency_atom(value, pos)
+                return self.atom(value, pos)
             return self.equality()
         raise ParseError(f"unexpected {value or 'end of input'!r}", pos)
 
@@ -693,56 +683,34 @@ class _Parser:
             return NotEqual(left, self.variable())
         raise ParseError(f"expected '=' or '!=' after variable, found {value!r}", pos)
 
-    def atom_groups(self, pos) -> list[tuple[list[str], list[int]]]:
-        """Parse '(' groups ')' where groups are ';'-separated variable/number
-        lists with ',' or juxtaposition between items."""
+    def atom(self, kind: str, pos: int, name: str | None = None) -> Formula:
+        """'(' ';'-separated groups of variables ')', with ',' or
+        juxtaposition between items and an optional number at the very end;
+        ``Atom`` checks the shape."""
         self.expect("(")
-        groups: list[tuple[list[str], list[int]]] = []
+        groups: list[tuple[str, ...]] = []
         vars_: list[str] = []
-        nums: list[int] = []
-        while True:
-            kind, value, p = self.peek()
-            if value == ")":
-                self.take()
-                groups.append((vars_, nums))
-                return groups
-            if value == ";":
-                self.take()
-                groups.append((vars_, nums))
-                vars_, nums = [], []
-                continue
-            if value == ",":
-                self.take()
-                continue
-            if kind == "NUMBER":
-                self.take()
-                nums.append(int(value))
-                continue
-            if kind == "IDENT" and value not in _KEYWORDS:
-                self.take()
-                vars_.append(value)
-                continue
-            raise ParseError(f"unexpected {value!r} in atom arguments", p)
-
-    def dependency_atom(self, kw: str, pos: int) -> Formula:
-        groups = self.atom_groups(pos)
-        want_groups, takes_param = _ATOM_SHAPES[kw]
         param = None
-        if takes_param:
-            vars_, nums = groups[-1]
-            if len(nums) != 1:
-                raise ParseError(f"{kw} needs one numeric parameter", pos)
-            param = nums[0]
-            groups[-1] = (vars_, [])
-        for vars_, nums in groups:
-            if nums:
-                raise ParseError(f"unexpected number in {kw} arguments", pos)
-        if len(groups) != want_groups:
-            raise ParseError(
-                f"{kw} expects {want_groups} argument group(s), got {len(groups)}", pos
-            )
+        while True:
+            tok, value, p = self.take()
+            if value == ")":
+                break
+            if value == ",":
+                continue
+            if param is not None:
+                raise ParseError(f"unexpected number in {kind} arguments", pos)
+            if value == ";":
+                groups.append(tuple(vars_))
+                vars_ = []
+            elif tok == "NUMBER":
+                param = int(value)
+            elif tok == "IDENT" and value not in _KEYWORDS:
+                vars_.append(value)
+            else:
+                raise ParseError(f"unexpected {value!r} in atom arguments", p)
+        groups.append(tuple(vars_))
         try:
-            return Atom(kw, tuple(tuple(vars_) for vars_, _ in groups), param=param)
+            return Atom(kind, tuple(groups), param, name)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from None
 

@@ -166,3 +166,32 @@ def test_custom_atom_witness_within_power_bound():
             if ts.evaluate(m, t, atom, reg):
                 w = ts.minimal_satisfying_subteam(m, t, atom, reg)
                 assert w is not None and len(w) <= size ** 2
+
+
+def test_sizes_below_one_are_errors():
+    for size in (0, -3):
+        with pytest.raises(ts.AnalysisError):
+            ts.equivalent(ts.parse("x = x"), ts.parse("x != x"), ("x",),
+                          max_model=size)
+        with pytest.raises(ts.AnalysisError):
+            ts.check_boundedness(ts.parse("all(x)"), size)
+
+
+def test_witness_searches_reuse_the_sweep_evaluator(monkeypatch):
+    """check_boundedness searches witnesses with its sweep evaluator, plus one
+    fresh re-validation per witness; hierarchy_witness checks the full team
+    and searches with one evaluator."""
+    built = []
+    init = ts.Evaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ts.Evaluator, "__init__", counting_init)
+    reports = ts.check_boundedness(ts.parse("all(x) | all(y)"), 2)
+    assert len(reports) == 8 and all(r.holds for r in reports)
+    assert len(built) == 2 + 8  # one per model size, one per witness
+    built.clear()
+    assert ts.hierarchy_witness(2, 1, 3).witness_size == 16
+    assert len(built) == 2

@@ -234,3 +234,17 @@ def test_bounds_hierarchy(capsys):
     assert "n=2" in out and "4 > 2" in out
     code, out, _ = run(capsys, "bounds", "hierarchy", "2", "1", "3")
     assert code == 0 and "n=4" in out and "16 > 12" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("equiv", "x = x", "x != x", "--vars", "x", "--max-model", "0"),
+    ("equiv", "x = x", "x != x", "--vars", "x", "--max-model", "-3"),
+    ("bounds", "check", "all(x)", "--max-model", "0"),
+    ("transform", "flatten", "NE", "--verify", "0"),
+    ("transform", "flatten", "NE", "extra"),
+    ("transform", "nedef", "junk", "--verify", "1"),
+])
+def test_bad_size_or_extra_argument_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")

@@ -285,6 +285,28 @@ def test_cross_check_against_naive_evaluator():
                     (str(f), size, sorted(t.rows))
 
 
+#: every built-in atom kind, with distinct and multi-variable tuples
+ATOM_TEXTS = [
+    "NE", "const(x y)", "ncon(x z)", "all(x y)", "geq(x y, 3)",
+    "count_eq(x, 1)", "count_neq(y, 1)", "cocount_eq(z, 1)", "cocount_neq(x, 0)",
+    "dep(x; y)", "dep(x y; z)", "ndep(x; y z)", "inc(x; y)", "inc(x y; z x)",
+    "ninc(x y; z x)", "ind(x; y; z)", "ind(z; x y; y)", "nind(z; x y; y)",
+    "nind(x; y; z)", "ind(y; z; z)",
+]
+
+
+def test_atom_kinds_against_naive_evaluator():
+    """Each atom kernel, and each negated kind's flip of its base kernel,
+    agrees with the oracle on every team over (x, y, z) at |M| <= 2."""
+    atoms = [ts.parse(s) for s in ATOM_TEXTS]
+    for size in (1, 2):
+        m = ts.Model(size)
+        for t in all_teams(m, ("x", "y", "z")):
+            for a in atoms:
+                assert ts.evaluate(m, t, a) == naive_eval(m, t, a), \
+                    (str(a), size, sorted(t.rows))
+
+
 def test_existential_choice_function_agreement():
     """The witness-search implementation of the lax existential agrees with
     direct choice-function enumeration."""

@@ -127,6 +127,23 @@ def test_atom_validation():
         Atom("nosuch", (("x",),))
 
 
+#: malformed atoms, each a parse error with a position inside the atom
+MALFORMED_ATOMS = [
+    "geq(x)", "geq(x, 1, 2)", "geq(x; 3)", "dep(x; y, 3)", "ncon(x, 2)",
+    "dep(x)", "dep(x; y; z)", "ind(x; y)", "dep(x;)", "const()",
+    "inc(x; y z)", "count_eq(x y, 1)", "count_eq(x)", "D:f(x; y)", "D:f(x, 3)",
+    "all(exists)", "dep(x; y", "const x",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_ATOMS)
+def test_malformed_atom_is_parse_error(text):
+    source = "NE & " + text
+    with pytest.raises(ts.ParseError) as e:
+        ts.parse(source, SIG)
+    assert len("NE & ") <= e.value.position <= len(source)
+
+
 def test_free_variables():
     assert ts.free_variables(ts.parse("dep(x; y)")) == {"x", "y"}
     assert ts.free_variables(ts.parse("exists x (x = y)")) == {"y"}
