@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .evaluator import (EMPTY_REGISTRY, Evaluator, Registry, _subsets, evaluate,
-                        upward_closed)
+from .evaluator import EMPTY_REGISTRY, Evaluator, Registry, evaluate, upward_closed
 from .structures import (
     Model,
     Team,
@@ -70,7 +69,9 @@ class GammaTable:
     def __init__(self, overrides: dict[str, Bound] | None = None):
         self.overrides = dict(overrides or {})
 
-    def bound_for(self, atom: Atom, registry: Registry) -> Bound:
+    def bound_for(self, atom: Atom, registry: Registry, size: int) -> Bound:
+        """The atom's bound; a custom atom's upward-closure claim is checked
+        on domains up to size."""
         key = atom.name if atom.kind == "custom" else atom.kind
         if key in self.overrides:
             return self.overrides[key]
@@ -86,7 +87,7 @@ class GammaTable:
             case "all":
                 return ("pow", len(atom.parts[0]))
             case "custom":
-                if not upward_closed(atom, registry):
+                if not upward_closed(atom, registry, size):
                     raise AnalysisError(
                         f"custom atom {atom.name!r} is not upward closed (no claim "
                         f"that passes check_upward_closed) and has no bound override"
@@ -118,7 +119,7 @@ def nu_bound(f: Formula, n: int, gamma: GammaTable | None = None,
     gamma = gamma or GammaTable()
     registry = registry or EMPTY_REGISTRY
     return sum(
-        bound_value(gamma.bound_for(a, registry), n) for a in _atom_occurrences(f)
+        bound_value(gamma.bound_for(a, registry, n), n) for a in _atom_occurrences(f)
     )
 
 
@@ -138,14 +139,13 @@ def minimal_satisfying_subteam(model: Model, team: Team, f: Formula,
 
 
 def _first_witness(ev: Evaluator, team: Team, f: Formula) -> Team | None:
-    """The first subteam in size-then-combination order that satisfies f
-    under ev, re-validated with fresh state, or None."""
-    for candidate in map(team.with_rows, _subsets(team.rows)):
-        if ev.evaluate(candidate, f):
-            if not evaluate(ev.model, candidate, f, ev.registry):
-                raise AnalysisError("unstable evaluation result")
-            return candidate
-    return None
+    """ev's first satisfying subteam (see
+    :meth:`Evaluator.first_satisfying_subteam`), re-validated with fresh
+    state, or None."""
+    witness = ev.first_satisfying_subteam(team, f)
+    if witness is not None and not evaluate(ev.model, witness, f, ev.registry):
+        raise AnalysisError("unstable evaluation result")
+    return witness
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,8 @@ def check_boundedness(f: Formula, max_model: int,
     registry = registry or EMPTY_REGISTRY
     if f.arities:
         raise AnalysisError("boundedness sweeps cover empty-signature models only")
-    nu_bound(f, 1, gamma, registry)  # rejects atoms outside the fragment up front
+    # rejects atoms outside the fragment, on every swept size, up front
+    nu_bound(f, max_model, gamma, registry)
     variables = sorted(f.free_vars)
     reports = []
     for size in range(1, max_model + 1):

@@ -196,7 +196,11 @@ def _run_transform(args, sig: Signature, reg: Registry):
         out = transforms.ne_via_totality()
         return [pretty(out)], same_as(NE, out)
     if name == "countdef":
-        kind, k, v = arg[0], int(arg[1]), arg[2]
+        kind, k, v = arg
+        try:
+            k = int(k)
+        except ValueError:
+            raise CliError(f"countdef: K must be an integer, got {k!r}") from None
         atom_kinds = {"eq": "count_eq", "neq": "count_neq",
                       "co_eq": "cocount_eq", "co_neq": "cocount_neq"}
         if kind in atom_kinds:

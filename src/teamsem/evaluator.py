@@ -21,9 +21,20 @@ search would be hopeless, so it prunes using three structural facts:
     smallest candidates decide and a failing partial witness is discarded.
 
 A custom atom counts as upward closed only once its claim passes
-:func:`check_upward_closed`.  The test suite cross-checks all of this
-against a literal rule-by-rule evaluator that enumerates splits and choice
-functions outright.
+:func:`check_upward_closed` on the domain sizes in use.  The test suite
+cross-checks all of this against a literal rule-by-rule evaluator that
+enumerates splits and choice functions outright.
+
+Inside an :class:`Evaluator` a team is an integer bit mask.  Per sorted
+variable tuple, the evaluator numbers the rows it meets on first sight, so
+a team over many variables costs its own rows, never all |M|**k.  By
+locality a node is evaluated on the team over its own free variables, so
+verdicts are memoized per (node uid, mask).  Restricting by a first-order
+formula is an AND with the rows known to satisfy it, and only rows not yet
+tested go to ``tarski_eval``; projection and universal extension are
+unions of per-row images.  :class:`Team` values appear only at the public
+methods, and candidate subteams are always tried in combination order over
+the sorted rows, whatever the numbering.
 """
 
 from __future__ import annotations
@@ -33,8 +44,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping
 
-from .structures import (EnumerationLimit, Model, Team, restrict, tarski_eval,
-                         universal_extend)
+from .structures import EnumerationLimit, Model, Team, tarski_eval
 from .syntax import (
     And,
     Atom,
@@ -107,18 +117,36 @@ class DependencySpec:
         if self.arity == 0 and self.definition.arities:
             raise ValueError("0-ary notions are sentences over the empty signature")
 
-    @cached_property
+    @property
     def upward_closed(self) -> bool:
-        """A "yes" claim that :func:`check_upward_closed` confirms on every
-        domain size whose relation space fits its default cap of 9 tuples
-        (up to 9 at arity 1, 3 at arity 2, 2 at arity 3, 1 beyond).  A
-        failing claim is ignored, so the search runs unpruned.  0-ary
-        notions ignore the team, so their claim stands as given."""
+        """The claim as checked on every size up to the cap; see
+        :meth:`upward_closed_on`."""
+        return self.upward_closed_on(None)
+
+    def upward_closed_on(self, size: int | None) -> bool:
+        """Whether the search may prune with the claim on domains of the
+        given size: a "yes" claim that :func:`check_upward_closed` confirms
+        on sizes 1 to size, and at most to the largest size whose relation
+        space fits its default cap of 9 tuples (9 at arity 1, 3 at arity 2,
+        2 at arity 3, 1 beyond), which is also the bound when size is None.
+        A failing claim is ignored, so the search runs unpruned.  0-ary
+        notions ignore the team, so their claim stands as given.  Cached
+        per size."""
         if self.claimed_upward_closed != "yes" or self.arity == 0:
             return self.claimed_upward_closed == "yes"
-        size = max(n for n in range(1, _TUPLE_CAP + 1)
-                   if n ** self.arity <= _TUPLE_CAP)
-        return check_upward_closed(self, size).holds
+        top = max(n for n in range(1, _TUPLE_CAP + 1)
+                  if n ** self.arity <= _TUPLE_CAP)
+        if size is not None:
+            top = min(size, top)
+        holds = self._checked.get(top)
+        if holds is None:
+            holds = self._checked[top] = check_upward_closed(self, top).holds
+        return holds
+
+    @cached_property
+    def _checked(self) -> dict[int, bool]:
+        """size -> whether the claim passed check_upward_closed up to it"""
+        return {}
 
 
 class Registry:
@@ -158,155 +186,296 @@ def register(registry: Registry, spec: DependencySpec) -> Registry:
 # structural fragments used by the search pruning
 
 
-def upward_closed(f: Formula, registry: Registry) -> bool:
+def upward_closed(f: Formula, registry: Registry, size: int | None = None) -> bool:
     """Satisfaction transfers to envelope-satisfying superteams: built-in
-    constructs by their kind, custom atoms by their checked claim."""
+    constructs by their kind, custom atoms by their claim as checked on
+    domains up to the given size (see :meth:`DependencySpec.upward_closed_on`)."""
     return f.up_builtin and all(
-        registry.get(n).upward_closed for n in f.custom_names)
+        registry.get(n).upward_closed_on(size) for n in f.custom_names)
 
 
-def _subsets(rows: Iterable[tuple[int, ...]], least: int = 0,
-             most: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Subsets of the sorted rows with least to most members, smaller sizes
-    first and combination order within a size."""
-    rows = sorted(rows)
-    top = len(rows) if most is None else min(most, len(rows))
+def _subsets(items: Iterable, least: int = 0, most: int | None = None,
+             key=None) -> Iterator[tuple]:
+    """Subsets of the items sorted by key, with least to most members,
+    smaller sizes first and combination order within a size."""
+    items = sorted(items, key=key)
+    top = len(items) if most is None else min(most, len(items))
     for size in range(least, top + 1):
-        yield from combinations(rows, size)
+        yield from combinations(items, size)
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask as powers of two, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _image(mask: int, image: list[int]) -> int:
+    """The union of the images of mask's bits, image[i] that of bit i."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= image[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+class _Universe:
+    """The rows over one sorted variable tuple that an evaluator has met,
+    numbered on first sight; a team over these variables is the bit mask
+    of its rows' numbers.  The maps to other universes fill lazily."""
+
+    __slots__ = ("vars", "rows", "index", "sat", "proj", "ext")
+
+    def __init__(self, variables: tuple[str, ...]):
+        self.vars = variables
+        self.rows: list[tuple[int, ...]] = []  # bit -> row
+        self.index: dict[tuple[int, ...], int] = {}  # row -> bit
+        #: first-order formula uid -> [rows tested, rows satisfying]
+        self.sat: dict[int, list[int]] = {}
+        #: fewer variables -> (their universe, bit -> the row's bit there,
+        #: mask -> its projection)
+        self.proj: dict[tuple[str, ...],
+                        tuple[_Universe, list[int], dict[int, int]]] = {}
+        #: new variable -> (the wider universe, bit -> mask of the row's extension)
+        self.ext: dict[str, tuple[_Universe, list[int]]] = {}
+
+    def mask(self, rows: Iterable[tuple[int, ...]]) -> int:
+        index = self.index
+        mask = 0
+        for row in rows:
+            bit = index.get(row)
+            if bit is None:
+                bit = index[row] = len(self.rows)
+                self.rows.append(row)
+            mask |= 1 << bit
+        return mask
+
+    def row_of(self, bit: int) -> tuple[int, ...]:
+        return self.rows[bit.bit_length() - 1]
+
+    def rows_of(self, mask: int) -> list[tuple[int, ...]]:
+        return [self.rows[bit.bit_length() - 1] for bit in _bits(mask)]
+
+    def submasks(self, mask: int, least: int = 0,
+                 most: int | None = None) -> Iterator[int]:
+        """The sub-masks with least to most rows, smaller first and in
+        combination order over the sorted rows within a size."""
+        return map(sum, _subsets(_bits(mask), least, most, self.row_of))
+
+    def columns(self, mask: int, vs: tuple[str, ...]) -> set[tuple[int, ...]]:
+        """The team's projection onto vs."""
+        idx = [self.vars.index(v) for v in vs]
+        return {tuple(row[i] for i in idx) for row in self.rows_of(mask)}
 
 
 class Evaluator:
     """One lax-semantics evaluation context: fixed model and registry, with
-    memoization keyed on (subformula, team)."""
+    teams as masks and memoization keyed on (node uid, mask)."""
 
     def __init__(self, model: Model, registry: Registry | None = None):
         self.model = model
         self.registry = registry or EMPTY_REGISTRY
-        self._memo: dict[tuple[Formula, Team], bool] = {}
-        self._restrict_memo: dict[tuple[Formula, Team], Team] = {}
+        self._universes: dict[tuple[str, ...], _Universe] = {}
+        self._memo: dict[tuple[int, int], bool] = {}
         self._bracket_memo: dict[Formula, bool] = {}
 
-    # -- public entry points
+    # -- public entry points: Team values in and out
 
     def evaluate(self, team: Team, f: Formula) -> bool:
-        missing = f.free_vars - set(team.variables)
-        if missing:
-            raise EvalError(f"free variables outside the team domain: {sorted(missing)}")
-        return self._eval(team, f)
+        return self._eval(f, *self._team(team, f))
 
     def satisfying_subteams(self, team: Team, f: Formula) -> frozenset[Team]:
         """All subteams of the given team that satisfy f."""
-        self.evaluate(team, f)  # validates variables up front
-        subteams = map(team.with_rows, _subsets(team.rows))
-        return frozenset(sub for sub in subteams if self._eval(sub, f))
+        u, mask = self._team(team, f)
+        return frozenset(team.with_rows(u.rows_of(sub))
+                         for sub in u.submasks(mask) if self._eval(f, u, sub))
+
+    def first_satisfying_subteam(self, team: Team, f: Formula) -> Team | None:
+        """The first subteam satisfying f, smaller sizes first and in
+        combination order over the sorted rows within a size, or None."""
+        u, mask = self._team(team, f)
+        for sub in u.submasks(mask):
+            if self._eval(f, u, sub):
+                return team.with_rows(u.rows_of(sub))
+        return None
+
+    def _team(self, team: Team, f: Formula) -> tuple[_Universe, int]:
+        missing = f.free_vars - set(team.variables)
+        if missing:
+            raise EvalError(f"free variables outside the team domain: {sorted(missing)}")
+        u = self._universe(team.variables)
+        return u, u.mask(team.rows)
+
+    # -- masks
+
+    def _universe(self, variables: tuple[str, ...]) -> _Universe:
+        u = self._universes.get(variables)
+        if u is None:
+            u = self._universes[variables] = _Universe(variables)
+        return u
+
+    def _project(self, u: _Universe, mask: int,
+                 variables: tuple[str, ...]) -> tuple[_Universe, int]:
+        """The team restricted to some of its variables."""
+        if variables == u.vars:
+            return u, mask
+        hit = u.proj.get(variables)
+        if hit is None:
+            hit = u.proj[variables] = (self._universe(variables), [], {})
+        target, image, done = hit
+        out = done.get(mask)
+        if out is None:
+            if len(image) < len(u.rows):
+                idx = [u.vars.index(v) for v in variables]
+                image += [target.mask((tuple(row[i] for i in idx),))
+                          for row in u.rows[len(image):]]
+            out = done[mask] = _image(mask, image)
+        return target, out
+
+    def _extend(self, u: _Universe, v: str) -> tuple[_Universe, list[int]]:
+        """The universe over u's variables and v (not one of them), and
+        each of u's rows' extensions by every value of v, as masks there."""
+        hit = u.ext.get(v)
+        if hit is None:
+            hit = u.ext[v] = (self._universe(tuple(sorted(u.vars + (v,)))), [])
+        wide, image = hit
+        if len(image) < len(u.rows):
+            i = wide.vars.index(v)
+            domain = self.model.domain
+            image += [wide.mask(row[:i] + (m,) + row[i:] for m in domain)
+                      for row in u.rows[len(image):]]
+        return wide, image
+
+    def _restrict(self, u: _Universe, mask: int, theta: Formula) -> int:
+        """The rows of the team that satisfy the first-order theta; each
+        row is sent to tarski_eval once per theta."""
+        entry = u.sat.get(theta.uid)
+        if entry is None:
+            entry = u.sat[theta.uid] = [0, 0]
+        fresh = mask & ~entry[0]
+        if fresh:
+            model, vs = self.model, u.vars
+            good = 0
+            for bit in _bits(fresh):
+                if tarski_eval(model, dict(zip(vs, u.row_of(bit))), theta):
+                    good |= bit
+            entry[0] |= fresh
+            entry[1] |= good
+        return mask & entry[1]
 
     # -- dispatch
 
-    def _eval(self, team: Team, f: Formula) -> bool:
-        team = team.restrict_vars(f.free_vars)  # locality
-        key = (f, team)
+    def _eval(self, f: Formula, u: _Universe, mask: int) -> bool:
+        if u.vars != f.free_tuple:  # locality
+            u, mask = self._project(u, mask, f.free_tuple)
+        key = (f.uid, mask)
         result = self._memo.get(key)
         if result is not None:
             return result
         cls = type(f)
         if cls is not And and cls is not ClassicalOr:
-            result = self._memo[key] = self._eval_raw(team, f)
+            result = self._memo[key] = self._eval_raw(f, u, mask)
             return result
         # a left-nested & or || chain: walk down its spine to the first node
         # with a verdict, then fold back up, one memo entry per spine node
-        spine = [key]
+        spine = [(f, u, mask)]
+        top = u, mask
         f = f.left
         while type(f) is cls:
-            sub = (f, team.restrict_vars(f.free_vars))
-            result = self._memo.get(sub)
+            sub_u, sub_mask = self._project(*top, f.free_tuple)
+            result = self._memo.get((f.uid, sub_mask))
             if result is not None:
                 break
-            spine.append(sub)
+            spine.append((f, sub_u, sub_mask))
             f = f.left
         else:
-            result = self._eval(team, f)
-        for node, sub_team in reversed(spine):
+            result = self._eval(f, *top)
+        for node, sub_u, sub_mask in reversed(spine):
             if result == (cls is And):  # the left operand does not decide
-                result = self._eval(sub_team, node.right)
-            self._memo[node, sub_team] = result
+                result = self._eval(node.right, sub_u, sub_mask)
+            self._memo[node.uid, sub_mask] = result
         return result
 
-    def _eval_raw(self, team: Team, f: Formula) -> bool:
+    def _eval_raw(self, f: Formula, u: _Universe, mask: int) -> bool:
         match f:
             case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
-                return len(self._restrict(team, f)) == len(team.rows)
+                return self._restrict(u, mask, f) == mask
             case TensorOr(l, r):
-                return self._tensor_or(team, l, r)
+                return self._tensor_or(u, mask, l, r)
             case ContraNeg(body):
-                return not self._eval(team, body)
+                return not self._eval(body, u, mask)
             case IntImpl(l, r):
-                return all(
-                    not self._eval(sub, l) or self._eval(sub, r)
-                    for sub in map(team.with_rows, _subsets(team.rows))
-                )
+                return all(not self._eval(l, u, sub) or self._eval(r, u, sub)
+                           for sub in u.submasks(mask))
             case Possibly(body):
-                return self._exists_sat(body, team, frozenset(), nonempty=True)
+                return self._exists_sat(body, u, mask, 0, nonempty=True)
             case Exists(v, body):
-                return self._exists(team, v, body)
+                return self._exists(u, mask, v, body)
             case Forall(v, body):
-                return self._eval(universal_extend(self.model, team, v), body)
+                wide, image = self._extend(u, v)
+                return self._eval(body, wide, _image(mask, image))
             case Bracket(body):
                 return self._bracket(body)
             case Atom():
-                return self._atom(team, f)
+                return self._atom(u, mask, f)
         raise EvalError(f"cannot evaluate {type(f).__name__}")
 
     # -- atoms
 
-    def _atom(self, team: Team, a: Atom) -> bool:
+    def _atom(self, u: _Universe, mask: int, a: Atom) -> bool:
         base = _NEGATES.get(a.kind)
         if base is not None:  # a witnessed failure of the base kind
-            return not self._kernel(team, base, a)
-        return self._kernel(team, a.kind, a)
+            return not self._kernel(u, mask, base, a)
+        return self._kernel(u, mask, a.kind, a)
 
-    def _kernel(self, team: Team, kind: str, a: Atom) -> bool:
+    def _kernel(self, u: _Universe, mask: int, kind: str, a: Atom) -> bool:
         """Whether the team satisfies the positive atom kind over a's
-        arguments."""
+        arguments.  The team's variables are the atom's, so a kind with one
+        argument tuple takes as many values on it as the team has rows."""
         match kind:
             case "ne":
-                return bool(team.rows)
+                return mask != 0
             case "const":
-                return len(team.project_rows(a.parts[0])) <= 1
+                return mask.bit_count() <= 1
             case "all":
-                vs = a.parts[0]
-                return len(team.project_rows(vs)) == self.model.size ** len(vs)
+                return mask.bit_count() == self.model.size ** len(a.parts[0])
             case "geq":
-                return len(team.project_rows(a.parts[0])) >= a.param
+                return mask.bit_count() >= a.param
             case "count_eq":
-                return len(team.project_rows(a.parts[0])) == a.param
+                return mask.bit_count() == a.param
             case "cocount_eq":
-                return self.model.size - len(team.project_rows(a.parts[0])) == a.param
+                return self.model.size - mask.bit_count() == a.param
             case "dep":  # exits early: comparing projection sizes is slower
                 vs, ws = a.parts
-                vi = [team.column_index(v) for v in vs]
-                wi = [team.column_index(w) for w in ws]
+                vi = [u.vars.index(v) for v in vs]
+                wi = [u.vars.index(w) for w in ws]
                 seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-                for row in team.rows:
+                for row in u.rows_of(mask):
                     val = tuple(row[i] for i in wi)
                     if seen.setdefault(tuple(row[i] for i in vi), val) != val:
                         return False
                 return True
             case "inc":
-                return team.project_rows(a.parts[0]) <= team.project_rows(a.parts[1])
+                return u.columns(mask, a.parts[0]) <= u.columns(mask, a.parts[1])
             case "ind":  # every u v and u w seen together make a u v w row
                 us, vs, ws = a.parts
                 k = len(us)
                 by_u: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-                for uw in team.project_rows(us + ws):
+                for uw in u.columns(mask, us + ws):
                     by_u.setdefault(uw[:k], []).append(uw[k:])
-                full = team.project_rows(us + vs + ws)
-                return all(uv + w in full for uv in team.project_rows(us + vs)
+                full = u.columns(mask, us + vs + ws)
+                return all(uv + w in full for uv in u.columns(mask, us + vs)
                            for w in by_u[uv[:k]])
             case "custom":
-                return self._custom(team, a)
+                return self._custom(u, mask, a)
         raise EvalError(f"unknown atom kind {a.kind!r}")
 
-    def _custom(self, team: Team, a: Atom) -> bool:
+    def _custom(self, u: _Universe, mask: int, a: Atom) -> bool:
         spec = self.registry.get(a.name)
         if len(a.parts[0]) != spec.arity:
             raise EvalError(
@@ -314,7 +483,7 @@ class Evaluator:
             )
         if spec.arity == 0:  # a sentence with no relation: the team is ignored
             return self._bracket(spec.definition)
-        relation = team.project_rows(a.parts[0])
+        relation = u.columns(mask, a.parts[0])
         sig = Signature({"R": spec.arity})
         struct = Model(self.model.size, {"R": relation}, sig)
         return tarski_eval(struct, {}, spec.definition)
@@ -326,142 +495,128 @@ class Evaluator:
             self._bracket_memo[body] = hit
         return hit
 
-    # -- helpers
-
-    def _restrict(self, team: Team, theta: Formula) -> Team:
-        key = (theta, team)
-        hit = self._restrict_memo.get(key)
-        if hit is None:
-            hit = self._restrict_memo[key] = restrict(self.model, team, theta)
-        return hit
-
     # -- splitting disjunction
 
-    def _tensor_or(self, team: Team, left: Formula, right: Formula) -> bool:
-        ml = self._restrict(team, left.envelope)
-        mr = self._restrict(team, right.envelope)
-        if not (ml.rows | mr.rows) >= team.rows:
+    def _tensor_or(self, u: _Universe, mask: int, left: Formula,
+                   right: Formula) -> bool:
+        ml = self._restrict(u, mask, left.envelope)
+        mr = self._restrict(u, mask, right.envelope)
+        if ml | mr != mask:
             return False
         fo_l, fo_r = left.first_order, right.first_order
         if fo_l and fo_r:
             return True
         if fo_l:
-            return self._exists_sat(right, mr, team.rows - ml.rows)
+            return self._exists_sat(right, u, mr, mask & ~ml)
         if fo_r:
-            return self._exists_sat(left, ml, team.rows - mr.rows)
-        if upward_closed(right, self.registry):
-            return self._eval(mr, right) and self._exists_sat(
-                left, ml, team.rows - mr.rows)
-        if upward_closed(left, self.registry):
-            return self._eval(ml, left) and self._exists_sat(
-                right, mr, team.rows - ml.rows)
+            return self._exists_sat(left, u, ml, mask & ~mr)
+        size = self.model.size
+        if upward_closed(right, self.registry, size):
+            return self._eval(right, u, mr) and self._exists_sat(
+                left, u, ml, mask & ~mr)
+        if upward_closed(left, self.registry, size):
+            return self._eval(left, u, ml) and self._exists_sat(
+                right, u, mr, mask & ~ml)
         if left.downward and right.downward:
-            return self._down_split(team, left, right, ml, mr)
+            return self._down_split(u, mask, left, right, ml, mr)
         # generic: the right part must contain every row the left envelope
         # rejects; enumerate its optional extras, then close the left part
-        if self._eval(ml, left) and self._eval(mr, right):
+        if self._eval(left, u, ml) and self._eval(right, u, mr):
             return True
-        forced = team.rows - ml.rows
-        for extra in _subsets(ml.rows & mr.rows):
-            z = team.with_rows(forced.union(extra))
-            if self._eval(z, right) and self._exists_sat(
-                    left, ml, team.rows - z.rows):
+        forced = mask & ~ml
+        for extra in u.submasks(ml & mr):
+            z = forced | extra
+            if self._eval(right, u, z) and self._exists_sat(
+                    left, u, ml, mask & ~z):
                 return True
         return False
 
-    def _down_split(self, team: Team, left: Formula, right: Formula,
-                    ml: Team, mr: Team) -> bool:
+    def _down_split(self, u: _Universe, mask: int, left: Formula,
+                    right: Formula, ml: int, mr: int) -> bool:
         """Both sides downward closed: a partition suffices, assign rows one
         at a time and reject as soon as a side fails."""
-        rows = sorted(team.rows)
+        order = sorted(_bits(mask), key=u.row_of)
 
-        def assign(i: int, ls: frozenset, rs: frozenset) -> bool:
-            if i == len(rows):
+        def assign(i: int, ls: int, rs: int) -> bool:
+            if i == len(order):
                 return True
-            row = rows[i]
-            if row in ml.rows:
-                nls = ls | {row}
-                if self._eval(team.with_rows(nls), left) and assign(i + 1, nls, rs):
+            bit = order[i]
+            if bit & ml:
+                nls = ls | bit
+                if self._eval(left, u, nls) and assign(i + 1, nls, rs):
                     return True
-            if row in mr.rows:
-                nrs = rs | {row}
-                if self._eval(team.with_rows(nrs), right) and assign(i + 1, ls, nrs):
+            if bit & mr:
+                nrs = rs | bit
+                if self._eval(right, u, nrs) and assign(i + 1, ls, nrs):
                     return True
             return False
 
-        empty = frozenset()
-        return (self._eval(team.with_rows(empty), left)
-                and self._eval(team.with_rows(empty), right)
-                and assign(0, empty, empty))
+        return (self._eval(left, u, 0) and self._eval(right, u, 0)
+                and assign(0, 0, 0))
 
-    def _exists_sat(self, f: Formula, upper: Team, lower: frozenset,
+    def _exists_sat(self, f: Formula, u: _Universe, upper: int, lower: int,
                     nonempty: bool = False) -> bool:
         """Is there a team Y with lower <= Y <= upper satisfying f, and
         with Y nonempty when asked?"""
-        upper = self._restrict(upper, f.envelope)
-        if not lower <= upper.rows or (nonempty and upper.is_empty()):
+        upper = self._restrict(u, upper, f.envelope)
+        if lower & ~upper or (nonempty and not upper):
             return False
         if f.first_order:
             return True
-        if upward_closed(f, self.registry):
-            return self._eval(upper, f)
+        if upward_closed(f, self.registry, self.model.size):
+            return self._eval(f, u, upper)
         least = 1 if nonempty and not lower else 0
         if f.downward:  # the smallest candidates decide
             most = least
-        elif self._eval(upper, f):
+        elif self._eval(f, u, upper):
             return True
         else:
             most = None
-        return any(self._eval(upper.with_rows(lower.union(extra)), f)
-                   for extra in _subsets(upper.rows - lower, least, most))
+        return any(self._eval(f, u, lower | extra)
+                   for extra in u.submasks(upper & ~lower, least, most))
 
     # -- lax existential quantification
 
-    def _exists(self, team: Team, v: str, body: Formula) -> bool:
+    def _exists(self, u: _Universe, mask: int, v: str, body: Formula) -> bool:
         """Lax witness search: a satisfying Y inside the universal extension
         must hit the extension block of every original row."""
-        extended = universal_extend(self.model, team, v)
-        allowed = self._restrict(extended, body.envelope)
-
-        # group the extension by the originating row: v is bound here, so
-        # it is not a column of the team and dropping it gives that row
-        i = extended.column_index(v)
-        blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {
-            row: [] for row in team.rows}
-        for row in allowed.rows:
-            blocks[row[:i] + row[i + 1:]].append(row)
-        if any(not rows for rows in blocks.values()):
-            return False
+        wide, image = self._extend(u, v)
+        allowed = self._restrict(wide, _image(mask, image), body.envelope)
+        blocks = []
+        for bit in _bits(mask):
+            block = image[bit.bit_length() - 1] & allowed
+            if not block:
+                return False
+            blocks.append((u.row_of(bit), block))
         if body.first_order:
             return True
-        if upward_closed(body, self.registry):
-            return self._eval(allowed, body)
-        if self._eval(allowed, body):
+        if upward_closed(body, self.registry, self.model.size):
+            return self._eval(body, wide, allowed)
+        if self._eval(body, wide, allowed):
             return True  # the full allowed extension is itself a witness
+        blocks.sort()
+        return self._exists_dfs(wide, body, [block for _, block in blocks])
 
-        return self._exists_dfs(extended, body,
-                                [rows for _, rows in sorted(blocks.items())])
-
-    def _exists_dfs(self, extended: Team, body: Formula,
-                    blocks: list[list[tuple[int, ...]]]) -> bool:
-        """Choose a nonempty subset per block, rejecting any prefix whose
+    def _exists_dfs(self, wide: _Universe, body: Formula,
+                    blocks: list[int]) -> bool:
+        """Choose a nonempty part of each block, rejecting any prefix whose
         downward-closed part already fails.  A downward-closed body is its
         own downward part, and one row per block suffices for it."""
         prune = body.downward_part
         most = 1 if body.downward else None
 
-        def walk(i: int, acc: frozenset) -> bool:
+        def walk(i: int, acc: int) -> bool:
             if i == len(blocks):
-                return self._eval(extended.with_rows(acc), body)
-            for chosen in _subsets(blocks[i], 1, most):
-                nxt = acc.union(chosen)
-                if prune is not TOP and not self._eval(extended.with_rows(nxt), prune):
+                return self._eval(body, wide, acc)
+            for chosen in wide.submasks(blocks[i], 1, most):
+                nxt = acc | chosen
+                if prune is not TOP and not self._eval(prune, wide, nxt):
                     continue
                 if walk(i + 1, nxt):
                     return True
             return False
 
-        return walk(0, frozenset())
+        return walk(0, 0)
 
 
 def evaluate(model: Model, team: Team, f: Formula,

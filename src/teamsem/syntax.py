@@ -24,6 +24,7 @@ registered at evaluation time.
 from __future__ import annotations
 
 import re
+from itertools import count
 from typing import Iterable, Mapping
 from weakref import ref
 
@@ -114,6 +115,7 @@ _DOWNWARD_KINDS = frozenset({"const", "dep"})
 
 #: (class, field values) -> weak reference to the one live node
 _TABLE: dict[tuple, ref] = {}
+_UIDS = count()
 _setattr = object.__setattr__
 
 
@@ -127,7 +129,9 @@ class Formula:
     fields and its children's stored values:
 
     ``_hash``         the hash, from the class name and the fields' hashes
+    ``uid``           a small integer, unique among all nodes ever built
     ``free_vars``     the free variables
+    ``free_tuple``    the free variables, sorted
     ``first_order``   only literals, &, |, exists and forall occur
     ``arities``       the (relation, arity) pairs of its literals
     ``downward``      satisfaction transfers to every subteam
@@ -138,9 +142,9 @@ class Formula:
     """
 
     # the fields live in __dict__, the stored properties in slots
-    __slots__ = ("_hash", "free_vars", "first_order", "arities", "downward",
-                 "up_builtin", "custom_names", "_envelope", "_downward_part",
-                 "__dict__", "__weakref__")
+    __slots__ = ("_hash", "uid", "free_vars", "free_tuple", "first_order",
+                 "arities", "downward", "up_builtin", "custom_names",
+                 "_envelope", "_downward_part", "__dict__", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *args):
@@ -156,8 +160,10 @@ class Formula:
                 _setattr(node, name, value)
             node._validate()
             _setattr(node, "_hash", hash((cls.__name__, *args)))
+            _setattr(node, "uid", next(_UIDS))
             for name, value in zip(_DERIVED, _derive(node)):
                 _setattr(node, name, value)
+            _setattr(node, "free_tuple", tuple(sorted(node.free_vars)))
             # never store the node itself: refcounting cannot free a cycle
             if not node.first_order:
                 _setattr(node, "_envelope", _envelope(node))

@@ -195,3 +195,22 @@ def test_witness_searches_reuse_the_sweep_evaluator(monkeypatch):
     built.clear()
     assert ts.hierarchy_witness(2, 1, 3).witness_size == 16
     assert len(built) == 2
+
+
+def test_witness_order_survives_a_warm_evaluator():
+    """Rows get their numbers in the order an evaluator meets them; the
+    witness search still takes the sorted-row order, so an evaluator that
+    met the rows in reverse finds the witness a fresh one finds."""
+    from teamsem.analysis import _first_witness
+
+    m = ts.Model(2)
+    full = team(("x", "y"), (0, 0), (0, 1), (1, 0), (1, 1))
+    for text in ("ncon(x)", "NE", "ncon(x) & ncon(y)", "ndep(x; y) | NE"):
+        f = ts.parse(text)
+        warm = ts.Evaluator(m)
+        for row in sorted(full.rows, reverse=True):
+            warm.evaluate(full.with_rows([row]), f)
+        want = ts.minimal_satisfying_subteam(m, full, f)
+        assert _first_witness(warm, full, f) == want, text
+        if text == "ncon(x)":  # bit order would give (0, 1), (1, 1)
+            assert want == team(("x", "y"), (0, 0), (1, 0))

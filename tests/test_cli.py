@@ -243,8 +243,14 @@ def test_bounds_hierarchy(capsys):
     ("transform", "flatten", "NE", "--verify", "0"),
     ("transform", "flatten", "NE", "extra"),
     ("transform", "nedef", "junk", "--verify", "1"),
+    ("transform", "countdef", "le", "x", "v"),
 ])
 def test_bad_size_or_extra_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_countdef_bad_k_names_the_argument(capsys):
+    code, out, err = run(capsys, "transform", "countdef", "le", "x", "v")
+    assert code == 2 and "countdef" in err and "K" in err

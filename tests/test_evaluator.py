@@ -457,3 +457,48 @@ def test_check_upward_closed():
     assert ts.check_upward_closed(binary, 3).holds
     with pytest.raises(ts.EnumerationLimit):
         ts.check_upward_closed(binary, 4)
+
+
+def test_upward_claim_checked_up_to_the_model_size(monkeypatch):
+    """A true "yes" claim is checked on the sizes the evaluation uses, not
+    on every size up to the cap: at |M| = 2 a three-quantifier definition
+    needs the 2 + 4 relations of sizes 1 and 2, not the 1,022 of sizes 1
+    to 9."""
+    import teamsem.evaluator as evaluator
+
+    calls = []
+    tarski = evaluator.tarski_eval
+    monkeypatch.setattr(evaluator, "tarski_eval",
+                        lambda *args: calls.append(args) or tarski(*args))
+    spec = ts.DependencySpec("two_out", 1, ts.parse(
+        "forall x forall y forall z (R(x) | R(y) | R(z) | x = y | y = z | x = z)",
+        ts.Signature({"R": 1})), claimed_upward_closed="yes")
+    reg = ts.EMPTY_REGISTRY.register(spec)
+    f = ts.parse("exists z (D:two_out(z) & z != x)")
+    m = ts.Model(2)
+    for t in ts.enumerate_teams(m, ("x",)):
+        assert ts.evaluate(m, t, f, reg) == naive_eval(m, t, f, reg), sorted(t.rows)
+    assert len(calls) < 50
+    assert spec.upward_closed_on(2)
+    calls.clear()
+    assert ts.nu_bound(ts.parse("D:two_out(x)"), 2, registry=reg) == 2
+    assert not calls  # the size-2 check is cached
+
+
+def test_wide_team_stays_cheap():
+    """Rows are numbered as the search meets them: a 3-row team over 12
+    variables at |M| = 4 indexes a dozen rows, never the 4**13 rows of the
+    full assignment space."""
+    import time
+
+    xs = tuple(f"x{i}" for i in range(1, 13))
+    f = ts.parse(f"exists z dep({' '.join(xs)}; z)")
+    m = ts.Model(4)
+    rng = random.Random(12)
+    t = ts.Team(xs, [tuple(rng.randrange(4) for _ in xs) for _ in range(3)])
+    start = time.perf_counter()
+    got = ts.evaluate(m, t, f)
+    assert time.perf_counter() - start < 0.5
+    assert got == naive_eval(m, t, f)
+    g = ts.parse(f"exists z (dep({' '.join(xs[:6])}; z) & z != x1)")
+    assert ts.evaluate(m, t, g) == naive_eval(m, t, g)

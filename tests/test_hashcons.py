@@ -275,3 +275,14 @@ def test_custom_names_follow_upward_positions():
     f = ts.parse("<>D:down(x) & D:up(y) & exists z (D:down(z) | D:up(z))")
     assert f.custom_names == ("up", "down")
     assert ts.parse("D:up(x) || D:down(x)").custom_names == ()
+
+
+def test_uid_and_sorted_free_variables():
+    """Each live node has its own small integer uid (the evaluator's memo
+    key) and its free variables as a sorted tuple."""
+    by_uid = {}
+    for f in corpus():
+        for node in nodes(f):
+            assert isinstance(node.uid, int)
+            assert by_uid.setdefault(node.uid, node) is node, ts.pretty(node)
+            assert node.free_tuple == tuple(sorted(ref_free(node)))
