@@ -10,7 +10,7 @@ The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
 whether some team Y between a forced lower bound and an upper bound
 satisfies a body.  ``_exists_sat`` is that bounded search and
 ``_subsets`` the one enumerator of candidate subteams.  Done literally the
-search would be hopeless, so it prunes using three structural facts:
+search would be hopeless, so it prunes using four structural facts:
 
   * a team satisfying a formula satisfies its first-order envelope (the
     formula with every team-level construct weakened to T), so the upper
@@ -18,7 +18,13 @@ search would be hopeless, so it prunes using three structural facts:
   * formulas built from upward-closed atoms transfer upward to any
     envelope-satisfying superteam, so the largest candidate decides;
   * formulas built from downward-closed atoms transfer to subteams, so the
-    smallest candidates decide and a failing partial witness is discarded.
+    smallest candidates decide and a failing partial witness is discarded;
+  * first-order formulas, ``dep`` and ``const``, and ``&`` and ``forall``
+    over these are 2-coherent: a team satisfies one iff every subteam of at
+    most two rows does (J. Kontinen, "Coherence and computational
+    complexity of quantifier-free dependence logic formulas", Studia Logica
+    2013), so a ``|`` chain of such sides is decided by colouring the rows
+    with the sides under pairwise conflicts.
 
 A custom atom counts as upward closed only once its claim passes
 :func:`check_upward_closed` on the domain sizes in use.  The test suite
@@ -224,6 +230,76 @@ def _image(mask: int, image: list[int]) -> int:
     return out
 
 
+def _coherent_sides(f: TensorOr) -> list[Formula] | None:
+    """The sides of the ``|`` chain at f, nested either way, if all are
+    coherent, else None.  A first-order ``|`` is one coherent side."""
+    sides, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is TensorOr and not g.first_order:
+            todo += (g.right, g.left)
+        elif g.coherent:
+            sides.append(g)
+        else:
+            return None
+    return sides
+
+
+def _colour(rows: int, allowed: dict[int, int], conflict: dict[int, list[int]],
+            links: dict[int, int], twins: list[int]) -> bool:
+    """Whether each of the rows (a mask) can take one of its allowed sides
+    (bit i for side i) with no two rows that conflict on a side both taking
+    it.  A backtracking search in DSATUR order (Brélaz 1979: the row with
+    the fewest sides left next, then the one with the most conflicts) with
+    forward checking: giving a row a side takes that side from the rows in
+    conflict with it there.  Sides in one mask of twins are the same
+    formula, so of those that no coloured row has taken, only the first is
+    tried.  A choice made while every uncoloured row keeps all its allowed
+    sides is final: the coloured rows no longer constrain the rest, so if
+    the rest has no colouring neither has the whole.  With two sides this
+    makes the search polynomial, as 2-SAT is."""
+    uncoloured = {row: allowed[row] for row in _bits(rows)}  # -> open sides
+    trail = []  # (row, its open sides before a change), to undo
+    choices = []  # [row, sides not yet tried, trail length, final, side given]
+    while uncoloured:
+        final = all(uncoloured[row] == allowed[row] for row in uncoloured)
+        row = min(uncoloured, key=lambda r: (uncoloured[r].bit_count(),
+                                             -links[r].bit_count()))
+        options = uncoloured[row]
+        used = 0
+        for choice in choices:
+            used |= choice[4]
+        for twin in twins:
+            fresh = options & twin & ~used
+            options ^= fresh & (fresh - 1)
+        choices.append([row, options, len(trail), final, 0])
+        while True:  # give the newest choice's row its next untried side
+            choice = choices[-1]
+            row, untried, mark, final, _ = choice
+            while len(trail) > mark:
+                other, sides = trail.pop()
+                uncoloured[other] = sides
+            if not untried:
+                if final:
+                    return False
+                choices.pop()
+                continue
+            side = untried & -untried
+            choice[1] = untried ^ side
+            choice[4] = side
+            trail.append((row, uncoloured.pop(row)))
+            for other in _bits(conflict[row][side.bit_length() - 1]):
+                sides = uncoloured.get(other, 0)
+                if sides & side:
+                    trail.append((other, sides))
+                    uncoloured[other] = sides ^ side
+                    if sides == side:
+                        break  # other has no side left
+            else:
+                break
+    return True
+
+
 class _Universe:
     """The rows over one sorted variable tuple that an evaluator has met,
     numbered on first sight; a team over these variables is the bit mask
@@ -405,8 +481,8 @@ class Evaluator:
         match f:
             case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
                 return self._restrict(u, mask, f) == mask
-            case TensorOr(l, r):
-                return self._tensor_or(u, mask, l, r)
+            case TensorOr():
+                return self._tensor_or(u, mask, f)
             case ContraNeg(body):
                 return not self._eval(body, u, mask)
             case IntImpl(l, r):
@@ -497,8 +573,8 @@ class Evaluator:
 
     # -- splitting disjunction
 
-    def _tensor_or(self, u: _Universe, mask: int, left: Formula,
-                   right: Formula) -> bool:
+    def _tensor_or(self, u: _Universe, mask: int, f: TensorOr) -> bool:
+        left, right = f.left, f.right
         ml = self._restrict(u, mask, left.envelope)
         mr = self._restrict(u, mask, right.envelope)
         if ml | mr != mask:
@@ -510,6 +586,9 @@ class Evaluator:
             return self._exists_sat(right, u, mr, mask & ~ml)
         if fo_r:
             return self._exists_sat(left, u, ml, mask & ~mr)
+        sides = _coherent_sides(f)
+        if sides is not None:
+            return self._coherent_split(u, mask, sides)
         size = self.model.size
         if upward_closed(right, self.registry, size):
             return self._eval(right, u, mr) and self._exists_sat(
@@ -531,10 +610,61 @@ class Evaluator:
                 return True
         return False
 
+    def _coherent_split(self, u: _Universe, mask: int,
+                        sides: list[Formula]) -> bool:
+        """Every side coherent: a part satisfies its side iff each of its
+        rows and pairs of rows does, and a partition suffices, so the split
+        gives each row one side (side i as bit i) such that no two rows
+        that fail a side together both get it.  Rows in conflict with no
+        other row take any side they pass alone; each connected group of
+        the others is coloured on its own by :func:`_colour`."""
+        rows = _bits(mask)
+        allowed = {}
+        for row in rows:
+            ok = 0
+            for i, side in enumerate(sides):
+                if self._eval(side, u, row):
+                    ok |= 1 << i
+            if not ok:
+                return False
+            allowed[row] = ok
+        #: row -> per side, the rows it fails that side with
+        conflict = {row: [0] * len(sides) for row in rows}
+        links = dict.fromkeys(rows, 0)  # row -> the rows it conflicts with
+        for a, b in combinations(rows, 2):
+            both = allowed[a] & allowed[b]
+            for i, side in enumerate(sides):
+                if both >> i & 1 and not self._eval(side, u, a | b):
+                    conflict[a][i] |= b
+                    conflict[b][i] |= a
+                    links[a] |= b
+                    links[b] |= a
+        same: dict[Formula, int] = {}  # side -> the mask of its copies
+        for i, side in enumerate(sides):
+            same[side] = same.get(side, 0) | 1 << i
+        twins = [m for m in same.values() if m & (m - 1)]
+        todo = mask
+        while todo:
+            group = reach = todo & -todo
+            while reach:
+                new = 0
+                for row in _bits(reach):
+                    new |= links[row]
+                reach = new & ~group
+                group |= reach
+            todo &= ~group
+            if group & (group - 1) and not _colour(
+                    group, allowed, conflict, links, twins):
+                return False
+        return True
+
     def _down_split(self, u: _Universe, mask: int, left: Formula,
                     right: Formula, ml: int, mr: int) -> bool:
-        """Both sides downward closed: a partition suffices, assign rows one
-        at a time and reject as soon as a side fails."""
+        """Both sides downward closed but not every side of the chain
+        coherent: a side is an ``exists``, a ``->``, a ``||``, a bracket,
+        or a ``&`` or ``forall`` over one of these or over a ``|``.  A
+        partition suffices: assign rows one at a time and reject as soon
+        as a side fails on the partial team."""
         order = sorted(_bits(mask), key=u.row_of)
 
         def assign(i: int, ls: int, rs: int) -> bool:

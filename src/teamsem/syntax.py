@@ -135,6 +135,10 @@ class Formula:
     ``first_order``   only literals, &, |, exists and forall occur
     ``arities``       the (relation, arity) pairs of its literals
     ``downward``      satisfaction transfers to every subteam
+    ``coherent``      the empty team satisfies it, and a team does iff
+                      each of its subteams of at most two rows does:
+                      first-order formulas, ``dep``, ``const``, and ``&``
+                      and ``forall`` over these
     ``up_builtin``    satisfaction transfers to envelope-satisfying
                       superteams, given that every custom atom named in
                       ``custom_names`` is upward closed
@@ -143,8 +147,9 @@ class Formula:
 
     # the fields live in __dict__, the stored properties in slots
     __slots__ = ("_hash", "uid", "free_vars", "free_tuple", "first_order",
-                 "arities", "downward", "up_builtin", "custom_names",
-                 "_envelope", "_downward_part", "__dict__", "__weakref__")
+                 "arities", "downward", "coherent", "up_builtin",
+                 "custom_names", "_envelope", "_downward_part", "__dict__",
+                 "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *args):
@@ -342,8 +347,8 @@ class Atom(Formula):
 
 
 #: the stored properties that _derive computes, in its order
-_DERIVED = ("free_vars", "first_order", "arities", "downward", "up_builtin",
-            "custom_names")
+_DERIVED = ("free_vars", "first_order", "arities", "downward", "coherent",
+            "up_builtin", "custom_names")
 _EMPTY: frozenset = frozenset()
 
 
@@ -355,32 +360,37 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 def _derive(f: Formula) -> tuple:
     match f:
         case PositiveLiteral(rel, args) | NegativeLiteral(rel, args):
-            return frozenset(args), True, frozenset({(rel, len(args))}), True, True, ()
+            return (frozenset(args), True, frozenset({(rel, len(args))}), True,
+                    True, True, ())
         case Equal(a, b) | NotEqual(a, b):
-            return frozenset((a, b)), True, _EMPTY, True, True, ()
+            return frozenset((a, b)), True, _EMPTY, True, True, True, ()
         case And(l, r) | TensorOr(l, r):
+            fo = l.first_order and r.first_order
             up = l.up_builtin and r.up_builtin
             names = l.custom_names + tuple(
                 n for n in r.custom_names if n not in l.custom_names)
-            return (_union(l.free_vars, r.free_vars), l.first_order and r.first_order,
+            coherent = fo or (isinstance(f, And) and l.coherent and r.coherent)
+            return (_union(l.free_vars, r.free_vars), fo,
                     _union(l.arities, r.arities), l.downward and r.downward,
-                    up, names if up else ())
+                    coherent, up, names if up else ())
         case ClassicalOr(l, r) | IntImpl(l, r):
             down = isinstance(f, IntImpl) or (l.downward and r.downward)
             return (_union(l.free_vars, r.free_vars), False,
-                    _union(l.arities, r.arities), down, False, ())
+                    _union(l.arities, r.arities), down, False, False, ())
         case Exists(v, body) | Forall(v, body):
+            coherent = body.first_order or (isinstance(f, Forall) and body.coherent)
             return (body.free_vars - {v}, body.first_order, body.arities,
-                    body.downward, body.up_builtin, body.custom_names)
+                    body.downward, coherent, body.up_builtin, body.custom_names)
         case ContraNeg(body) | Possibly(body):
-            return (body.free_vars, False, body.arities, False,
+            return (body.free_vars, False, body.arities, False, False,
                     isinstance(f, Possibly), ())
         case Bracket(body):
-            return _EMPTY, False, body.arities, True, True, ()
+            return _EMPTY, False, body.arities, True, False, True, ()
         case Atom(kind, parts, _, name):
             custom = kind == "custom"
+            down = kind in _DOWNWARD_KINDS
             return (frozenset(v for part in parts for v in part), False, _EMPTY,
-                    kind in _DOWNWARD_KINDS, custom or kind in _UPWARD_KINDS,
+                    down, down, custom or kind in _UPWARD_KINDS,
                     (name,) if custom else ())
     raise TypeError(f"not a formula: {f!r}")
 
@@ -598,19 +608,24 @@ class _Parser:
         return left
 
     def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if value == "~":
-            self.take()
-            return ContraNeg(self.unary())
-        if value == "<>":
-            self.take()
-            return Possibly(self.unary())
-        if kind == "IDENT" and value in ("exists", "forall"):
-            self.take()
-            var = self.variable()
-            body = self.unary()
-            return Exists(var, body) if value == "exists" else Forall(var, body)
-        return self.primary()
+        """Prefix operators and quantifiers, read in a loop and applied
+        innermost first, so a long prefix does not recurse."""
+        prefix = []  # (constructor, leading fields)
+        while True:
+            kind, value, _ = self.peek()
+            if value in ("~", "<>"):
+                self.take()
+                prefix.append((ContraNeg if value == "~" else Possibly, ()))
+            elif kind == "IDENT" and value in ("exists", "forall"):
+                self.take()
+                cls = Exists if value == "exists" else Forall
+                prefix.append((cls, (self.variable(),)))
+            else:
+                break
+        f = self.primary()
+        for cls, fields in reversed(prefix):
+            f = cls(*fields, f)
+        return f
 
     def variable(self) -> str:
         kind, value, pos = self.take()
@@ -760,14 +775,26 @@ def _pp(f: Formula, ctx: int) -> str:
 
 
 def _pp_prefix(f: Formula) -> str:
+    """A run of quantifiers and prefix operators, walked in a loop instead
+    of recursing down it, then the operand that ends the run."""
+    heads = []
+    while True:
+        match f:
+            case Exists(v, body) | Forall(v, body):
+                heads.append(f"{'exists' if type(f) is Exists else 'forall'} {v} ")
+            case ContraNeg(body):
+                heads.append("~")
+            case Possibly(body):
+                heads.append("<>")
+            case _:
+                return "".join(heads) + _pp_leaf(f)
+        if not isinstance(body, _BARE_UNDER_PREFIX):
+            return "".join(heads) + f"({_pp(body, 0)})"
+        f = body
+
+
+def _pp_leaf(f: Formula) -> str:
     match f:
-        case Exists(v, body) | Forall(v, body):
-            q = "exists" if isinstance(f, Exists) else "forall"
-            return f"{q} {v} {_pp_operand(body)}"
-        case ContraNeg(body):
-            return f"~{_pp_operand(body)}"
-        case Possibly(body):
-            return f"<>{_pp_operand(body)}"
         case Bracket(body):
             return f"[{_pp(body, 0)}]"
         case PositiveLiteral(rel, args):
@@ -781,12 +808,6 @@ def _pp_prefix(f: Formula) -> str:
         case Atom():
             return _pp_atom(f)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _pp_operand(body: Formula) -> str:
-    if isinstance(body, _BARE_UNDER_PREFIX):
-        return _pp_prefix(body)
-    return f"({_pp(body, 0)})"
 
 
 def _pp_atom(a: Atom) -> str:

@@ -1,6 +1,7 @@
-"""Deep formulas: long & and || chains evaluate without recursing down the
-chain, and the command line answers anything deeper with exit code 2 and a
-one-line message, never a traceback read as "false"."""
+"""Deep formulas: long &, | and || chains evaluate without recursing down
+the chain, long quantifier prefixes parse and print without recursing down
+the prefix, and the command line answers anything deeper with exit code 2
+and a one-line message, never a traceback read as "false"."""
 
 import random
 
@@ -50,6 +51,47 @@ def test_5000_conjunct_chain_prints(capsys):
     chain = " & ".join(["x = y"] * 5000)
     assert main(["parse", chain]) == 0
     assert capsys.readouterr().out == chain + "\n"
+
+
+def const_chain(sides: int) -> str:
+    """|X(x)| <= sides, as the paper writes it: a splitting disjunction of
+    sides constancy atoms."""
+    return " | ".join(["const(x)"] * sides)
+
+
+def test_600_fold_split_chain(files, capsys):
+    chain = ts.parse(const_chain(600))
+    assert ts.evaluate(ts.Model(3), ts.Team(("x",), [(0,), (1,), (2,)]), chain)
+    (files / "x3.team").write_text("vars x\n0\n1\n2\n")
+    code = main(["eval", const_chain(600), "--model", str(files / "m3.model"),
+                 "--team", str(files / "x3.team")])
+    assert (code, capsys.readouterr()) == (0, ("true\n", ""))
+
+
+def test_short_split_chain_counts_values():
+    team = ts.Team(("x",), [(0,), (1,), (2,), (3,)])
+    assert not ts.evaluate(ts.Model(4), team, ts.parse(const_chain(3)))
+    assert ts.evaluate(ts.Model(4), team, ts.parse(const_chain(4)))
+
+
+def test_split_chain_one_side_short_is_quick():
+    """Ten values against nine identical sides: the sides are
+    interchangeable, so the colouring tries one unused side per row
+    instead of all 9! orders."""
+    import time
+
+    team = ts.Team(("x",), [(i,) for i in range(10)])
+    start = time.perf_counter()
+    assert not ts.evaluate(ts.Model(10), team, ts.parse(const_chain(9)))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_5000_quantifier_prefix_parses_and_prints(capsys):
+    text = " ".join(f"forall v{i}" for i in range(5000)) + " dep(x; y)"
+    f = ts.parse(text)
+    assert ts.parse(ts.pretty(f)) is f
+    assert main(["parse", text]) == 0
+    assert capsys.readouterr().out == text + "\n"
 
 
 def test_chains_agree_with_the_oracle():

@@ -409,6 +409,117 @@ def test_soak_cross_check_larger_domains():
 
 
 # ---------------------------------------------------------------------------
+# splitting-disjunction chains of coherent sides
+
+
+#: coherent sides with differing free variables over x, y, z
+COHERENT_SIDES = [
+    "dep(x; y)", "dep(y; x)", "dep(x y; z)", "dep(z; x)", "const(x)",
+    "const(y z)", "x = y", "x != z", "P(x)", "!P(y)", "R(x, y)",
+    "!R(y, z)", "dep(x; y) & P(z)", "const(z) & x != y",
+    "dep(x; y) & dep(y; z)", "forall w dep(x w; y)",
+    "forall w (dep(x w; y) & !R(w, x))", "forall w (dep(z; y) & !R(w, w))",
+    "x = y | P(z)",
+]
+
+
+def _nest(rng, sides: list, shape: str):
+    """One | tree over the sides in order: left- or right-nested, or split
+    at random points."""
+    if len(sides) == 1:
+        return sides[0]
+    cut = {"left": len(sides) - 1, "right": 1}.get(shape) or rng.randrange(1, len(sides))
+    return ts.TensorOr(_nest(rng, sides[:cut], shape), _nest(rng, sides[cut:], shape))
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Count the calls of one Evaluator method."""
+    calls = []
+    method = getattr(ts.Evaluator, name)
+
+    def spy(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(ts.Evaluator, name, spy)
+    return calls
+
+
+def test_coherent_chains_against_naive_evaluator(monkeypatch):
+    """Random | chains of 2 to 4 coherent sides, nested every way, on teams
+    over (x, y, z) of at most 5 rows at |M| <= 3, agree with the oracle."""
+    calls = _spy(monkeypatch, "_coherent_split")
+    rng = random.Random(606)
+    sig = ts.Signature({"R": 2, "P": 1})
+    checked = 0
+    while checked < 400:
+        pool = rng.sample(COHERENT_SIDES, 2)  # repeated sides make false cases
+        sides = [ts.parse(rng.choice(pool), sig) for _ in range(rng.randrange(2, 5))]
+        f = _nest(rng, sides, rng.choice(("left", "right", "mixed")))
+        size = rng.choice((1, 2, 3, 3))
+        m = ts.Model(size, {
+            "P": {(i,) for i in range(size) if rng.random() < 0.5},
+            "R": {(i, j) for i in range(size) for j in range(size)
+                  if rng.random() < 0.5},
+        }, sig)
+        rows = list(product(range(size), repeat=3))
+        chosen = rng.sample(rows, k=min(len(rows), rng.randrange(0, 6)))
+        # the bound counts every pair of parts at every | of the chain; the
+        # oracle tries right parts only beside left parts that hold
+        if _naive_cost(f, len(chosen), size) > 10 ** 11:
+            continue
+        t = ts.Team(("x", "y", "z"), chosen)
+        assert ts.evaluate(m, t, f) == naive_eval(m, t, f), \
+            (str(f), size, sorted(m.interp["P"]), sorted(m.interp["R"]),
+             sorted(t.rows))
+        checked += 1
+    assert len(calls) > 100
+
+
+def test_split_with_an_incoherent_downward_side(monkeypatch):
+    """An existential side is downward closed but not coherent, so this
+    split still assigns rows one at a time."""
+    calls = _spy(monkeypatch, "_down_split")
+    sig = ts.Signature({"P": 1})
+    f = ts.parse("exists z (dep(x; z) & P(z)) | dep(x; y)", sig)
+    assert not f.left.coherent and f.right.coherent
+    for m in (ts.Model(2, {"P": {(1,)}}, sig), ts.Model(3, {"P": {(0,), (2,)}}, sig)):
+        for t in all_teams(m, ("x", "y"), max_rows=4):
+            assert ts.evaluate(m, t, f) == naive_eval(m, t, f), sorted(t.rows)
+    assert calls
+
+
+def _planted_dep_split(rng, k: int, want: bool) -> ts.Team:
+    """18 to 20 rows over (x, y, z) at |M| = 4 on which the k-fold split of
+    dep(x y; z) holds exactly when want: it holds iff no key (x, y) takes
+    more than k values of z."""
+    keys = list(product(range(4), repeat=2))
+    while True:
+        rng.shuffle(keys)
+        counts = [rng.randint(1, k) for _ in keys]
+        if not want:
+            counts[0] = rng.randint(k + 1, 4)
+        rows = [key + (z,) for key, count in zip(keys, counts)
+                for z in rng.sample(range(4), count)]
+        for cut in range(len(keys), 0, -1):  # keep the first cut keys
+            kept = rows[:sum(counts[:cut])]
+            if 18 <= len(kept) <= 20:
+                return ts.Team(("x", "y", "z"), kept)
+
+
+def test_dep_splits_past_the_enumeration_cap():
+    rng = random.Random(2013)
+    side = ts.parse("dep(x y; z)")
+    m = ts.Model(4)
+    for k in (2, 3):
+        f = ts.syntax.or_all([side] * k)
+        for want in (True, False) * 5:
+            t = _planted_dep_split(rng, k, want)
+            assert len(t) > 16
+            assert ts.evaluate(m, t, f) is want, (k, sorted(t.rows))
+
+
+# ---------------------------------------------------------------------------
 # upward-closure checking
 
 

@@ -4,11 +4,13 @@ garbage collection that respect the interning table."""
 
 import gc
 import pickle
+from itertools import combinations
 
 import pytest
 
 import teamsem as ts
-from corpus import BOUND_CORPUS, BRACKET_CORPUS, FO_CORPUS, NEG_CORPUS, SENTENCE_PAIRS
+from corpus import (BOUND_CORPUS, BRACKET_CORPUS, FO_CORPUS, NEG_CORPUS, SENTENCE_PAIRS,
+                    all_teams)
 from teamsem.evaluator import upward_closed
 from teamsem.syntax import (
     _TABLE,
@@ -131,6 +133,19 @@ def ref_down(f) -> bool:
             return ref_down(body)
         case Bracket() | IntImpl():
             return True
+    return False
+
+
+def ref_coherent(f) -> bool:
+    if ref_fo(f):
+        return True
+    match f:
+        case Atom(kind):
+            return kind in ("const", "dep")
+        case And(l, r):
+            return ref_coherent(l) and ref_coherent(r)
+        case Forall(_, body):
+            return ref_coherent(body)
     return False
 
 
@@ -264,11 +279,45 @@ def test_stored_properties_match_references():
             assert node.first_order is ref_fo(node) is ts.is_first_order(node), label
             assert node.arities == ref_arities(node) == ts.syntax.relation_arities(node)
             assert node.downward is ref_down(node), label
+            assert node.coherent is ref_coherent(node), label
+            assert not node.coherent or node.downward, label
             assert node.envelope is ref_envelope(node), label
             assert node.downward_part is ref_downward_part(node), label
             assert node.envelope.first_order and node.downward_part.downward, label
             for registry in REGISTRIES:
                 assert upward_closed(node, registry) is ref_up(node, registry), label
+
+
+@pytest.mark.parametrize("text, coherent", [
+    ("dep(x; y)", True),
+    ("const(x)", True),
+    ("R(x, y)", True),
+    ("dep(x; y) & x != y", True),
+    ("forall z dep(x z; y)", True),
+    ("exists z dep(x; z)", False),
+    ("inc(x; y)", False),
+    ("NE", False),
+    ("dep(x; y) | dep(x; y)", False),
+    ("~dep(x; y)", False),
+    ("D:up(x)", False),
+])
+def test_coherent_examples(text, coherent):
+    assert ts.parse(text, SIG).coherent is coherent
+
+
+def test_coherent_means_two_coherent():
+    """A coherent formula holds on the empty team, and on a team exactly
+    when it holds on each subteam of at most two rows."""
+    model = ts.Model(2, {"P": {(0,)}, "R": {(0, 1), (1, 1)}}, SIG)
+    formulas = [ts.parse(t, SIG) for t in (
+        "dep(x; y) & x != z", "forall w dep(x w; y) & const(z)",
+        "dep(x y; z) & (R(x, y) | P(z))", "forall w (dep(x; y) & R(w, y))")]
+    for f in formulas:
+        assert f.coherent
+        for t in all_teams(model, ("x", "y", "z")):
+            small = all(ts.evaluate(model, t.with_rows(pair), f)
+                        for k in (0, 1, 2) for pair in combinations(t.rows, k))
+            assert ts.evaluate(model, t, f) is small, (str(f), sorted(t.rows))
 
 
 def test_custom_names_follow_upward_positions():
