@@ -10,7 +10,7 @@ The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
 whether some team Y between a forced lower bound and an upper bound
 satisfies a body.  ``_exists_sat`` is that bounded search and
 ``_subsets`` the one enumerator of candidate subteams.  Done literally the
-search would be hopeless, so it prunes using four structural facts:
+search would be hopeless, so it prunes using five structural facts:
 
   * a team satisfying a formula satisfies its first-order envelope (the
     formula with every team-level construct weakened to T), so the upper
@@ -24,7 +24,11 @@ search would be hopeless, so it prunes using four structural facts:
     most two rows does (J. Kontinen, "Coherence and computational
     complexity of quantifier-free dependence logic formulas", Studia Logica
     2013), so a ``|`` chain of such sides is decided by colouring the rows
-    with the sides under pairwise conflicts.
+    with the sides under pairwise conflicts;
+  * a body that forces ``const(v)`` (see ``Formula.const_vars``) needs one
+    value per witness: on a nonempty team X, ``exists v`` over it holds iff
+    the body holds on X[a/v] for some value a, so |M| candidates replace a
+    nonempty set of values per row.
 
 A custom atom counts as upward closed only once its claim passes
 :func:`check_upward_closed` on the domain sizes in use.  The test suite
@@ -230,18 +234,16 @@ def _image(mask: int, image: list[int]) -> int:
     return out
 
 
-def _coherent_sides(f: TensorOr) -> list[Formula] | None:
-    """The sides of the ``|`` chain at f, nested either way, if all are
-    coherent, else None.  A first-order ``|`` is one coherent side."""
+def _tensor_sides(f: TensorOr) -> list[Formula]:
+    """The sides of the ``|`` chain at f, nested either way, left to right.
+    A first-order ``|`` is one side."""
     sides, todo = [], [f]
     while todo:
         g = todo.pop()
         if type(g) is TensorOr and not g.first_order:
             todo += (g.right, g.left)
-        elif g.coherent:
-            sides.append(g)
         else:
-            return None
+            sides.append(g)
     return sides
 
 
@@ -359,6 +361,8 @@ class Evaluator:
         self._universes: dict[tuple[str, ...], _Universe] = {}
         self._memo: dict[tuple[int, int], bool] = {}
         self._bracket_memo: dict[Formula, bool] = {}
+        #: | node uid -> its _split_plan
+        self._plans: dict[int, tuple[str, list[Formula]]] = {}
 
     # -- public entry points: Team values in and out
 
@@ -413,13 +417,18 @@ class Evaluator:
             out = done[mask] = _image(mask, image)
         return target, out
 
-    def _extend(self, u: _Universe, v: str) -> tuple[_Universe, list[int]]:
-        """The universe over u's variables and v (not one of them), and
-        each of u's rows' extensions by every value of v, as masks there."""
+    def _wider(self, u: _Universe, v: str) -> tuple[_Universe, list[int]]:
+        """The universe over u's variables and v (not one of them), and the
+        extension masks of u's rows filled so far."""
         hit = u.ext.get(v)
         if hit is None:
             hit = u.ext[v] = (self._universe(tuple(sorted(u.vars + (v,)))), [])
-        wide, image = hit
+        return hit
+
+    def _extend(self, u: _Universe, v: str) -> tuple[_Universe, list[int]]:
+        """The universe over u's variables and v (not one of them), and
+        each of u's rows' extensions by every value of v, as masks there."""
+        wide, image = self._wider(u, v)
         if len(image) < len(u.rows):
             i = wide.vars.index(v)
             domain = self.model.domain
@@ -586,9 +595,20 @@ class Evaluator:
             return self._exists_sat(right, u, mr, mask & ~ml)
         if fo_r:
             return self._exists_sat(left, u, ml, mask & ~mr)
-        sides = _coherent_sides(f)
-        if sides is not None:
+        plan = self._plans.get(f.uid)
+        if plan is None:
+            plan = self._plans[f.uid] = self._split_plan(f)
+        how, sides = plan
+        if how == "coherent":
             return self._coherent_split(u, mask, sides)
+        if how == "upward":
+            # every side takes all the rows its envelope admits; together
+            # these cover the team, as ml | mr does
+            return all(self._eval(side, u, self._restrict(u, mask, side.envelope))
+                       for side in sides)
+        if how == "downward":
+            return self._down_split(u, mask, sides)
+        # two sides, or a mixed chain: split off one side at a time
         size = self.model.size
         if upward_closed(right, self.registry, size):
             return self._eval(right, u, mr) and self._exists_sat(
@@ -596,8 +616,6 @@ class Evaluator:
         if upward_closed(left, self.registry, size):
             return self._eval(left, u, ml) and self._exists_sat(
                 right, u, mr, mask & ~ml)
-        if left.downward and right.downward:
-            return self._down_split(u, mask, left, right, ml, mr)
         # generic: the right part must contain every row the left envelope
         # rejects; enumerate its optional extras, then close the left part
         if self._eval(left, u, ml) and self._eval(right, u, mr):
@@ -609,6 +627,20 @@ class Evaluator:
                     left, u, ml, mask & ~z):
                 return True
         return False
+
+    def _split_plan(self, f: TensorOr) -> tuple[str, list[Formula]]:
+        """How to decide the ``|`` chain at f, whose sides are not both
+        first-order, and its sides: "coherent" if all are coherent,
+        "upward" if there are more than two and all are upward closed,
+        "downward" if all are downward closed, else "split".  The plan
+        depends only on f, the registry and the model size, so each
+        evaluator makes it once per node."""
+        sides = _tensor_sides(f)
+        if all(side.coherent for side in sides):
+            return "coherent", sides
+        if len(sides) > 2 and upward_closed(f, self.registry, self.model.size):
+            return "upward", sides
+        return "downward" if f.downward else "split", sides
 
     def _coherent_split(self, u: _Universe, mask: int,
                         sides: list[Formula]) -> bool:
@@ -658,31 +690,44 @@ class Evaluator:
                 return False
         return True
 
-    def _down_split(self, u: _Universe, mask: int, left: Formula,
-                    right: Formula, ml: int, mr: int) -> bool:
-        """Both sides downward closed but not every side of the chain
-        coherent: a side is an ``exists``, a ``->``, a ``||``, a bracket,
-        or a ``&`` or ``forall`` over one of these or over a ``|``.  A
-        partition suffices: assign rows one at a time and reject as soon
-        as a side fails on the partial team."""
+    def _down_split(self, u: _Universe, mask: int,
+                    sides: list[Formula]) -> bool:
+        """Every side downward closed but not every one coherent: a side is
+        an ``exists``, a ``->``, a ``||``, a bracket, or a ``&`` or
+        ``forall`` over one of these or over a ``|``.  A partition
+        suffices: give the rows, in sorted order, one at a time to a side
+        whose envelope admits them, and reject as soon as a side fails on
+        its partial team.  Copies of one formula are interchangeable, so
+        they fill in order: a copy takes its first row only after the copy
+        before it has one."""
+        for side in sides:
+            if not self._eval(side, u, 0):
+                return False
+        last = {}  # side -> the index of its last copy so far
+        slots = []  # (index, side, rows it admits, index of its previous copy)
+        for j, side in enumerate(sides):
+            slots.append((j, side, self._restrict(u, mask, side.envelope),
+                          last.get(side, -1)))
+            last[side] = j
         order = sorted(_bits(mask), key=u.row_of)
+        parts = [0] * len(sides)
 
-        def assign(i: int, ls: int, rs: int) -> bool:
+        def assign(i: int) -> bool:
             if i == len(order):
                 return True
             bit = order[i]
-            if bit & ml:
-                nls = ls | bit
-                if self._eval(left, u, nls) and assign(i + 1, nls, rs):
-                    return True
-            if bit & mr:
-                nrs = rs | bit
-                if self._eval(right, u, nrs) and assign(i + 1, ls, nrs):
-                    return True
+            for j, side, admits, prev in slots:
+                part = parts[j]
+                if not bit & admits or not part and prev >= 0 and not parts[prev]:
+                    continue
+                if self._eval(side, u, part | bit):
+                    parts[j] = part | bit
+                    if assign(i + 1):
+                        return True
+                    parts[j] = part
             return False
 
-        return (self._eval(left, u, 0) and self._eval(right, u, 0)
-                and assign(0, 0, 0))
+        return assign(0)
 
     def _exists_sat(self, f: Formula, u: _Universe, upper: int, lower: int,
                     nonempty: bool = False) -> bool:
@@ -709,7 +754,19 @@ class Evaluator:
 
     def _exists(self, u: _Universe, mask: int, v: str, body: Formula) -> bool:
         """Lax witness search: a satisfying Y inside the universal extension
-        must hit the extension block of every original row."""
+        must hit the extension block of every original row.  A body that
+        forces ``const(v)`` takes one value a for the whole of a nonempty
+        team, so its only candidates are the teams X[a/v]."""
+        if mask and v in body.const_vars:
+            wide = self._wider(u, v)[0]
+            i = wide.vars.index(v)
+            rows = u.rows_of(mask)
+            for a in self.model.domain:
+                ya = wide.mask(row[:i] + (a,) + row[i:] for row in rows)
+                if (self._restrict(wide, ya, body.envelope) == ya
+                        and self._eval(body, wide, ya)):
+                    return True
+            return False
         wide, image = self._extend(u, v)
         allowed = self._restrict(wide, _image(mask, image), body.envelope)
         blocks = []

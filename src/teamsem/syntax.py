@@ -139,6 +139,10 @@ class Formula:
                       each of its subteams of at most two rows does:
                       first-order formulas, ``dep``, ``const``, and ``&``
                       and ``forall`` over these
+    ``const_vars``    the variables v on which it forces ``const(v)``: those
+                      of a ``const`` atom, the union over ``&``, and the
+                      body's minus the bound variable under ``exists`` and
+                      ``forall`` (an extension keeps the other columns)
     ``up_builtin``    satisfaction transfers to envelope-satisfying
                       superteams, given that every custom atom named in
                       ``custom_names`` is upward closed
@@ -147,9 +151,9 @@ class Formula:
 
     # the fields live in __dict__, the stored properties in slots
     __slots__ = ("_hash", "uid", "free_vars", "free_tuple", "first_order",
-                 "arities", "downward", "coherent", "up_builtin",
-                 "custom_names", "_envelope", "_downward_part", "__dict__",
-                 "__weakref__")
+                 "arities", "downward", "coherent", "const_vars",
+                 "up_builtin", "custom_names", "_envelope", "_downward_part",
+                 "__dict__", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *args):
@@ -348,7 +352,7 @@ class Atom(Formula):
 
 #: the stored properties that _derive computes, in its order
 _DERIVED = ("free_vars", "first_order", "arities", "downward", "coherent",
-            "up_builtin", "custom_names")
+            "const_vars", "up_builtin", "custom_names")
 _EMPTY: frozenset = frozenset()
 
 
@@ -361,36 +365,43 @@ def _derive(f: Formula) -> tuple:
     match f:
         case PositiveLiteral(rel, args) | NegativeLiteral(rel, args):
             return (frozenset(args), True, frozenset({(rel, len(args))}), True,
-                    True, True, ())
+                    True, _EMPTY, True, ())
         case Equal(a, b) | NotEqual(a, b):
-            return frozenset((a, b)), True, _EMPTY, True, True, True, ()
+            return frozenset((a, b)), True, _EMPTY, True, True, _EMPTY, True, ()
         case And(l, r) | TensorOr(l, r):
             fo = l.first_order and r.first_order
             up = l.up_builtin and r.up_builtin
             names = l.custom_names + tuple(
                 n for n in r.custom_names if n not in l.custom_names)
-            coherent = fo or (isinstance(f, And) and l.coherent and r.coherent)
+            conj = isinstance(f, And)
+            coherent = fo or (conj and l.coherent and r.coherent)
+            const = _union(l.const_vars, r.const_vars) if conj else _EMPTY
             return (_union(l.free_vars, r.free_vars), fo,
                     _union(l.arities, r.arities), l.downward and r.downward,
-                    coherent, up, names if up else ())
+                    coherent, const, up, names if up else ())
         case ClassicalOr(l, r) | IntImpl(l, r):
             down = isinstance(f, IntImpl) or (l.downward and r.downward)
             return (_union(l.free_vars, r.free_vars), False,
-                    _union(l.arities, r.arities), down, False, False, ())
+                    _union(l.arities, r.arities), down, False, _EMPTY, False, ())
         case Exists(v, body) | Forall(v, body):
             coherent = body.first_order or (isinstance(f, Forall) and body.coherent)
+            const = body.const_vars
+            if v in const:
+                const = const - {v}
             return (body.free_vars - {v}, body.first_order, body.arities,
-                    body.downward, coherent, body.up_builtin, body.custom_names)
+                    body.downward, coherent, const, body.up_builtin,
+                    body.custom_names)
         case ContraNeg(body) | Possibly(body):
-            return (body.free_vars, False, body.arities, False, False,
+            return (body.free_vars, False, body.arities, False, False, _EMPTY,
                     isinstance(f, Possibly), ())
         case Bracket(body):
-            return _EMPTY, False, body.arities, True, False, True, ()
+            return _EMPTY, False, body.arities, True, False, _EMPTY, True, ()
         case Atom(kind, parts, _, name):
             custom = kind == "custom"
             down = kind in _DOWNWARD_KINDS
+            const = frozenset(parts[0]) if kind == "const" else _EMPTY
             return (frozenset(v for part in parts for v in part), False, _EMPTY,
-                    down, down, custom or kind in _UPWARD_KINDS,
+                    down, down, const, custom or kind in _UPWARD_KINDS,
                     (name,) if custom else ())
     raise TypeError(f"not a formula: {f!r}")
 

@@ -136,6 +136,18 @@ def test_transform_compile_unary_verify(capsys):
     assert code == 0 and "verified" in out
 
 
+def test_compile_unary_verify_5_is_quick(capsys):
+    """The compiled description nests exists p (const(p) & ...) blocks,
+    which take one value per witness."""
+    import time
+
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "transform", "compile-unary",
+                       "eq:1 & co_eq:0 | neq:2", "v", "--verify", "5")
+    assert code == 0 and "verified (nonempty teams, |M|<=5)" in out
+    assert time.perf_counter() - start < 1.5
+
+
 def test_transform_brackets(capsys):
     code, out, _ = run(capsys, "transform", "brackets",
                        "[exists v1 (v1 = v1)] & NE")

@@ -1,6 +1,7 @@
 """Deep formulas: long &, | and || chains evaluate without recursing down
 the chain, long quantifier prefixes parse and print without recursing down
-the prefix, and the command line answers anything deeper with exit code 2
+the prefix, a long prefix of constancy-witnessed existentials evaluates
+quickly, and the command line answers anything deeper with exit code 2
 and a one-line message, never a traceback read as "false"."""
 
 import random
@@ -66,6 +67,43 @@ def test_600_fold_split_chain(files, capsys):
     code = main(["eval", const_chain(600), "--model", str(files / "m3.model"),
                  "--team", str(files / "x3.team")])
     assert (code, capsys.readouterr()) == (0, ("true\n", ""))
+
+
+@pytest.mark.parametrize("formula", [
+    " | ".join(["NE"] * 600),
+    " | ".join(["exists z dep(x; z)"] * 200),
+], ids=["upward", "downward"])
+def test_long_split_chains_of_closed_sides(files, capsys, formula):
+    """Chains whose sides are all upward or all downward closed, but not
+    coherent, are decided in one pass or one row-by-row split."""
+    (files / "x3.team").write_text("vars x\n0\n1\n2\n")
+    code = main(["eval", formula, "--model", str(files / "m3.model"),
+                 "--team", str(files / "x3.team")])
+    assert (code, capsys.readouterr()) == (0, ("true\n", ""))
+
+
+def test_long_downward_chain_one_side_short():
+    """199 copies of a side that no row passes beside one constancy side:
+    three values cannot be split, and the copies are tried once per row."""
+    never = "exists z (const(z) & z = x & z != x)"
+    f = ts.parse(" | ".join([never] * 199 + ["exists z (const(z) & z = x)"]))
+    team = ts.Team(("x",), [(0,), (1,), (2,)])
+    assert not ts.evaluate(ts.Model(3), team, f)
+    assert ts.evaluate(ts.Model(3), team.with_rows([(1,)]), f)
+
+
+def test_300_deep_const_prefix_is_quick():
+    """Each exists p_i over a body that forces const(p_i) tries one value
+    per witness, so the nested teams keep their three rows."""
+    import time
+
+    n = 300
+    text = (" ".join(f"exists p{i}" for i in range(n)) + " ("
+            + " & ".join(f"const(p{i})" for i in range(n)) + " & x = x)")
+    f = ts.parse(text)
+    start = time.perf_counter()
+    assert ts.evaluate(ts.Model(3), ts.Team(("x",), [(0,), (1,), (2,)]), f)
+    assert time.perf_counter() - start < 5
 
 
 def test_short_split_chain_counts_values():

@@ -489,6 +489,65 @@ def test_split_with_an_incoherent_downward_side(monkeypatch):
     assert calls
 
 
+#: downward-closed sides that are not coherent, and upward-closed sides
+DOWNWARD_SIDES = [
+    "exists z (dep(x; z) & P(z))", "exists z (const(z) & R(z, x))",
+    "const(x) & [exists z P(z)]", "dep(x; y) || const(y)", "x = y -> const(x)",
+    "forall w exists z (dep(w; z) & z != y)", "const(x)", "P(y)",
+]
+UPWARD_SIDES = ["NE", "ncon(x)", "ndep(x; y)", "P(x) & NE", "geq(x y, 2)",
+                "exists z (ncon(z) & R(z, y))", "x != y", "all(x)"]
+
+
+@pytest.mark.parametrize("pool", [DOWNWARD_SIDES, UPWARD_SIDES],
+                         ids=["downward", "upward"])
+def test_closed_chains_against_naive_evaluator(monkeypatch, pool):
+    """Random | chains of 2 to 4 sides, all downward closed or all upward
+    closed, nested every way, agree with the oracle on teams over (x, y) at
+    |M| <= 3.  Each chain is decided as a whole: a | is evaluated inside
+    another only as a first-order side or as the rest of a chain split off
+    a first-order side."""
+    outer, nested = [], []
+    tensor_or = ts.Evaluator._tensor_or
+
+    def spy(self, u, mask, f):
+        if outer:
+            nested.append(f.first_order or outer[-1].left.first_order
+                          or outer[-1].right.first_order)
+        outer.append(f)
+        try:
+            return tensor_or(self, u, mask, f)
+        finally:
+            outer.pop()
+
+    monkeypatch.setattr(ts.Evaluator, "_tensor_or", spy)
+    splits = _spy(monkeypatch, "_down_split")
+    rng = random.Random(1979)
+    sig = ts.Signature({"R": 2, "P": 1})
+    checked = 0
+    while checked < 150:
+        picks = rng.sample(pool, 2)  # repeated sides make false cases
+        sides = [ts.parse(rng.choice(picks), sig) for _ in range(rng.randrange(2, 5))]
+        f = _nest(rng, sides, rng.choice(("left", "right", "mixed")))
+        size = rng.choice((1, 2, 3, 3))
+        m = ts.Model(size, {
+            "P": {(i,) for i in range(size) if rng.random() < 0.5},
+            "R": {(i, j) for i in range(size) for j in range(size)
+                  if rng.random() < 0.5},
+        }, sig)
+        rows = list(product(range(size), repeat=2))
+        chosen = rng.sample(rows, k=min(len(rows), rng.randrange(0, 5)))
+        if _naive_cost(f, len(chosen), size) > 10 ** 9:
+            continue
+        t = ts.Team(("x", "y"), chosen)
+        assert ts.evaluate(m, t, f) == naive_eval(m, t, f), \
+            (str(f), size, sorted(m.interp["P"]), sorted(m.interp["R"]),
+             sorted(t.rows))
+        checked += 1
+    assert nested and all(nested)
+    assert (len(splits) > 50) is (pool is DOWNWARD_SIDES)
+
+
 def _planted_dep_split(rng, k: int, want: bool) -> ts.Team:
     """18 to 20 rows over (x, y, z) at |M| = 4 on which the k-fold split of
     dep(x y; z) holds exactly when want: it holds iff no key (x, y) takes
@@ -517,6 +576,72 @@ def test_dep_splits_past_the_enumeration_cap():
             t = _planted_dep_split(rng, k, want)
             assert len(t) > 16
             assert ts.evaluate(m, t, f) is want, (k, sorted(t.rows))
+
+
+# ---------------------------------------------------------------------------
+# existentials whose body forces constancy of the bound variable
+
+
+#: (formula, whether its outer ``exists p`` body forces const(p))
+CONST_WITNESSES = [
+    ("exists p (const(p) & p = x)", True),
+    ("exists p (const(p) & p != x)", True),
+    ("exists p (const(p) & R(p, x) & (y != p | NE))", True),
+    ("exists p (const(p) & dep(x; y) & P(p))", True),
+    ("exists p (const(p) & (x != p | x = p & NE) & !P(p))", True),
+    ("exists p exists q (const(p q) & p != q & (x = p | x = q))", True),
+    ("exists p exists q (const(p) & q = x & R(q, p))", True),
+    ("exists p forall q (const(p) & (R(p, q) | q != x))", True),
+    ("exists p (const(p) & exists q (const(q) & q != p & R(q, x)))", True),
+    ("exists p (exists p const(p) & p = x)", False),
+    ("exists p ((const(p) | P(p)) & p = x)", False),
+    ("exists p (const(p) || p = y)", False),
+    ("exists p (~const(p) & p != y)", False),
+    ("exists p (const(p) -> p = x)", False),
+]
+
+
+def test_const_witnesses_against_naive_evaluator(monkeypatch):
+    """An existential over a body that forces const(p) tries one value of
+    p per witness.  Random teams over (x, y) of at most 4 rows, the empty
+    team included, at |M| <= 3 with random P and R agree with the
+    oracle."""
+    rule = []
+    exists = ts.Evaluator._exists
+
+    def spy(self, u, mask, v, body):
+        if mask and v in body.const_vars:
+            rule.append(v)
+        return exists(self, u, mask, v, body)
+
+    monkeypatch.setattr(ts.Evaluator, "_exists", spy)
+    sig = ts.Signature({"R": 2, "P": 1})
+    formulas = [(ts.parse(text, sig), takes) for text, takes in CONST_WITNESSES]
+    for f, takes in formulas:
+        assert (f.var in f.body.const_vars) is takes, str(f)
+    rng = random.Random(1991)
+    checked = dict.fromkeys(formulas, 0)
+    empty = 0
+    for _ in range(900):
+        f, takes = rng.choice(formulas)
+        size = rng.choice((1, 2, 3, 3))
+        m = ts.Model(size, {
+            "P": {(i,) for i in range(size) if rng.random() < 0.5},
+            "R": {(i, j) for i in range(size) for j in range(size)
+                  if rng.random() < 0.6},
+        }, sig)
+        rows = list(product(range(size), repeat=2))
+        chosen = rng.sample(rows, k=min(len(rows), rng.randrange(0, 5)))
+        if _naive_cost(f, len(chosen), size) > 2 * 10 ** 6:
+            continue
+        t = ts.Team(("x", "y"), chosen)
+        assert ts.evaluate(m, t, f) == naive_eval(m, t, f), \
+            (str(f), size, sorted(m.interp["P"]), sorted(m.interp["R"]),
+             sorted(t.rows))
+        checked[f, takes] += 1
+        empty += not chosen
+    assert min(checked.values()) >= 20 and empty >= 20
+    assert rule.count("p") > 200
 
 
 # ---------------------------------------------------------------------------

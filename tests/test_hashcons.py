@@ -4,7 +4,7 @@ garbage collection that respect the interning table."""
 
 import gc
 import pickle
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -51,6 +51,22 @@ EXTRA = [
     "exists z (R(z, x) & const(z)) | !P(y) & x != y",
 ]
 
+#: constancy under every connective and quantifier, over at most three
+#: free variables
+CONST_TEXTS = [
+    "const(x y) & R(x, z)",
+    "forall w (const(x w) & dep(z; y))",
+    "exists w (const(x) & const(w) & R(w, y))",
+    "exists x (const(x) & x = y) & const(z)",
+    "exists x (exists x const(x) & x = y)",
+    "const(x) | const(y)",
+    "const(x) || const(y)",
+    "~const(x) & P(y)",
+    "const(x) -> const(y)",
+    "<>const(x) & const(y)",
+    "forall w (dep(x; w) | const(y)) & const(z) & ncon(y)",
+]
+
 UP_SENTENCE = ts.parse("exists z R(z)", ts.Signature({"R": 1}))
 REGISTRIES = [
     ts.EMPTY_REGISTRY
@@ -64,7 +80,7 @@ def corpus() -> list:
     texts = ([(sig, text) for sig, text in FO_CORPUS + BRACKET_CORPUS]
              + [(ts.EMPTY_SIGNATURE, t) for t in NEG_CORPUS + BOUND_CORPUS]
              + [(ts.EMPTY_SIGNATURE, t) for pair in SENTENCE_PAIRS for t in pair]
-             + [(SIG, t) for t in EXTRA])
+             + [(SIG, t) for t in EXTRA + CONST_TEXTS])
     return [ts.parse(text, sig) for sig, text in texts]
 
 
@@ -147,6 +163,17 @@ def ref_coherent(f) -> bool:
         case Forall(_, body):
             return ref_coherent(body)
     return False
+
+
+def ref_const(f) -> frozenset:
+    match f:
+        case Atom("const", parts):
+            return frozenset(parts[0])
+        case And(l, r):
+            return ref_const(l) | ref_const(r)
+        case Exists(v, body) | Forall(v, body):
+            return ref_const(body) - {v}
+    return frozenset()
 
 
 def ref_up(f, registry) -> bool:
@@ -281,6 +308,8 @@ def test_stored_properties_match_references():
             assert node.downward is ref_down(node), label
             assert node.coherent is ref_coherent(node), label
             assert not node.coherent or node.downward, label
+            assert node.const_vars == ref_const(node), label
+            assert node.const_vars <= node.free_vars, label
             assert node.envelope is ref_envelope(node), label
             assert node.downward_part is ref_downward_part(node), label
             assert node.envelope.first_order and node.downward_part.downward, label
@@ -318,6 +347,50 @@ def test_coherent_means_two_coherent():
             small = all(ts.evaluate(model, t.with_rows(pair), f)
                         for k in (0, 1, 2) for pair in combinations(t.rows, k))
             assert ts.evaluate(model, t, f) is small, (str(f), sorted(t.rows))
+
+
+@pytest.mark.parametrize("text, const_vars", [
+    ("const(x y) & R(x, z)", {"x", "y"}),
+    ("forall w (const(x w) & dep(z; y))", {"x"}),
+    ("exists x (const(x) & x = y) & const(z)", {"z"}),
+    ("exists x (exists x const(x) & x = y)", set()),
+    ("const(x) | const(y)", set()),
+    ("const(x) || const(y)", set()),
+    ("~const(x) & P(y)", set()),
+    ("const(x) -> const(y)", set()),
+    ("<>const(x) & const(y)", {"y"}),
+    ("dep(x; y) & const(x)", {"x"}),
+])
+def test_const_vars_examples(text, const_vars):
+    assert ts.parse(text, SIG).const_vars == const_vars
+
+
+def _model(f, size: int) -> ts.Model:
+    """A model of the given size interpreting f's relations: P by 0, R by
+    <=, any other relation by every tuple whose first entry is 0."""
+    sig = ts.Signature(dict(f.arities))
+    interp = {}
+    for rel, arity in f.arities:
+        tuples = product(range(size), repeat=arity)
+        interp[rel] = {t for t in tuples
+                       if (t[0] <= t[1] if rel == "R" else t[0] == 0)}
+    return ts.Model(size, interp, sig)
+
+
+def test_const_vars_are_forced():
+    """Whenever v is in f.const_vars, f fails on every team over its free
+    variables at |M| <= 2 on which v takes two values."""
+    checked = 0
+    forced = {node for f in corpus() for node in nodes(f) if node.const_vars}
+    for node in forced:
+        model = _model(node, 2)
+        ev = ts.Evaluator(model, REGISTRIES[0])
+        idx = [node.free_tuple.index(v) for v in node.const_vars]
+        for t in all_teams(model, node.free_tuple):
+            if any(len({row[i] for row in t.rows}) > 1 for i in idx):
+                assert not ev.evaluate(t, node), (ts.pretty(node), sorted(t.rows))
+                checked += 1
+    assert checked > 1000
 
 
 def test_custom_names_follow_upward_positions():
