@@ -47,6 +47,9 @@ class AnalysisError(ValueError):
 #: closed-form bounds: ("const", c) -> c, ("lin", c) -> c*n, ("pow", k) -> n**k
 Bound = tuple[str, int]
 
+#: largest domain size :func:`hierarchy_witness` tries
+_MAX_DOMAIN = 8
+
 
 def bound_value(bound: Bound, n: int) -> int:
     form, c = bound
@@ -165,8 +168,7 @@ class BoundReport:
 
 def check_boundedness(f: Formula, max_model: int,
                       gamma: GammaTable | None = None,
-                      registry: Registry | None = None,
-                      team_limit: int = 16) -> list[BoundReport]:
+                      registry: Registry | None = None) -> list[BoundReport]:
     """Sweep every empty-signature model up to max_model and every
     satisfying team over the formula's free variables, reporting whether a
     witness subteam within the computed bound exists."""
@@ -183,7 +185,7 @@ def check_boundedness(f: Formula, max_model: int,
         model = Model(size)
         nu = nu_bound(f, size, gamma, registry)
         ev = Evaluator(model, registry)
-        for team in enumerate_teams(model, variables, limit=team_limit):
+        for team in enumerate_teams(model, variables):
             if not ev.evaluate(team, f):
                 continue
             # every candidate comes before the team in the enumeration, so
@@ -218,7 +220,7 @@ class HierarchyReport:
 
 
 def hierarchy_witness(wide_arity: int, narrow_arity: int, occurrences: int,
-                      max_domain: int = 8, team_cap: int = 16) -> HierarchyReport:
+                      team_cap: int = 16) -> HierarchyReport:
     """Build the totality-arity separation witness: the least domain size n
     with n**wide > occurrences * n**narrow, the full team over wide-arity
     variables, and its exact minimal satisfying subteam."""
@@ -226,13 +228,10 @@ def hierarchy_witness(wide_arity: int, narrow_arity: int, occurrences: int,
         raise AnalysisError("need wide_arity > narrow_arity >= 1")
     if occurrences < 1:
         raise AnalysisError("occurrence count must be >= 1")
-    n = None
-    for candidate in range(1, max_domain + 1):
-        if candidate ** wide_arity > occurrences * candidate ** narrow_arity:
-            n = candidate
-            break
+    n = next((n for n in range(1, _MAX_DOMAIN + 1)
+              if n ** wide_arity > occurrences * n ** narrow_arity), None)
     if n is None:
-        raise AnalysisError(f"no domain size up to {max_domain} separates the bounds")
+        raise AnalysisError(f"no domain size up to {_MAX_DOMAIN} separates the bounds")
     team_size = n ** wide_arity
     if team_size > team_cap:
         raise AnalysisError(
@@ -278,8 +277,7 @@ class EquivReport:
 def equivalent(f: Formula, g: Formula, variables: Iterable[str],
                signature: Signature = EMPTY_SIGNATURE, max_model: int = 3,
                team_filter: str = "all",
-               registry: Registry | None = None,
-               team_limit: int = 16) -> EquivReport:
+               registry: Registry | None = None) -> EquivReport:
     """Exhaustively compare two formulas over all models of the signature up
     to max_model and all teams over the given variables; the first
     disagreement (re-checked from scratch) becomes the counterexample."""
@@ -294,7 +292,7 @@ def equivalent(f: Formula, g: Formula, variables: Iterable[str],
     for size in range(1, max_model + 1):
         for model in enumerate_models(signature, size):
             ev = Evaluator(model, registry)
-            for team in enumerate_teams(model, variables, limit=team_limit):
+            for team in enumerate_teams(model, variables):
                 if team_filter == "nonempty" and team.is_empty():
                     continue
                 a = ev.evaluate(team, f)

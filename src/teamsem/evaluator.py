@@ -16,7 +16,8 @@ search would be hopeless, so it prunes using five structural facts:
     formula with every team-level construct weakened to T), so the upper
     bound shrinks to the rows passing the envelope pointwise;
   * formulas built from upward-closed atoms transfer upward to any
-    envelope-satisfying superteam, so the largest candidate decides;
+    envelope-satisfying superteam, so the largest candidate decides, and
+    such a side of a ``|`` chain takes every row its envelope admits;
   * formulas built from downward-closed atoms transfer to subteams, so the
     smallest candidates decide and a failing partial witness is discarded;
   * first-order formulas, ``dep`` and ``const``, and ``&`` and ``forall``
@@ -137,7 +138,7 @@ class DependencySpec:
         """Whether the search may prune with the claim on domains of the
         given size: a "yes" claim that :func:`check_upward_closed` confirms
         on sizes 1 to size, and at most to the largest size whose relation
-        space fits its default cap of 9 tuples (9 at arity 1, 3 at arity 2,
+        space fits its cap of 9 tuples (9 at arity 1, 3 at arity 2,
         2 at arity 3, 1 beyond), which is also the bound when size is None.
         A failing claim is ignored, so the search runs unpruned.  0-ary
         notions ignore the team, so their claim stands as given.  Cached
@@ -188,10 +189,6 @@ class Registry:
 EMPTY_REGISTRY = Registry()
 
 
-def register(registry: Registry, spec: DependencySpec) -> Registry:
-    return registry.register(spec)
-
-
 # ---------------------------------------------------------------------------
 # structural fragments used by the search pruning
 
@@ -232,19 +229,6 @@ def _image(mask: int, image: list[int]) -> int:
         out |= image[low.bit_length() - 1]
         mask ^= low
     return out
-
-
-def _tensor_sides(f: TensorOr) -> list[Formula]:
-    """The sides of the ``|`` chain at f, nested either way, left to right.
-    A first-order ``|`` is one side."""
-    sides, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        if type(g) is TensorOr and not g.first_order:
-            todo += (g.right, g.left)
-        else:
-            sides.append(g)
-    return sides
 
 
 def _colour(rows: int, allowed: dict[int, int], conflict: dict[int, list[int]],
@@ -362,7 +346,7 @@ class Evaluator:
         self._memo: dict[tuple[int, int], bool] = {}
         self._bracket_memo: dict[Formula, bool] = {}
         #: | node uid -> its _split_plan
-        self._plans: dict[int, tuple[str, list[Formula]]] = {}
+        self._plans: dict[int, tuple] = {}
 
     # -- public entry points: Team values in and out
 
@@ -583,67 +567,60 @@ class Evaluator:
     # -- splitting disjunction
 
     def _tensor_or(self, u: _Universe, mask: int, f: TensorOr) -> bool:
-        left, right = f.left, f.right
-        ml = self._restrict(u, mask, left.envelope)
-        mr = self._restrict(u, mask, right.envelope)
-        if ml | mr != mask:
-            return False
-        fo_l, fo_r = left.first_order, right.first_order
-        if fo_l and fo_r:
-            return True
-        if fo_l:
-            return self._exists_sat(right, u, mr, mask & ~ml)
-        if fo_r:
-            return self._exists_sat(left, u, ml, mask & ~mr)
+        """The one rule for a ``|`` chain, nested either way: each side
+        takes only rows its envelope admits; a flat side takes all of them,
+        and the other sides cover the rows no flat side admits."""
         plan = self._plans.get(f.uid)
         if plan is None:
             plan = self._plans[f.uid] = self._split_plan(f)
-        how, sides = plan
-        if how == "coherent":
-            return self._coherent_split(u, mask, sides)
-        if how == "upward":
-            # every side takes all the rows its envelope admits; together
-            # these cover the team, as ml | mr does
-            return all(self._eval(side, u, self._restrict(u, mask, side.envelope))
-                       for side in sides)
-        if how == "downward":
-            return self._down_split(u, mask, sides)
-        # two sides, or a mixed chain: split off one side at a time
-        size = self.model.size
-        if upward_closed(right, self.registry, size):
-            return self._eval(right, u, mr) and self._exists_sat(
-                left, u, ml, mask & ~mr)
-        if upward_closed(left, self.registry, size):
-            return self._eval(left, u, ml) and self._exists_sat(
-                right, u, mr, mask & ~ml)
-        # generic: the right part must contain every row the left envelope
-        # rejects; enumerate its optional extras, then close the left part
-        if self._eval(left, u, ml) and self._eval(right, u, mr):
+        flat, rest, how = plan
+        admitted, reach = [], 0
+        for side in flat + rest:
+            part = self._restrict(u, mask, side.envelope)
+            admitted.append(part)
+            reach |= part
+        if reach != mask:
+            return False
+        covered = 0
+        for side, part in zip(flat, admitted):
+            if not (side.first_order or self._eval(side, u, part)):
+                return False
+            covered |= part
+        if not rest:
             return True
-        forced = mask & ~ml
-        for extra in u.submasks(ml & mr):
-            z = forced | extra
-            if self._eval(right, u, z) and self._exists_sat(
-                    left, u, ml, mask & ~z):
-                return True
-        return False
+        todo = mask & ~covered
+        admitted = admitted[len(flat):]
+        if len(rest) == 1:
+            return self._exists_sat(rest[0], u, admitted[0], todo)
+        if how == "coherent":
+            return self._coherent_split(u, todo, rest)
+        if how == "downward":
+            return self._down_split(u, todo, rest, admitted)
+        for side, part in zip(rest, admitted):
+            if not self._eval(side, u, part):
+                return self._generic_split(u, todo, rest, admitted)
+        return True  # every side holds on all the rows it admits
 
-    def _split_plan(self, f: TensorOr) -> tuple[str, list[Formula]]:
-        """How to decide the ``|`` chain at f, whose sides are not both
-        first-order, and its sides: "coherent" if all are coherent,
-        "upward" if there are more than two and all are upward closed,
-        "downward" if all are downward closed, else "split".  The plan
-        depends only on f, the registry and the model size, so each
-        evaluator makes it once per node."""
-        sides = _tensor_sides(f)
-        if all(side.coherent for side in sides):
-            return "coherent", sides
-        if len(sides) > 2 and upward_closed(f, self.registry, self.model.size):
-            return "upward", sides
-        return "downward" if f.downward else "split", sides
+    def _split_plan(self, f: TensorOr) -> tuple:
+        """The sides of the ``|`` chain at f (a first-order ``|`` is one),
+        left to right: the flat ones, first-order or upward closed at the
+        model size; the rest; and how the rest split: "coherent",
+        "downward" (if each is so) or "split".  Made once per node."""
+        flat, rest, todo = [], [], [f]
+        while todo:
+            g = todo.pop()
+            if type(g) is TensorOr and not g.first_order:
+                todo += (g.right, g.left)
+            elif g.first_order or upward_closed(g, self.registry, self.model.size):
+                flat.append(g)
+            else:
+                rest.append(g)
+        how = ("coherent" if all(side.coherent for side in rest) else
+               "downward" if all(side.downward for side in rest) else "split")
+        return tuple(flat), tuple(rest), how
 
     def _coherent_split(self, u: _Universe, mask: int,
-                        sides: list[Formula]) -> bool:
+                        sides: tuple[Formula, ...]) -> bool:
         """Every side coherent: a part satisfies its side iff each of its
         rows and pairs of rows does, and a partition suffices, so the split
         gives each row one side (side i as bit i) such that no two rows
@@ -690,24 +667,22 @@ class Evaluator:
                 return False
         return True
 
-    def _down_split(self, u: _Universe, mask: int,
-                    sides: list[Formula]) -> bool:
+    def _down_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
+                    admitted: list[int]) -> bool:
         """Every side downward closed but not every one coherent: a side is
         an ``exists``, a ``->``, a ``||``, a bracket, or a ``&`` or
         ``forall`` over one of these or over a ``|``.  A partition
         suffices: give the rows, in sorted order, one at a time to a side
-        whose envelope admits them, and reject as soon as a side fails on
-        its partial team.  Copies of one formula are interchangeable, so
-        they fill in order: a copy takes its first row only after the copy
-        before it has one."""
-        for side in sides:
-            if not self._eval(side, u, 0):
-                return False
+        whose envelope admits them (side j admitted[j]), and reject as soon
+        as a side fails on its partial team.  Copies of one formula are
+        interchangeable, so they fill in order: a copy takes its first row
+        only after the copy before it has one."""
+        if not all(self._eval(side, u, 0) for side in sides):
+            return False
         last = {}  # side -> the index of its last copy so far
         slots = []  # (index, side, rows it admits, index of its previous copy)
         for j, side in enumerate(sides):
-            slots.append((j, side, self._restrict(u, mask, side.envelope),
-                          last.get(side, -1)))
+            slots.append((j, side, admitted[j], last.get(side, -1)))
             last[side] = j
         order = sorted(_bits(mask), key=u.row_of)
         parts = [0] * len(sides)
@@ -728,6 +703,37 @@ class Evaluator:
             return False
 
         return assign(0)
+
+    def _generic_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
+                       admitted: list[int]) -> bool:
+        """Two or more sides cover the team, side j within admitted[j]: the
+        last side takes each part it holds on that contains the rows no
+        earlier side admits, extras in combination order; the earlier
+        sides cover the rest alike, the first by :meth:`_exists_sat`.  The
+        parts' generators form a stack, so a long chain does not recurse."""
+        before = [0]  # j -> the rows sides 0 to j - 1 admit
+        for part in admitted:
+            before.append(before[-1] | part)
+
+        def parts(j: int, need: int) -> Iterator[int]:
+            """What sides 0 to j - 1 must cover after side j takes a part."""
+            forced = need & ~before[j]
+            for extra in u.submasks(admitted[j] & ~forced):
+                part = forced | extra
+                if self._eval(sides[j], u, part):
+                    yield need & ~part
+
+        last = len(sides) - 1
+        stack = [parts(last, mask)]
+        while stack:
+            need = next(stack[-1], None)
+            if need is None:
+                stack.pop()
+            elif len(stack) < last:
+                stack.append(parts(last - len(stack), need))
+            elif self._exists_sat(sides[0], u, admitted[0], need):
+                return True
+        return False
 
     def _exists_sat(self, f: Formula, u: _Universe, upper: int, lower: int,
                     nonempty: bool = False) -> bool:
@@ -775,12 +781,10 @@ class Evaluator:
             if not block:
                 return False
             blocks.append((u.row_of(bit), block))
-        if body.first_order:
-            return True
-        if upward_closed(body, self.registry, self.model.size):
-            return self._eval(body, wide, allowed)
-        if self._eval(body, wide, allowed):
+        if body.first_order or self._eval(body, wide, allowed):
             return True  # the full allowed extension is itself a witness
+        if upward_closed(body, self.registry, self.model.size):
+            return False
         blocks.sort()
         return self._exists_dfs(wide, body, [block for _, block in blocks])
 
@@ -832,8 +836,7 @@ class UpwardClosedVerdict:
                 f"R={sorted(r)} satisfies but S={sorted(s)} does not")
 
 
-def check_upward_closed(spec: DependencySpec, max_size: int,
-                        tuple_limit: int = _TUPLE_CAP) -> UpwardClosedVerdict:
+def check_upward_closed(spec: DependencySpec, max_size: int) -> UpwardClosedVerdict:
     """Exhaustively test R subset-of S preservation up to a domain size.
 
     Growing a relation one tuple at a time reaches every superset, so
@@ -844,10 +847,8 @@ def check_upward_closed(spec: DependencySpec, max_size: int,
     sig = Signature({"R": spec.arity})
     for n in range(1, max_size + 1):
         space = list(product(range(n), repeat=spec.arity))
-        if len(space) > tuple_limit:
-            raise EnumerationLimit(
-                f"{len(space)} tuples exceed the cap of {tuple_limit}"
-            )
+        if len(space) > _TUPLE_CAP:
+            raise EnumerationLimit(f"{len(space)} tuples exceed the cap of {_TUPLE_CAP}")
         count = len(space)
         sat = {}
         for mask in range(1 << count):

@@ -1,8 +1,9 @@
-"""Deep formulas: long &, | and || chains evaluate without recursing down
-the chain, long quantifier prefixes parse and print without recursing down
-the prefix, a long prefix of constancy-witnessed existentials evaluates
-quickly, and the command line answers anything deeper with exit code 2
-and a one-line message, never a traceback read as "false"."""
+"""Deep formulas: long &, | and || chains, | chains of mixed sides
+included, evaluate without recursing down the chain, long quantifier
+prefixes parse and print without recursing down the prefix, a long prefix
+of constancy-witnessed existentials evaluates quickly, and the command
+line answers anything deeper with exit code 2 and a one-line message,
+never a traceback read as "false"."""
 
 import random
 
@@ -79,6 +80,48 @@ def test_long_split_chains_of_closed_sides(files, capsys, formula):
     (files / "x3.team").write_text("vars x\n0\n1\n2\n")
     code = main(["eval", formula, "--model", str(files / "m3.model"),
                  "--team", str(files / "x3.team")])
+    assert (code, capsys.readouterr()) == (0, ("true\n", ""))
+
+
+def _left_chain(side: ts.Formula, n: int) -> ts.Formula:
+    f = side
+    for _ in range(n - 1):
+        f = ts.TensorOr(f, side)
+    return f
+
+
+def _right_chain(side: ts.Formula, n: int, last: ts.Formula) -> ts.Formula:
+    f = last
+    for _ in range(n):
+        f = ts.TensorOr(side, f)
+    return f
+
+
+MIXED_CHAINS = {
+    "inc": lambda n: _left_chain(ts.parse("inc(x; x)"), n),
+    "exists": lambda n: _right_chain(ts.parse("exists z dep(x; z)"), n, ts.NE),
+    "first-order": lambda n: _right_chain(ts.parse("x = x"), n, ts.NE),
+}
+
+
+@pytest.mark.parametrize("build", MIXED_CHAINS.values(), ids=MIXED_CHAINS.keys())
+def test_long_mixed_split_chains(build):
+    """Chains mixing sides of different kinds, nested either way, are
+    decided from their flattened sides, so 600 of them do not recurse; four
+    agree with the oracle."""
+    team = ts.Team(("x",), [(0,), (1,), (2,)])
+    model = ts.Model(3)
+    assert ts.evaluate(model, team, build(600))
+    short = build(4)
+    for rows in ([], [(0,)], [(0,), (2,)], team.rows):
+        sub = team.with_rows(rows)
+        assert ts.evaluate(model, sub, short) == naive_eval(model, sub, short)
+
+
+def test_600_fold_inc_chain_on_the_command_line(files, capsys):
+    (files / "x3.team").write_text("vars x\n0\n1\n2\n")
+    code = main(["eval", " | ".join(["inc(x; x)"] * 600), "--model",
+                 str(files / "m3.model"), "--team", str(files / "x3.team")])
     assert (code, capsys.readouterr()) == (0, ("true\n", ""))
 
 

@@ -497,23 +497,26 @@ DOWNWARD_SIDES = [
 ]
 UPWARD_SIDES = ["NE", "ncon(x)", "ndep(x; y)", "P(x) & NE", "geq(x y, 2)",
                 "exists z (ncon(z) & R(z, y))", "x != y", "all(x)"]
+#: first-order, upward-closed, coherent, downward-closed and other sides
+MIXED_SIDES = ["x = y", "P(x)", "NE", "ncon(y)", "dep(x; y)", "const(x)",
+               "exists z (dep(x; z) & P(z))", "x = y -> const(x)", "inc(x; y)",
+               "dep(x; y) & NE", "inc(y; x) & const(x)", "count_eq(x, 1)"]
 
 
-@pytest.mark.parametrize("pool", [DOWNWARD_SIDES, UPWARD_SIDES],
-                         ids=["downward", "upward"])
+@pytest.mark.parametrize("pool", [DOWNWARD_SIDES, UPWARD_SIDES, MIXED_SIDES],
+                         ids=["downward", "upward", "mixed"])
 def test_closed_chains_against_naive_evaluator(monkeypatch, pool):
-    """Random | chains of 2 to 4 sides, all downward closed or all upward
-    closed, nested every way, agree with the oracle on teams over (x, y) at
-    |M| <= 3.  Each chain is decided as a whole: a | is evaluated inside
-    another only as a first-order side or as the rest of a chain split off
-    a first-order side."""
-    outer, nested = [], []
+    """Random | chains of 2 to 4 sides, all downward closed, all upward
+    closed, or mixed, nested every way, agree with the oracle on teams over
+    (x, y) at |M| <= 3.  Each chain is decided as a whole: no | is
+    evaluated inside another."""
+    outer, nested, calls = [], [], []
     tensor_or = ts.Evaluator._tensor_or
 
     def spy(self, u, mask, f):
+        calls.append(f)
         if outer:
-            nested.append(f.first_order or outer[-1].left.first_order
-                          or outer[-1].right.first_order)
+            nested.append((outer[-1], f))
         outer.append(f)
         try:
             return tensor_or(self, u, mask, f)
@@ -522,6 +525,7 @@ def test_closed_chains_against_naive_evaluator(monkeypatch, pool):
 
     monkeypatch.setattr(ts.Evaluator, "_tensor_or", spy)
     splits = _spy(monkeypatch, "_down_split")
+    generic = _spy(monkeypatch, "_generic_split")
     rng = random.Random(1979)
     sig = ts.Signature({"R": 2, "P": 1})
     checked = 0
@@ -544,8 +548,9 @@ def test_closed_chains_against_naive_evaluator(monkeypatch, pool):
             (str(f), size, sorted(m.interp["P"]), sorted(m.interp["R"]),
              sorted(t.rows))
         checked += 1
-    assert nested and all(nested)
+    assert calls and not nested
     assert (len(splits) > 50) is (pool is DOWNWARD_SIDES)
+    assert bool(generic) is (pool is MIXED_SIDES)
 
 
 def _planted_dep_split(rng, k: int, want: bool) -> ts.Team:

@@ -8,8 +8,10 @@ Each tree is a checkout of the repository.  For every workload the tool
 runs ``python3 perfbench/run.py --workload W --seed N --seconds S`` in the
 parent tree and then in the change tree, ``--pairs`` times, with the order
 inside a pair swapped every other pair so that a drift of the host's speed
-does not favour one side.  Each tree runs its own harness; nothing under
-``perfbench/`` is imported here.
+does not favour one side.  Before the pairs of a workload it runs one pass
+of ``python3 perfbench/worker.py --workload W --seed N`` in each tree and
+records both trees' ``verdict_digest``.  Each tree runs its own harness;
+nothing under ``perfbench/`` is imported here.
 
 For every workload and end-to-end metric the tool writes to
 ``BENCH_<label>.json`` in the current directory the median and quartiles
@@ -18,7 +20,8 @@ change won, whether the gap between the medians exceeds the parent's
 interquartile distance, and whether the change's median stays within the
 metric's regression bound.  Directions and bounds come from the change
 tree's ``BENCHMARK.json``.  It prints the same as a Markdown table.  The
-exit code is 1 if any run was incorrect or failed an operation, else 0.
+exit code is 1 if any run was incorrect or failed an operation, or if the
+two trees' verdict digests differ on any workload, else 0.
 """
 
 from __future__ import annotations
@@ -35,17 +38,17 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in the tree: the JSON object on the last line of
-    its output."""
+def run_script(tree: Path, script: str, workload: str, seed: int,
+               *extra: str) -> dict:
+    """Run one of the tree's benchmark scripts on a workload: the JSON
+    object on the last line of its output."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=tree, capture_output=True, text=True)
+        [sys.executable, script, "--workload", workload, "--seed", str(seed),
+         *extra], cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"error: {workload} in {tree} exited {proc.returncode}: "
-                         f"{proc.stderr.strip()[-500:]}")
+        raise SystemExit(f"error: {script} {workload} in {tree} exited "
+                         f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
 
 
@@ -134,11 +137,19 @@ def main(argv=None) -> int:
     }
     clean = True
     for workload in args.workloads.split(","):
+        digests = {side: run_script(trees[side], "perfbench/worker.py", workload,
+                                    args.seed)["verdict_digest"]
+                   for side in SIDES}
+        same = digests["parent"] == digests["change"]
+        clean &= same
+        print(f"{workload} verdict_digest {'same' if same else 'DIFFERS'}: "
+              f"{digests['parent'][:12]} {digests['change'][:12]}", flush=True)
         runs = {side: [] for side in SIDES}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                out = run_once(trees[side], workload, args.seed, args.seconds)
+                out = run_script(trees[side], "perfbench/run.py", workload,
+                                 args.seed, "--seconds", str(args.seconds))
                 runs[side].append(out)
                 print(f"{workload} pair {i + 1} {side}: wall_s "
                       f"{out['metrics']['wall_s']['value']:.4g} correct "
@@ -149,7 +160,8 @@ def main(argv=None) -> int:
                    for side in SIDES}
         clean &= all(o["correct"] == args.pairs and not o["failed"]
                      for o in outcome.values())
-        result["workloads"][workload] = {"outcome": outcome,
+        result["workloads"][workload] = {"verdict_digest": digests,
+                                         "outcome": outcome,
                                          "metrics": summarise(runs, spec)}
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(result, indent=1) + "\n")
