@@ -109,6 +109,10 @@ def cmd_eval(args) -> int:
     if args.team:
         with open(args.team, "r", encoding="utf-8") as fh:
             team = parse_team_text(fh.read())
+        outside = {e for row in team.rows for e in row} - set(model.domain)
+        if outside:
+            raise CliError(f"team values outside the domain of size "
+                           f"{model.size}: {sorted(outside)}")
     else:
         if formula.free_vars:
             raise CliError("formula has free variables; give --team")

@@ -31,6 +31,15 @@ search would be hopeless, so it prunes using five structural facts:
     the body holds on X[a/v] for some value a, so |M| candidates replace a
     nonempty set of values per row.
 
+The searches that build a witness piece by piece (a row at a time to a
+side of a downward ``|`` split, a part of a block per row for the
+existential, a part per side of a general split) all run on
+``_depth_first``, which keeps one generator per level on a list, so a team
+of many rows does not recurse.  The colouring of coherent splits,
+``_colour``, keeps its own stack: a choice made while no uncoloured row
+has lost a side is final, so its failure ends the whole search, which a
+plain depth-first driver cannot express.
+
 A custom atom counts as upward closed only once its claim passes
 :func:`check_upward_closed` on the domain sizes in use.  The test suite
 cross-checks all of this against a literal rule-by-rule evaluator that
@@ -179,12 +188,6 @@ class Registry:
         except KeyError:
             raise EvalError(f"unregistered dependency {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._specs))
-
 
 EMPTY_REGISTRY = Registry()
 
@@ -229,6 +232,24 @@ def _image(mask: int, image: list[int]) -> int:
         out |= image[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def _depth_first(root, depth: int, step, done) -> bool:
+    """Whether some path of depth steps from root ends in a state done
+    accepts: step(level, state) yields the states one level further, in the
+    order to try them, and never None.  One generator per level sits on a list, so a deep
+    search does not recurse; a step that changes a shared state in place
+    undoes the change when it is resumed."""
+    stack = [iter((root,))]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+        elif len(stack) <= depth:
+            stack.append(step(len(stack) - 1, state))
+        elif done(state):
+            return True
+    return False
 
 
 def _colour(rows: int, allowed: dict[int, int], conflict: dict[int, list[int]],
@@ -344,7 +365,6 @@ class Evaluator:
         self.registry = registry or EMPTY_REGISTRY
         self._universes: dict[tuple[str, ...], _Universe] = {}
         self._memo: dict[tuple[int, int], bool] = {}
-        self._bracket_memo: dict[Formula, bool] = {}
         #: | node uid -> its _split_plan
         self._plans: dict[int, tuple] = {}
 
@@ -489,7 +509,7 @@ class Evaluator:
                 wide, image = self._extend(u, v)
                 return self._eval(body, wide, _image(mask, image))
             case Bracket(body):
-                return self._bracket(body)
+                return self._sentence(body)
             case Atom():
                 return self._atom(u, mask, f)
         raise EvalError(f"cannot evaluate {type(f).__name__}")
@@ -551,18 +571,19 @@ class Evaluator:
                 f"{a.name} has arity {spec.arity}, used with {len(a.parts[0])} argument(s)"
             )
         if spec.arity == 0:  # a sentence with no relation: the team is ignored
-            return self._bracket(spec.definition)
+            return self._sentence(spec.definition)
         relation = u.columns(mask, a.parts[0])
         sig = Signature({"R": spec.arity})
         struct = Model(self.model.size, {"R": relation}, sig)
         return tarski_eval(struct, {}, spec.definition)
 
-    def _bracket(self, body: Formula) -> bool:
-        hit = self._bracket_memo.get(body)
-        if hit is None:
-            hit = tarski_eval(self.model, {}, body)
-            self._bracket_memo[body] = hit
-        return hit
+    def _sentence(self, body: Formula) -> bool:
+        """Whether the model satisfies the first-order sentence: the one row
+        over no variables restricted by it, so it is decided once, whichever
+        team asks."""
+        u = self._universe(())
+        row = u.mask(((),))
+        return self._restrict(u, row, body) == row
 
     # -- splitting disjunction
 
@@ -676,7 +697,8 @@ class Evaluator:
         whose envelope admits them (side j admitted[j]), and reject as soon
         as a side fails on its partial team.  Copies of one formula are
         interchangeable, so they fill in order: a copy takes its first row
-        only after the copy before it has one."""
+        only after the copy before it has one.  Each step of
+        :func:`_depth_first` places one row in the shared list of parts."""
         if not all(self._eval(side, u, 0) for side in sides):
             return False
         last = {}  # side -> the index of its last copy so far
@@ -685,11 +707,8 @@ class Evaluator:
             slots.append((j, side, admitted[j], last.get(side, -1)))
             last[side] = j
         order = sorted(_bits(mask), key=u.row_of)
-        parts = [0] * len(sides)
 
-        def assign(i: int) -> bool:
-            if i == len(order):
-                return True
+        def place(i: int, parts: list[int]) -> Iterator[list[int]]:
             bit = order[i]
             for j, side, admits, prev in slots:
                 part = parts[j]
@@ -697,43 +716,37 @@ class Evaluator:
                     continue
                 if self._eval(side, u, part | bit):
                     parts[j] = part | bit
-                    if assign(i + 1):
-                        return True
+                    yield parts
                     parts[j] = part
-            return False
 
-        return assign(0)
+        return _depth_first([0] * len(sides), len(order), place,
+                            lambda parts: True)
 
     def _generic_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
                        admitted: list[int]) -> bool:
         """Two or more sides cover the team, side j within admitted[j]: the
         last side takes each part it holds on that contains the rows no
         earlier side admits, extras in combination order; the earlier
-        sides cover the rest alike, the first by :meth:`_exists_sat`.  The
-        parts' generators form a stack, so a long chain does not recurse."""
+        sides cover the rest alike, the first by :meth:`_exists_sat`.  Each
+        step of :func:`_depth_first` gives one side, last first, its part."""
         before = [0]  # j -> the rows sides 0 to j - 1 admit
         for part in admitted:
             before.append(before[-1] | part)
+        last = len(sides) - 1
 
-        def parts(j: int, need: int) -> Iterator[int]:
-            """What sides 0 to j - 1 must cover after side j takes a part."""
+        def parts(level: int, need: int) -> Iterator[int]:
+            """What sides 0 to j - 1 must cover after side j = last - level
+            takes a part."""
+            j = last - level
             forced = need & ~before[j]
             for extra in u.submasks(admitted[j] & ~forced):
                 part = forced | extra
                 if self._eval(sides[j], u, part):
                     yield need & ~part
 
-        last = len(sides) - 1
-        stack = [parts(last, mask)]
-        while stack:
-            need = next(stack[-1], None)
-            if need is None:
-                stack.pop()
-            elif len(stack) < last:
-                stack.append(parts(last - len(stack), need))
-            elif self._exists_sat(sides[0], u, admitted[0], need):
-                return True
-        return False
+        return _depth_first(
+            mask, last, parts,
+            lambda need: self._exists_sat(sides[0], u, admitted[0], need))
 
     def _exists_sat(self, f: Formula, u: _Universe, upper: int, lower: int,
                     nonempty: bool = False) -> bool:
@@ -762,7 +775,12 @@ class Evaluator:
         """Lax witness search: a satisfying Y inside the universal extension
         must hit the extension block of every original row.  A body that
         forces ``const(v)`` takes one value a for the whole of a nonempty
-        team, so its only candidates are the teams X[a/v]."""
+        team, so its only candidates are the teams X[a/v].  Otherwise, unless
+        the full allowed extension decides, each step of :func:`_depth_first`
+        chooses a nonempty part of the next row's block, rows in sorted
+        order, and a partial witness whose downward-closed part already
+        fails is dropped.  A downward-closed body is its own downward part,
+        and one row per block suffices for it."""
         if mask and v in body.const_vars:
             wide = self._wider(u, v)[0]
             i = wide.vars.index(v)
@@ -786,28 +804,17 @@ class Evaluator:
         if upward_closed(body, self.registry, self.model.size):
             return False
         blocks.sort()
-        return self._exists_dfs(wide, body, [block for _, block in blocks])
-
-    def _exists_dfs(self, wide: _Universe, body: Formula,
-                    blocks: list[int]) -> bool:
-        """Choose a nonempty part of each block, rejecting any prefix whose
-        downward-closed part already fails.  A downward-closed body is its
-        own downward part, and one row per block suffices for it."""
         prune = body.downward_part
         most = 1 if body.downward else None
 
-        def walk(i: int, acc: int) -> bool:
-            if i == len(blocks):
-                return self._eval(body, wide, acc)
-            for chosen in wide.submasks(blocks[i], 1, most):
+        def choose(i: int, acc: int) -> Iterator[int]:
+            for chosen in wide.submasks(blocks[i][1], 1, most):
                 nxt = acc | chosen
-                if prune is not TOP and not self._eval(prune, wide, nxt):
-                    continue
-                if walk(i + 1, nxt):
-                    return True
-            return False
+                if prune is TOP or self._eval(prune, wide, nxt):
+                    yield nxt
 
-        return walk(0, 0)
+        return _depth_first(0, len(blocks), choose,
+                            lambda acc: self._eval(body, wide, acc))
 
 
 def evaluate(model: Model, team: Team, f: Formula,

@@ -99,23 +99,6 @@ class Team:
         self.variables = order
         self.rows = frozenset(rows)
 
-    @classmethod
-    def of(cls, assignments: Iterable[Mapping[str, int]],
-           variables: Iterable[str] | None = None) -> "Team":
-        """Build a team from assignment mappings (all over the same domain)."""
-        assignments = list(assignments)
-        if variables is None:
-            if not assignments:
-                raise ValueError("variables required for an empty team")
-            variables = sorted(assignments[0])
-        vs = tuple(sorted(variables))
-        rows = []
-        for s in assignments:
-            if sorted(s) != list(vs):
-                raise ValueError(f"assignment {s} is not over domain {vs}")
-            rows.append(tuple(s[v] for v in vs))
-        return cls(vs, rows)
-
     def assignments(self) -> Iterator[dict[str, int]]:
         for row in sorted(self.rows):
             yield dict(zip(self.variables, row))
@@ -327,6 +310,8 @@ def parse_model_text(text: str, signature: Signature) -> Model:
             raise ValueError(
                 f"relation {name} declared with arity {signature.arity(name)}, file says {arity}"
             )
+        if name in interp:
+            raise ValueError(f"relation {name} given twice")
         i += 1
         tuples = []
         while i < len(lines) and lines[i] != "end":

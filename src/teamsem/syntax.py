@@ -473,13 +473,6 @@ def or_all(formulas: Iterable[Formula]) -> Formula:
     return BOT if out is None else out
 
 
-def tuple_equal(left: tuple[str, ...], right: tuple[str, ...]) -> Formula:
-    """Componentwise tuple equality as a conjunction of equalities."""
-    if len(left) != len(right):
-        raise ValueError("tuple lengths differ")
-    return and_all(Equal(a, b) for a, b in zip(left, right))
-
-
 def tuple_not_equal(left: tuple[str, ...], right: tuple[str, ...]) -> Formula:
     """Componentwise tuple inequality as a disjunction of inequalities."""
     if len(left) != len(right):

@@ -67,6 +67,28 @@ def test_eval_with_relations(workspace, capsys):
     assert code == 0 and out.strip() == "true"
 
 
+def test_eval_rejects_team_values_outside_the_domain(workspace, capsys):
+    model = workspace / "m2.model"
+    model.write_text("domain 2\n")
+    team = workspace / "x3.team"
+    team.write_text("vars x\n0\n1\n3\n")
+    code, out, err = run(capsys, "eval", "geq(x, 3)", "--model", str(model),
+                         "--team", str(team))
+    assert (code, out) == (2, "")
+    assert err == "error: team values outside the domain of size 2: [3]\n"
+
+
+def test_eval_rejects_a_relation_given_twice(workspace, capsys):
+    model = workspace / "pp.model"
+    model.write_text("domain 2\nrel P arity 1\n0\nend\nrel P arity 1\n1\nend\n")
+    team = workspace / "x.team"
+    team.write_text("vars x\n0\n")
+    code, out, err = run(capsys, "eval", "P(x)", "--model", str(model),
+                         "--team", str(team), "--rel", "P:1")
+    assert (code, out) == (2, "")
+    assert err == "error: relation P given twice\n"
+
+
 def test_eval_custom_dependency(workspace, capsys):
     code, out, _ = run(
         capsys, "eval", "D:big()", "--model", str(workspace / "m3.model"),

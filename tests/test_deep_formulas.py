@@ -1,5 +1,6 @@
 """Deep formulas: long &, | and || chains, | chains of mixed sides
-included, evaluate without recursing down the chain, long quantifier
+included, evaluate without recursing down the chain, a split of more than
+a thousand rows evaluates without recursing per row, long quantifier
 prefixes parse and print without recursing down the prefix, a long prefix
 of constancy-witnessed existentials evaluates quickly, and the command
 line answers anything deeper with exit code 2 and a one-line message,
@@ -147,6 +148,48 @@ def test_300_deep_const_prefix_is_quick():
     start = time.perf_counter()
     assert ts.evaluate(ts.Model(3), ts.Team(("x",), [(0,), (1,), (2,)]), f)
     assert time.perf_counter() - start < 5
+
+
+def test_downward_split_of_1040_rows():
+    """A downward | split places one row per level of its search without
+    recursing: 1,040 rows, two per value of x, go to two sides that each
+    need one row per value."""
+    import time
+
+    n = 520
+    side = "(dep(x; y) || const(y))"
+    team = ts.Team(("x", "y"), [(a, b) for a in range(n) for b in range(2)])
+    start = time.perf_counter()
+    assert ts.evaluate(ts.Model(n), team, ts.parse(f"{side} | {side}"))
+    assert time.perf_counter() - start < 5
+
+
+def test_depth_first_search_5000_levels_deep():
+    """The evaluator's backtracking driver: 5,000 levels with one choice
+    each but two at the last two levels, so the search backtracks through
+    four leaves, in order, and undoes every in-place step when it fails."""
+    from teamsem.evaluator import _depth_first
+
+    depth, leaves = 5000, []
+
+    def step(level, path):
+        for bit in (0, 1) if level >= depth - 2 else (0,):
+            path.append(bit)
+            yield path
+            path.pop()
+
+    def done(path):
+        leaves.append(tuple(path[-2:]))
+        return path[-2:] == [1, 1]
+
+    path = []
+    assert _depth_first(path, depth, step, done)
+    assert leaves == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len(path) == depth and not any(path[:-2])
+    path = []
+    assert not _depth_first(path, depth, step, lambda p: False)
+    assert path == []
+    assert _depth_first("root", 0, step, lambda state: state == "root")
 
 
 def test_short_split_chain_counts_values():

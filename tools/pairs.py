@@ -19,8 +19,9 @@ of each side, the relative change of the medians, the number of pairs the
 change won, whether the gap between the medians exceeds the parent's
 interquartile distance, and whether the change's median stays within the
 metric's regression bound.  Directions and bounds come from the change
-tree's ``BENCHMARK.json``.  It prints the same as a Markdown table.  The
-exit code is 1 if any run was incorrect or failed an operation, or if the
+tree's ``BENCHMARK.json``.  It prints the same as a Markdown table.  It
+also records, under ``src_lines``, each tree's number of lines in
+``src/**/*.py``, and prints both counts after the table.  The exit code is 1 if any run was incorrect or failed an operation, or if the
 two trees' verdict digests differ on any workload, else 0.
 """
 
@@ -50,6 +51,11 @@ def run_script(tree: Path, script: str, workload: str, seed: int,
         raise SystemExit(f"error: {script} {workload} in {tree} exited "
                          f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def src_lines(tree: Path) -> int:
+    """The number of lines in the tree's ``src/**/*.py`` files."""
+    return sum(p.read_bytes().count(b"\n") for p in tree.glob("src/**/*.py"))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -133,6 +139,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},
+        "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         "workloads": {},
     }
     clean = True
@@ -166,6 +173,9 @@ def main(argv=None) -> int:
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(table(result))
+    lines = result["src_lines"]
+    print(f"src lines: parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     print(f"wrote {out}")
     return 0 if clean else 1
 
