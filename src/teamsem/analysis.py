@@ -37,6 +37,7 @@ from .syntax import (
     Signature,
     TensorOr,
     EMPTY_SIGNATURE,
+    _nodes,
 )
 
 
@@ -100,19 +101,19 @@ class GammaTable:
             f"atom {atom.kind} is not upward closed and has no bound override")
 
 
+#: the constructs the bounded fragment passes through
+_BOUNDED = (And, TensorOr, ClassicalOr, Exists, Forall, PositiveLiteral,
+            NegativeLiteral, Equal, NotEqual)
+
+
 def _atom_occurrences(f: Formula) -> list[Atom]:
-    match f:
-        case Atom():
-            return [f]
-        case And(l, r) | TensorOr(l, r) | ClassicalOr(l, r):
-            return _atom_occurrences(l) + _atom_occurrences(r)
-        case Exists(_, body) | Forall(_, body):
-            return _atom_occurrences(body)
-        case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
-            return []
-    raise AnalysisError(
-        f"{type(f).__name__} is outside the bounded fragment"
-    )
+    out = []
+    for g in _nodes(f):
+        if type(g) is Atom:
+            out.append(g)
+        elif not isinstance(g, _BOUNDED):
+            raise AnalysisError(f"{type(g).__name__} is outside the bounded fragment")
+    return out
 
 
 def nu_bound(f: Formula, n: int, gamma: GammaTable | None = None,

@@ -60,6 +60,8 @@ def _signature(rel_args: list[str] | None) -> Signature:
         m = re.fullmatch(r"([A-Z][a-zA-Z0-9_]*):(\d+)", item)
         if not m:
             raise CliError(f"bad --rel {item!r}; expected NAME:ARITY")
+        if m.group(1) in rels:
+            raise CliError(f"--rel {m.group(1)} given twice")
         rels[m.group(1)] = int(m.group(2))
     return Signature(rels)
 
@@ -80,19 +82,16 @@ def _registry(dep_args: list[str] | None) -> Registry:
 def _gamma(gamma_args: list[str] | None) -> analysis.GammaTable:
     overrides = {}
     for item in gamma_args or []:
-        m = re.fullmatch(r"([a-zA-Z_][a-zA-Z0-9_]*)=(n(\d+)|const:(\d+)|lin:(\d+))",
-                         item)
+        m = re.fullmatch(r"([a-zA-Z_][a-zA-Z0-9_]*)=(n|const:|lin:)(\d+)", item)
         if not m:
             raise CliError(
                 f"bad --gamma {item!r}; expected NAME=nK or NAME=const:C or NAME=lin:C"
             )
         name = m.group(1)
-        if m.group(3) is not None:
-            overrides[name] = ("pow", int(m.group(3)))
-        elif m.group(4) is not None:
-            overrides[name] = ("const", int(m.group(4)))
-        else:
-            overrides[name] = ("lin", int(m.group(5)))
+        if name in overrides:
+            raise CliError(f"--gamma {name} given twice")
+        form = {"n": "pow", "const:": "const", "lin:": "lin"}[m.group(2)]
+        overrides[name] = (form, int(m.group(3)))
     return analysis.GammaTable(overrides)
 
 
@@ -297,27 +296,27 @@ def cmd_equiv(args) -> int:
     return 0 if report.equivalent else 1
 
 
-def cmd_bounds(args) -> int:
-    if args.mode == "check":
-        sig = _signature(args.rel)
-        reg = _registry(args.dep)
-        gamma = _gamma(args.gamma)
-        f = parse(_read_formula_arg(args.formula), sig)
-        reports = analysis.check_boundedness(f, args.max_model, gamma, reg)
-        for size in range(1, args.max_model + 1):
-            nu = analysis.nu_bound(f, size, gamma, reg)
-            print(f"nu(|M|={size}) = {nu}")
-        bad = [r for r in reports if not r.holds]
-        for r in bad:
-            print(r)
-        print(f"checked {len(reports)} satisfying team(s): "
-              + ("all hold" if not bad else f"{len(bad)} violation(s)"))
-        return 0 if not bad else 1
-    if args.mode == "hierarchy":
-        report = analysis.hierarchy_witness(args.wide, args.narrow, args.q)
-        print(report)
-        return 0 if report.exceeds else 1
-    raise CliError(f"unknown bounds mode {args.mode!r}")
+def cmd_bounds_check(args) -> int:
+    sig = _signature(args.rel)
+    reg = _registry(args.dep)
+    gamma = _gamma(args.gamma)
+    f = parse(_read_formula_arg(args.formula), sig)
+    reports = analysis.check_boundedness(f, args.max_model, gamma, reg)
+    for size in range(1, args.max_model + 1):
+        nu = analysis.nu_bound(f, size, gamma, reg)
+        print(f"nu(|M|={size}) = {nu}")
+    bad = [r for r in reports if not r.holds]
+    for r in bad:
+        print(r)
+    print(f"checked {len(reports)} satisfying team(s): "
+          + ("all hold" if not bad else f"{len(bad)} violation(s)"))
+    return 0 if not bad else 1
+
+
+def cmd_bounds_hierarchy(args) -> int:
+    report = analysis.hierarchy_witness(args.wide, args.narrow, args.q)
+    print(report)
+    return 0 if report.exceeds else 1
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -374,12 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--max-model", type=int, default=2)
     pc.add_argument("--gamma", action="append", metavar="NAME=nK|const:C|lin:C")
     _add_common(pc)
-    pc.set_defaults(fn=cmd_bounds, mode="check")
+    pc.set_defaults(fn=cmd_bounds_check)
     ph = bsub.add_parser("hierarchy", help="build the totality separation witness")
     ph.add_argument("wide", type=int)
     ph.add_argument("narrow", type=int)
     ph.add_argument("q", type=int)
-    ph.set_defaults(fn=cmd_bounds, mode="hierarchy")
+    ph.set_defaults(fn=cmd_bounds_hierarchy)
 
     return ap
 

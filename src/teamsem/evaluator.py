@@ -31,14 +31,14 @@ search would be hopeless, so it prunes using five structural facts:
     the body holds on X[a/v] for some value a, so |M| candidates replace a
     nonempty set of values per row.
 
-The searches that build a witness piece by piece (a row at a time to a
-side of a downward ``|`` split, a part of a block per row for the
-existential, a part per side of a general split) all run on
-``_depth_first``, which keeps one generator per level on a list, so a team
-of many rows does not recurse.  The colouring of coherent splits,
-``_colour``, keeps its own stack: a choice made while no uncoloured row
-has lost a side is final, so its failure ends the whole search, which a
-plain depth-first driver cannot express.
+Every backtracking search runs on one driver, ``_depth_first``, which
+keeps one generator per level on a list, so a team of many rows does not
+recurse.  Each search is a step function that extends a partial witness
+by one piece: a row to a side of a downward ``|`` split, a part of a block
+per row for the existential, a part per side of a general split, or a side
+per row in the colouring of a coherent split, ``_colour``.  A step can end
+the whole search, as the colouring's final choices do, by setting a flag
+that the steps below it in the stack check when they resume.
 
 A custom atom counts as upward closed only once its claim passes
 :func:`check_upward_closed` on the domain sizes in use.  The test suite
@@ -51,10 +51,11 @@ a team over many variables costs its own rows, never all |M|**k.  By
 locality a node is evaluated on the team over its own free variables, so
 verdicts are memoized per (node uid, mask).  Restricting by a first-order
 formula is an AND with the rows known to satisfy it, and only rows not yet
-tested go to ``tarski_eval``; projection and universal extension are
-unions of per-row images.  :class:`Team` values appear only at the public
-methods, and candidate subteams are always tried in combination order over
-the sorted rows, whatever the numbering.
+tested go to ``tarski_eval`` (a sentence goes once per evaluator);
+projection and universal extension are unions of per-row images.
+:class:`Team` values appear only at the public methods, and candidate
+subteams are always tried in combination order over the sorted rows,
+whatever the numbering.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping
 
-from .structures import EnumerationLimit, Model, Team, tarski_eval
+from .structures import EnumerationLimit, Model, Team, enumerate_models, tarski_eval
 from .syntax import (
     And,
     Atom,
@@ -237,9 +238,12 @@ def _image(mask: int, image: list[int]) -> int:
 def _depth_first(root, depth: int, step, done) -> bool:
     """Whether some path of depth steps from root ends in a state done
     accepts: step(level, state) yields the states one level further, in the
-    order to try them, and never None.  One generator per level sits on a list, so a deep
-    search does not recurse; a step that changes a shared state in place
-    undoes the change when it is resumed."""
+    order to try them, and never None.  One generator per level sits on a
+    list, so a deep search does not recurse; a step that changes a shared
+    state in place undoes the change when it is resumed.  A step can also
+    fail the whole search: it sets a flag that every step checks when it
+    resumes, after its undo, and returns if set, so the stack unwinds to
+    the root and the search returns False."""
     stack = [iter((root,))]
     while stack:
         state = next(stack[-1], None)
@@ -264,36 +268,24 @@ def _colour(rows: int, allowed: dict[int, int], conflict: dict[int, list[int]],
     tried.  A choice made while every uncoloured row keeps all its allowed
     sides is final: the coloured rows no longer constrain the rest, so if
     the rest has no colouring neither has the whole.  With two sides this
-    makes the search polynomial, as 2-SAT is."""
+    makes the search polynomial, as 2-SAT is.  Each step of
+    :func:`_depth_first` colours one row; its state is the mask of the
+    sides given so far, and a final choice that runs out of sides sets the
+    flag that fails the search."""
     uncoloured = {row: allowed[row] for row in _bits(rows)}  # -> open sides
     trail = []  # (row, its open sides before a change), to undo
-    choices = []  # [row, sides not yet tried, trail length, final, side given]
-    while uncoloured:
+    stuck = []  # nonempty once a final choice has run out of sides
+
+    def give(level: int, used: int) -> Iterator[int]:
         final = all(uncoloured[row] == allowed[row] for row in uncoloured)
         row = min(uncoloured, key=lambda r: (uncoloured[r].bit_count(),
                                              -links[r].bit_count()))
         options = uncoloured[row]
-        used = 0
-        for choice in choices:
-            used |= choice[4]
         for twin in twins:
             fresh = options & twin & ~used
             options ^= fresh & (fresh - 1)
-        choices.append([row, options, len(trail), final, 0])
-        while True:  # give the newest choice's row its next untried side
-            choice = choices[-1]
-            row, untried, mark, final, _ = choice
-            while len(trail) > mark:
-                other, sides = trail.pop()
-                uncoloured[other] = sides
-            if not untried:
-                if final:
-                    return False
-                choices.pop()
-                continue
-            side = untried & -untried
-            choice[1] = untried ^ side
-            choice[4] = side
+        mark = len(trail)
+        for side in _bits(options):
             trail.append((row, uncoloured.pop(row)))
             for other in _bits(conflict[row][side.bit_length() - 1]):
                 sides = uncoloured.get(other, 0)
@@ -303,8 +295,16 @@ def _colour(rows: int, allowed: dict[int, int], conflict: dict[int, list[int]],
                     if sides == side:
                         break  # other has no side left
             else:
-                break
-    return True
+                yield used | side
+            while len(trail) > mark:
+                other, sides = trail.pop()
+                uncoloured[other] = sides
+            if stuck:
+                return
+        if final:
+            stuck.append(row)
+
+    return _depth_first(0, rows.bit_count(), give, lambda used: True)
 
 
 class _Universe:
@@ -442,17 +442,21 @@ class Evaluator:
 
     def _restrict(self, u: _Universe, mask: int, theta: Formula) -> int:
         """The rows of the team that satisfy the first-order theta; each
-        row is sent to tarski_eval once per theta."""
+        row is sent to tarski_eval once per theta, and a sentence is
+        decided once, by :meth:`_sentence`."""
         entry = u.sat.get(theta.uid)
         if entry is None:
             entry = u.sat[theta.uid] = [0, 0]
         fresh = mask & ~entry[0]
         if fresh:
-            model, vs = self.model, u.vars
-            good = 0
-            for bit in _bits(fresh):
-                if tarski_eval(model, dict(zip(vs, u.row_of(bit))), theta):
-                    good |= bit
+            if u.vars and not theta.free_vars:
+                good = fresh if self._sentence(theta) else 0
+            else:
+                model, vs = self.model, u.vars
+                good = 0
+                for bit in _bits(fresh):
+                    if tarski_eval(model, dict(zip(vs, u.row_of(bit))), theta):
+                        good |= bit
             entry[0] |= fresh
             entry[1] |= good
         return mask & entry[1]
@@ -844,23 +848,22 @@ class UpwardClosedVerdict:
 
 
 def check_upward_closed(spec: DependencySpec, max_size: int) -> UpwardClosedVerdict:
-    """Exhaustively test R subset-of S preservation up to a domain size.
+    """Exhaustively test R subset-of S preservation up to a domain size,
+    whose relation space may hold at most 9 tuples.
 
     Growing a relation one tuple at a time reaches every superset, so
     closure under single-tuple extensions is checked instead of all pairs.
     """
     if spec.arity < 1:
         raise ValueError("upward closure concerns arities >= 1")
+    if max_size ** spec.arity > _TUPLE_CAP:
+        raise EnumerationLimit(
+            f"{max_size ** spec.arity} tuples exceed the cap of {_TUPLE_CAP}")
     sig = Signature({"R": spec.arity})
     for n in range(1, max_size + 1):
+        sat = {model.interp["R"]: tarski_eval(model, {}, spec.definition)
+               for model in enumerate_models(sig, n)}
         space = list(product(range(n), repeat=spec.arity))
-        if len(space) > _TUPLE_CAP:
-            raise EnumerationLimit(f"{len(space)} tuples exceed the cap of {_TUPLE_CAP}")
-        count = len(space)
-        sat = {}
-        for mask in range(1 << count):
-            rel = frozenset(space[i] for i in range(count) if mask >> i & 1)
-            sat[rel] = tarski_eval(Model(n, {"R": rel}, sig), {}, spec.definition)
         for rel, ok in sat.items():
             if not ok:
                 continue

@@ -220,6 +220,18 @@ def all_assignment_rows(size: int, width: int) -> list[tuple[int, ...]]:
     return list(product(range(size), repeat=width))
 
 
+#: cap on the tuples of one size's relation space in :func:`enumerate_models`
+_MODEL_TUPLE_CAP = 16
+
+
+def _by_rank(items: list) -> Iterator[tuple]:
+    """Every subset of items in subset-rank order: the k-th holds items[i]
+    for each set bit i of k."""
+    count = len(items)
+    for mask in range(1 << count):
+        yield tuple(items[i] for i in range(count) if mask >> i & 1)
+
+
 def enumerate_teams(model: Model, variables: Iterable[str],
                     limit: int = 16) -> Iterator[Team]:
     """All teams over the given variables, empty team first, in subset-rank
@@ -233,9 +245,8 @@ def enumerate_teams(model: Model, variables: Iterable[str],
         raise EnumerationLimit(
             f"{count} assignments exceed the cap of {limit}; raise the limit explicitly"
         )
-    rows = all_assignment_rows(model.size, len(vs))
-    for mask in range(1 << count):
-        yield Team(vs, (rows[i] for i in range(count) if mask >> i & 1))
+    for rows in _by_rank(all_assignment_rows(model.size, len(vs))):
+        yield Team(vs, rows)
 
 
 def _canonical_interp(model: Model) -> tuple:
@@ -255,17 +266,18 @@ def enumerate_models(signature: Signature, size: int, *,
                      up_to_isomorphism: bool = False) -> Iterator[Model]:
     """All models of the given size: every interpretation of every relation,
     in subset-rank order per relation.  With ``up_to_isomorphism`` only the
-    canonical representative of each isomorphism class is yielded."""
+    canonical representative of each isomorphism class is yielded.  Raises
+    :class:`EnumerationLimit` when the relations hold more than 16 tuples
+    together."""
     if size < 1:
         raise ValueError("model size must be >= 1")
     names = signature.names
-    spaces = []
-    for name in names:
-        tuples = all_assignment_rows(size, signature.arity(name))
-        spaces.append([
-            frozenset(tuples[i] for i in range(len(tuples)) if mask >> i & 1)
-            for mask in range(1 << len(tuples))
-        ])
+    count = sum(size ** signature.arity(name) for name in names)
+    if count > _MODEL_TUPLE_CAP:
+        raise EnumerationLimit(f"{count} relation tuples at size {size} exceed "
+                               f"the cap of {_MODEL_TUPLE_CAP}")
+    spaces = [list(_by_rank(all_assignment_rows(size, signature.arity(name))))
+              for name in names]
     for combo in product(*spaces):
         model = Model(size, dict(zip(names, combo)), signature)
         if up_to_isomorphism:

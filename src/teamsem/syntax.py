@@ -24,8 +24,9 @@ registered at evaluation time.
 from __future__ import annotations
 
 import re
+from functools import reduce
 from itertools import count
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 from weakref import ref
 
 
@@ -175,9 +176,9 @@ class Formula:
             _setattr(node, "free_tuple", tuple(sorted(node.free_vars)))
             # never store the node itself: refcounting cannot free a cycle
             if not node.first_order:
-                _setattr(node, "_envelope", _envelope(node))
+                _setattr(node, "_envelope", _weaken(node, "envelope"))
             if not node.downward:
-                _setattr(node, "_downward_part", _downward_part(node))
+                _setattr(node, "_downward_part", _weaken(node, "downward_part"))
             _TABLE[key] = ref(node, lambda r: _TABLE.get(key) is r and _TABLE.pop(key))
         return node
 
@@ -411,32 +412,59 @@ def _simp_and(l: Formula, r: Formula) -> Formula:
     return r if l is TOP else l if r is TOP else And(l, r)
 
 
-def _envelope(f: Formula) -> Formula:
-    """Formula.envelope of a node that is not first-order."""
+def _weaken(f: Formula, weakening: str) -> Formula:
+    """The weakening ("envelope" or "downward_part") of a node that is not
+    its own: built from its children's, with T for every other construct.
+    In the first-order envelope ``||`` becomes ``|``."""
     match f:
         case And(l, r):
-            return _simp_and(l.envelope, r.envelope)
+            return _simp_and(getattr(l, weakening), getattr(r, weakening))
         case TensorOr(l, r) | ClassicalOr(l, r):
-            l, r = l.envelope, r.envelope
-            return TOP if TOP in (l, r) else TensorOr(l, r)
+            l, r = getattr(l, weakening), getattr(r, weakening)
+            if TOP in (l, r):
+                return TOP
+            return (TensorOr if weakening == "envelope" else type(f))(l, r)
         case Exists(v, body) | Forall(v, body):
-            e = body.envelope
-            return TOP if e is TOP else type(f)(v, e)
+            b = getattr(body, weakening)
+            return TOP if b is TOP else type(f)(v, b)
     return TOP
 
 
-def _downward_part(f: Formula) -> Formula:
-    """Formula.downward_part of a node that is not downward closed."""
-    match f:
-        case And(l, r):
-            return _simp_and(l.downward_part, r.downward_part)
-        case TensorOr(l, r) | ClassicalOr(l, r):
-            dl, dr = l.downward_part, r.downward_part
-            return TOP if TOP in (dl, dr) else type(f)(dl, dr)
-        case Exists(v, body) | Forall(v, body):
-            d = body.downward_part
-            return TOP if d is TOP else type(f)(v, d)
-    return TOP
+def _children(f: Formula) -> list[Formula]:
+    """f's child nodes, right to left."""
+    return [c for c in map(f.__dict__.get, reversed(f.__match_args__))
+            if isinstance(c, Formula)]
+
+
+def _nodes(f: Formula) -> Iterator[Formula]:
+    """Every node occurrence in f, parents first, left to right."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        todo += _children(g)
+
+
+def _map(f: Formula, leaf, build=None) -> Formula:
+    """Rebuild f without recursing.  leaf(g), asked parents first, left to
+    right, returns the node that stands for g whole, or None to rebuild g
+    by build(g, fields), g's constructor by default, its children's
+    stand-ins among the fields."""
+    new: dict[Formula, Formula] = {}
+    order, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        stand = leaf(g)
+        if stand is None:
+            order.append(g)
+            todo += _children(g)
+        else:
+            new[g] = stand
+    for g in reversed(order):  # children before parents
+        fields = [new[x] if isinstance(x, Formula) else x
+                  for x in map(g.__dict__.get, g.__match_args__)]
+        new[g] = type(g)(*fields) if build is None else build(g, fields)
+    return new[f]
 
 
 def _check_relation(name: str):
@@ -459,18 +487,14 @@ NE = Atom("ne")
 
 def and_all(formulas: Iterable[Formula]) -> Formula:
     """Left-nested conjunction; empty input yields T."""
-    out = None
-    for f in formulas:
-        out = f if out is None else And(out, f)
-    return TOP if out is None else out
+    formulas = list(formulas)
+    return reduce(And, formulas) if formulas else TOP
 
 
 def or_all(formulas: Iterable[Formula]) -> Formula:
     """Left-nested splitting disjunction; empty input yields bot."""
-    out = None
-    for f in formulas:
-        out = f if out is None else TensorOr(out, f)
-    return BOT if out is None else out
+    formulas = list(formulas)
+    return reduce(TensorOr, formulas) if formulas else BOT
 
 
 def tuple_not_equal(left: tuple[str, ...], right: tuple[str, ...]) -> Formula:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .syntax import (
     And,
@@ -37,6 +38,8 @@ from .syntax import (
     fresh_tuple,
     or_all,
     tuple_not_equal,
+    _map,
+    _nodes,
     _simp_and,
 )
 
@@ -47,43 +50,32 @@ class TransformError(ValueError):
 
 def flatten(f: Formula) -> Formula:
     """Replace every dependency atom (and NE) by T; first-order output."""
-    match f:
-        case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
-            return f
-        case Atom():
+    def leaf(g: Formula) -> Formula | None:
+        if g.first_order:
+            return g
+        if type(g) is Atom:
             return TOP
-        case And(l, r):
-            return And(flatten(l), flatten(r))
-        case TensorOr(l, r):
-            return TensorOr(flatten(l), flatten(r))
-        case Exists(v, body):
-            return Exists(v, flatten(body))
-        case Forall(v, body):
-            return Forall(v, flatten(body))
-    raise TransformError(f"cannot flatten through {type(f).__name__}")
+        if type(g) not in (And, TensorOr, Exists, Forall):
+            raise TransformError(f"cannot flatten through {type(g).__name__}")
+
+    return _map(f, leaf)
+
+
+#: first-order construct -> the construct of its dual negation
+_DUAL = {PositiveLiteral: NegativeLiteral, NegativeLiteral: PositiveLiteral,
+         Equal: NotEqual, NotEqual: Equal, And: TensorOr, TensorOr: And,
+         Exists: Forall, Forall: Exists}
 
 
 def dual_negate(f: Formula) -> Formula:
     """Negation-normal-form negation of a first-order formula; on teams it
     holds exactly when every assignment falsifies the input pointwise."""
-    match f:
-        case PositiveLiteral(rel, args):
-            return NegativeLiteral(rel, args)
-        case NegativeLiteral(rel, args):
-            return PositiveLiteral(rel, args)
-        case Equal(a, b):
-            return NotEqual(a, b)
-        case NotEqual(a, b):
-            return Equal(a, b)
-        case And(l, r):
-            return TensorOr(dual_negate(l), dual_negate(r))
-        case TensorOr(l, r):
-            return And(dual_negate(l), dual_negate(r))
-        case Exists(v, body):
-            return Forall(v, dual_negate(body))
-        case Forall(v, body):
-            return Exists(v, dual_negate(body))
-    raise TransformError(f"dual negation needs first-order input, got {type(f).__name__}")
+    def leaf(g: Formula) -> None:
+        if type(g) not in _DUAL:
+            raise TransformError(
+                f"dual negation needs first-order input, got {type(g).__name__}")
+
+    return _map(f, leaf, lambda g, fields: _DUAL[type(g)](*fields))
 
 
 def restrict_formula(f: Formula, theta: Formula) -> Formula:
@@ -102,14 +94,11 @@ def to_classical_dnf(f: Formula) -> list[Formula]:
     match f:
         case ClassicalOr(l, r):
             return to_classical_dnf(l) + to_classical_dnf(r)
-        case And(l, r):
-            return [And(a, b) for a in to_classical_dnf(l) for b in to_classical_dnf(r)]
-        case TensorOr(l, r):
-            return [TensorOr(a, b) for a in to_classical_dnf(l) for b in to_classical_dnf(r)]
-        case Exists(v, body):
-            return [Exists(v, b) for b in to_classical_dnf(body)]
-        case Forall(v, body):
-            return [Forall(v, b) for b in to_classical_dnf(body)]
+        case And(l, r) | TensorOr(l, r):
+            return [type(f)(a, b)
+                    for a in to_classical_dnf(l) for b in to_classical_dnf(r)]
+        case Exists(v, body) | Forall(v, body):
+            return [type(f)(v, b) for b in to_classical_dnf(body)]
         case (PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual()
               | Atom() | Bracket()):
             return [f]
@@ -117,61 +106,32 @@ def to_classical_dnf(f: Formula) -> list[Formula]:
 
 
 def classical_or_all(parts: list[Formula]) -> Formula:
-    out = None
-    for p in parts:
-        out = p if out is None else ClassicalOr(out, p)
-    if out is None:
+    if not parts:
         raise ValueError("empty join")
-    return out
+    return reduce(ClassicalOr, parts)
 
 
 # ---------------------------------------------------------------------------
 # contradictory negation
 
 
-def _check_neg_fragment(f: Formula):
-    match f:
-        case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
-            return
-        case Atom(kind) if kind == "ne":
-            return
-        case And(l, r) | TensorOr(l, r) | ClassicalOr(l, r):
-            _check_neg_fragment(l)
-            _check_neg_fragment(r)
-            return
-        case Exists(_, body) | Forall(_, body) | ContraNeg(body):
-            _check_neg_fragment(body)
-            return
-    raise TransformError(
-        f"negation elimination handles first-order parts, NE, || and ~ only; "
-        f"found {type(f).__name__}"
-    )
+#: the constructs negation elimination passes through
+_NEG_FRAGMENT = (PositiveLiteral, NegativeLiteral, Equal, NotEqual, And,
+                 TensorOr, ClassicalOr, Exists, Forall, ContraNeg)
 
 
 def neg_eliminate(f: Formula) -> Formula:
     """Rewrite away every contradictory negation, staying equivalent on all
     models and teams.  Input may combine first-order parts, NE, || and ~;
     the output uses first-order parts, NE and || only."""
-    _check_neg_fragment(f)
-    return _elim(f)
-
-
-def _elim(f: Formula) -> Formula:
-    match f:
-        case ContraNeg(body):
-            return _negate(_elim(body))
-        case And(l, r):
-            return And(_elim(l), _elim(r))
-        case TensorOr(l, r):
-            return TensorOr(_elim(l), _elim(r))
-        case ClassicalOr(l, r):
-            return ClassicalOr(_elim(l), _elim(r))
-        case Exists(v, body):
-            return Exists(v, _elim(body))
-        case Forall(v, body):
-            return Forall(v, _elim(body))
-        case _:
-            return f
+    for g in _nodes(f):
+        if not isinstance(g, _NEG_FRAGMENT) and g is not NE:
+            raise TransformError(
+                f"negation elimination handles first-order parts, NE, || and ~ "
+                f"only; found {type(g).__name__}")
+    return _map(f, lambda g: g if g.first_order or g is NE else None,
+                lambda g, fields: (_negate(*fields) if type(g) is ContraNeg
+                                   else type(g)(*fields)))
 
 
 def _negate(g: Formula) -> Formula:
@@ -240,17 +200,14 @@ def dep_via_neg_const(vs: tuple[str, ...], ws: tuple[str, ...]) -> Formula:
     q1s = fresh_tuple("q", len(ws), avoid)
     avoid |= set(q1s)
     q2s = fresh_tuple("r", len(ws), avoid)
-    body = and_all([
+    return ContraNeg(_prefix(Exists, ps + q1s + q2s, and_all([
         Atom("const", (ps,)),
         Atom("const", (q1s,)),
         Atom("const", (q2s,)),
         tuple_not_equal(q1s, q2s),
         ContraNeg(tuple_not_equal(vs + ws, ps + q1s)),
         ContraNeg(tuple_not_equal(vs + ws, ps + q2s)),
-    ])
-    for var in reversed(ps + q1s + q2s):
-        body = Exists(var, body)
-    return ContraNeg(body)
+    ])))
 
 
 def ne_via_totality() -> Formula:
@@ -262,6 +219,13 @@ def ne_via_totality() -> Formula:
 # counting
 
 
+def _prefix(quantifier, variables: tuple[str, ...], body: Formula) -> Formula:
+    """body under one quantifier per variable, the first outermost."""
+    for v in reversed(variables):
+        body = quantifier(v, body)
+    return body
+
+
 def _distinct(vars_: tuple[str, ...]) -> list[Formula]:
     return [NotEqual(a, b) for i, a in enumerate(vars_) for b in vars_[i + 1:]]
 
@@ -271,10 +235,8 @@ def _at_most_k_elements(k: int) -> Formula:
     xs = tuple(f"x{i}" for i in range(1, k + 2))
     if k == 0:
         return Forall(xs[0], NotEqual(xs[0], xs[0]))
-    body = or_all(Equal(a, b) for i, a in enumerate(xs) for b in xs[i + 1:])
-    for x in reversed(xs):
-        body = Forall(x, body)
-    return body
+    return _prefix(Forall, xs, or_all(
+        Equal(a, b) for i, a in enumerate(xs) for b in xs[i + 1:]))
 
 
 def _at_least_k_elements(k: int) -> Formula:
@@ -282,10 +244,8 @@ def _at_least_k_elements(k: int) -> Formula:
     if k == 0:
         return TOP
     xs = tuple(f"x{i}" for i in range(1, k + 1))
-    body = and_all(_distinct(xs)) if k > 1 else Equal(xs[0], xs[0])
-    for x in reversed(xs):
-        body = Exists(x, body)
-    return body
+    return _prefix(Exists, xs,
+                   and_all(_distinct(xs)) if k > 1 else Equal(xs[0], xs[0]))
 
 
 def counting_formula(kind: str, k: int, v: str) -> Formula:
@@ -301,32 +261,22 @@ def counting_formula(kind: str, k: int, v: str) -> Formula:
     if kind == "le":
         if k == 0:
             return BOT
-        body = and_all(consts + [or_all(Equal(v, p) for p in ps)])
-        for p in reversed(ps):
-            body = Exists(p, body)
-        return body
+        return _prefix(Exists, ps, and_all(consts + [or_all(Equal(v, p) for p in ps)]))
     if kind == "ge":
         if k == 0:
             return TOP
         witnesses = [restrict_formula(NE, Equal(v, p)) for p in ps]
-        body = and_all(consts + _distinct(ps) + witnesses)
-        for p in reversed(ps):
-            body = Exists(p, body)
-        return body
+        return _prefix(Exists, ps, and_all(consts + _distinct(ps) + witnesses))
     if kind == "co_le":
         q = fresh_tuple("q", 1, {v, *ps})[0]
         covered = or_all([Equal(q, p) for p in ps] + [Equal(q, v)])
         inner = Exists(q, And(Atom("all", ((q,),)), covered))
-        body = and_all(consts + [inner])
-        for p in reversed(ps):
-            body = Exists(p, body)
+        body = _prefix(Exists, ps, and_all(consts + [inner]))
         return ClassicalOr(Bracket(_at_most_k_elements(k)), body)
     if kind == "co_ge":
         small = And(BOT, Bracket(_at_least_k_elements(k)))
         avoided = [NotEqual(v, p) for p in ps]
-        body = and_all(consts + _distinct(ps) + avoided)
-        for p in reversed(ps):
-            body = Exists(p, body)
+        body = _prefix(Exists, ps, and_all(consts + _distinct(ps) + avoided))
         return ClassicalOr(small, And(NE, body))
     raise ValueError(f"unknown counting kind {kind!r}")
 
@@ -409,18 +359,15 @@ def compile_unary_dependency(d: UnaryDepDescription, v: str) -> Formula:
 
 def _exactly_k_subjects(k: int, positive: bool, relation: str) -> Formula:
     """FO sentence: exactly k elements are in (or out of) a unary relation."""
-    member = (lambda x: PositiveLiteral(relation, (x,))) if positive \
-        else (lambda x: NegativeLiteral(relation, (x,)))
-    other = (lambda x: NegativeLiteral(relation, (x,))) if positive \
-        else (lambda x: PositiveLiteral(relation, (x,)))
+    member, other = ((PositiveLiteral, NegativeLiteral) if positive
+                     else (NegativeLiteral, PositiveLiteral))
     if k == 0:
-        return Forall("y", other("y"))
+        return Forall("y", other(relation, ("y",)))
     xs = tuple(f"x{i}" for i in range(1, k + 1))
-    closure = Forall("y", TensorOr(other("y"), or_all(Equal("y", x) for x in xs)))
-    body = and_all([member(x) for x in xs] + _distinct(xs) + [closure])
-    for x in reversed(xs):
-        body = Exists(x, body)
-    return body
+    closure = Forall("y", TensorOr(other(relation, ("y",)),
+                                   or_all(Equal("y", x) for x in xs)))
+    return _prefix(Exists, xs, and_all(
+        [member(relation, (x,)) for x in xs] + _distinct(xs) + [closure]))
 
 
 def unary_description_sentence(d: UnaryDepDescription,
@@ -438,18 +385,6 @@ def unary_description_sentence(d: UnaryDepDescription,
 
 # ---------------------------------------------------------------------------
 # bracket extraction
-
-
-def _contains_bracket(f: Formula) -> bool:
-    match f:
-        case Bracket():
-            return True
-        case (And(l, r) | TensorOr(l, r) | ClassicalOr(l, r) | IntImpl(l, r)):
-            return _contains_bracket(l) or _contains_bracket(r)
-        case Exists(_, body) | Forall(_, body) | ContraNeg(body) | Possibly(body):
-            return _contains_bracket(body)
-        case _:
-            return False
 
 
 def extract_brackets(f: Formula) -> tuple[list[Formula], Formula]:
@@ -481,14 +416,11 @@ def _extract(f: Formula) -> tuple[list[Formula], Formula]:
             sl, cl = _extract(l)
             sr, cr = _extract(r)
             return sl + sr, TensorOr(cl, cr)
-        case Exists(v, body):
+        case Exists(v, body) | Forall(v, body):
             s, c = _extract(body)
-            return s, Exists(v, c)
-        case Forall(v, body):
-            s, c = _extract(body)
-            return s, Forall(v, c)
+            return s, type(f)(v, c)
         case ClassicalOr():
-            if _contains_bracket(f):
+            if any(type(g) is Bracket for g in _nodes(f)):
                 raise TransformError(
                     "brackets under || have no single conjunction form; "
                     "use extract_brackets_dnf"

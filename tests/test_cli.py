@@ -278,6 +278,11 @@ def test_bounds_hierarchy(capsys):
     ("transform", "flatten", "NE", "extra"),
     ("transform", "nedef", "junk", "--verify", "1"),
     ("transform", "countdef", "le", "x", "v"),
+    ("equiv", "[forall x R(x, x, x)]", "[forall y R(y, y, y)]", "--rel", "R:3",
+     "--max-model", "3"),
+    ("equiv", "x = x", "x = x", "--rel", "R:1", "--rel", "R:2"),
+    ("bounds", "check", "all(x)", "--max-model", "2", "--gamma", "all=n0",
+     "--gamma", "all=n1"),
 ])
 def test_bad_size_or_extra_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -164,6 +164,26 @@ def test_downward_split_of_1040_rows():
     assert time.perf_counter() - start < 5
 
 
+def test_split_decides_a_closed_envelope_once(monkeypatch):
+    """T, the envelope of every dep and const side, is a sentence: the
+    evaluator decides it once, not once per row of the team."""
+    from teamsem import evaluator
+
+    calls = []
+    tarski_eval = evaluator.tarski_eval
+
+    def spy(model, s, f):
+        calls.append(f)
+        return tarski_eval(model, s, f)
+
+    monkeypatch.setattr(evaluator, "tarski_eval", spy)
+    n = 20
+    side = "(dep(x; y) || const(y))"
+    team = ts.Team(("x", "y"), [(a, b) for a in range(n) for b in range(2)])
+    assert ts.evaluate(ts.Model(n), team, ts.parse(f"{side} | {side}"))
+    assert calls == [ts.TOP]
+
+
 def test_depth_first_search_5000_levels_deep():
     """The evaluator's backtracking driver: 5,000 levels with one choice
     each but two at the last two levels, so the search backtracks through

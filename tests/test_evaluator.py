@@ -476,6 +476,79 @@ def test_coherent_chains_against_naive_evaluator(monkeypatch):
     assert len(calls) > 100
 
 
+def test_colouring_agrees_with_the_downward_split(monkeypatch):
+    """Past the oracle's reach: random | chains of 2 to 4 coherent sides on
+    teams of 8 to 20 rows over (x, y, z) at |M| = 3 or 4 get the same
+    verdict from the colouring as from the row-by-row downward split, which
+    a patched _split_plan forces on the same chains."""
+    coloured = _spy(monkeypatch, "_coherent_split")
+    placed = _spy(monkeypatch, "_down_split")
+    plan, forced = ts.Evaluator._split_plan, []
+
+    def downward(self, f):
+        flat, rest, how = plan(self, f)
+        return flat, rest, "downward" if forced and how == "coherent" else how
+
+    monkeypatch.setattr(ts.Evaluator, "_split_plan", downward)
+    rng = random.Random(1998)
+    sig = ts.Signature({"R": 2, "P": 1})
+    verdicts = []
+    for _ in range(300):
+        pool = rng.sample(COHERENT_SIDES, 2)  # repeated sides make false cases
+        sides = [ts.parse(rng.choice(pool), sig) for _ in range(rng.randrange(2, 5))]
+        f = _nest(rng, sides, rng.choice(("left", "right", "mixed")))
+        size = rng.choice((3, 4))
+        m = ts.Model(size, {
+            "P": {(i,) for i in range(size) if rng.random() < 0.5},
+            "R": {(i, j) for i in range(size) for j in range(size)
+                  if rng.random() < 0.5},
+        }, sig)
+        rows = list(product(range(size), repeat=3))
+        t = ts.Team(("x", "y", "z"), rng.sample(rows, rng.randrange(8, 21)))
+        want = ts.evaluate(m, t, f)
+        forced.append(True)
+        assert ts.evaluate(m, t, f) == want, (str(f), size, sorted(t.rows))
+        forced.pop()
+        verdicts.append(want)
+    assert len(coloured) == len(placed) > 100
+    assert True in verdicts and False in verdicts
+
+
+def test_colouring_fails_at_a_final_dead_end():
+    """A row whose first choice is final and runs out of sides fails the
+    split: three values of y for one x cannot go to two copies of
+    dep(x; y), whatever the 200 rows beside them do."""
+    f = ts.parse("dep(x; y) | dep(x; y)")
+    rows = [(0, 0), (0, 1), (0, 2)] + [(a, 0) for a in range(1, 201)]
+    assert not ts.evaluate(ts.Model(201), ts.Team(("x", "y"), rows), f)
+    assert ts.evaluate(ts.Model(201), ts.Team(("x", "y"), rows[1:]), f)
+
+
+def test_colouring_unwinds_from_a_final_dead_end_deep_in_the_search():
+    """200 rows with three conflicts each, all on side 1, are coloured
+    first and take side 0, which constrains no row, so every choice stays
+    final.  Then a triangle that conflicts on both sides has no colouring:
+    its first row's failure ends the search at once, where retrying the
+    200 rows' other side would take 2**200 steps."""
+    from teamsem.evaluator import _bits, _colour
+
+    free = 200
+    rows = (1 << free + 3) - 1
+    bits = _bits(rows)
+    conflict = {row: [0, 0] for row in bits}
+    for start in range(0, free, 4):  # groups of four, in conflict on side 1
+        group = sum(bits[start:start + 4])
+        for row in bits[start:start + 4]:
+            conflict[row][1] = group & ~row
+    triangle = sum(bits[free:])
+    for row in bits[free:]:
+        conflict[row] = [triangle & ~row] * 2
+    links = {row: conflict[row][0] | conflict[row][1] for row in bits}
+    allowed = dict.fromkeys(bits, 0b11)
+    assert not _colour(rows, allowed, conflict, links, [])
+    assert _colour(rows & ~bits[-1], allowed, conflict, links, [])
+
+
 def test_split_with_an_incoherent_downward_side(monkeypatch):
     """An existential side is downward closed but not coherent, so this
     split still assigns rows one at a time."""

@@ -10,8 +10,10 @@ parent tree and then in the change tree, ``--pairs`` times, with the order
 inside a pair swapped every other pair so that a drift of the host's speed
 does not favour one side.  Before the pairs of a workload it runs one pass
 of ``python3 perfbench/worker.py --workload W --seed N`` in each tree and
-records both trees' ``verdict_digest``.  Each tree runs its own harness;
-nothing under ``perfbench/`` is imported here.
+records both trees' ``verdict_digest``, and one short traced run,
+``python3 perfbench/run.py --workload W --seed N --seconds 1 --trace 1``,
+in each tree, whose ``correct`` and ``harness.share`` it records.  Each
+tree runs its own harness; nothing under ``perfbench/`` is imported here.
 
 For every workload and end-to-end metric the tool writes to
 ``BENCH_<label>.json`` in the current directory the median and quartiles
@@ -21,8 +23,10 @@ interquartile distance, and whether the change's median stays within the
 metric's regression bound.  Directions and bounds come from the change
 tree's ``BENCHMARK.json``.  It prints the same as a Markdown table.  It
 also records, under ``src_lines``, each tree's number of lines in
-``src/**/*.py``, and prints both counts after the table.  The exit code is 1 if any run was incorrect or failed an operation, or if the
-two trees' verdict digests differ on any workload, else 0.
+``src/**/*.py``, and prints both counts after the table.  The exit code
+is 1 if any run, traced runs included, was incorrect or failed an
+operation, or if the two trees' verdict digests differ on any workload,
+else 0.
 """
 
 from __future__ import annotations
@@ -151,6 +155,15 @@ def main(argv=None) -> int:
         clean &= same
         print(f"{workload} verdict_digest {'same' if same else 'DIFFERS'}: "
               f"{digests['parent'][:12]} {digests['change'][:12]}", flush=True)
+        traced = {}
+        for side in SIDES:
+            out = run_script(trees[side], "perfbench/run.py", workload, args.seed,
+                             "--seconds", "1", "--trace", "1")
+            traced[side] = {"correct": bool(out["correct"]) and not out["failed"],
+                            "harness_share": out["metrics"]["harness.share"]["value"]}
+            clean &= traced[side]["correct"]
+            print(f"{workload} traced {side}: correct {traced[side]['correct']} "
+                  f"harness.share {traced[side]['harness_share']:.4f}", flush=True)
         runs = {side: [] for side in SIDES}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -168,7 +181,7 @@ def main(argv=None) -> int:
         clean &= all(o["correct"] == args.pairs and not o["failed"]
                      for o in outcome.values())
         result["workloads"][workload] = {"verdict_digest": digests,
-                                         "outcome": outcome,
+                                         "traced": traced, "outcome": outcome,
                                          "metrics": summarise(runs, spec)}
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(result, indent=1) + "\n")
