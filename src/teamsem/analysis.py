@@ -5,7 +5,9 @@ atom occurrence contributes its own witness bound, and the occurrence-
 weighted sum bounds the whole formula.  This module computes those bounds,
 verifies them empirically by exhaustive sweeps, extracts minimal witnesses,
 and builds the totality-arity separation witness.  The ``equivalent``
-sweep doubles as the correctness oracle for every rewriter.
+sweep doubles as the correctness oracle for every rewriter.  Both sweeps
+run over one driver, ``_cells``, which checks the model and team caps for
+the largest size before the first cell.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from typing import Iterable
 
 from .evaluator import EMPTY_REGISTRY, Evaluator, Registry, evaluate, upward_closed
 from .structures import (
+    _TEAM_ROW_CAP,
     Model,
     Team,
+    _check_caps,
     enumerate_models,
     enumerate_teams,
     model_to_text,
@@ -74,8 +78,8 @@ class GammaTable:
         self.overrides = dict(overrides or {})
 
     def bound_for(self, atom: Atom, registry: Registry, size: int) -> Bound:
-        """The atom's bound; a custom atom's upward-closure claim is checked
-        on domains up to size."""
+        """The atom's bound; a custom atom's upward-closure claim must be
+        checked on domains up to size."""
         key = atom.name if atom.kind == "custom" else atom.kind
         if key in self.overrides:
             return self.overrides[key]
@@ -93,9 +97,9 @@ class GammaTable:
             case "custom":
                 if not upward_closed(atom, registry, size):
                     raise AnalysisError(
-                        f"custom atom {atom.name!r} is not upward closed (no claim "
-                        f"that passes check_upward_closed) and has no bound override"
-                    )
+                        f"custom atom {atom.name!r} has no bound override and no "
+                        f"upward-closure claim that check_upward_closed confirms "
+                        f"up to size {size} (relation spaces of at most 9 tuples)")
                 return ("pow", registry.get(atom.name).arity)
         raise AnalysisError(
             f"atom {atom.kind} is not upward closed and has no bound override")
@@ -127,9 +131,20 @@ def nu_bound(f: Formula, n: int, gamma: GammaTable | None = None,
     )
 
 
-def _check_max_model(max_model: int):
+def _cells(signature: Signature, max_model: int, variables: tuple[str, ...],
+           team_filter: str, registry: Registry | None):
+    """Every cell of a sweep, as (evaluator, team): one evaluator per model
+    of the signature up to max_model, and the teams over the variables
+    that the filter keeps.  The caps are checked for max_model first."""
     if max_model < 1:
         raise AnalysisError(f"max_model must be >= 1, got {max_model}")
+    _check_caps(signature, max_model, len(variables))
+    for size in range(1, max_model + 1):
+        for model in enumerate_models(signature, size):
+            ev = Evaluator(model, registry)
+            for team in enumerate_teams(model, variables):
+                if team_filter == "all" or not team.is_empty():
+                    yield ev, team
 
 
 def minimal_satisfying_subteam(model: Model, team: Team, f: Formula,
@@ -173,28 +188,25 @@ def check_boundedness(f: Formula, max_model: int,
     """Sweep every empty-signature model up to max_model and every
     satisfying team over the formula's free variables, reporting whether a
     witness subteam within the computed bound exists."""
-    _check_max_model(max_model)
     gamma = gamma or GammaTable()
     registry = registry or EMPTY_REGISTRY
     if f.arities:
         raise AnalysisError("boundedness sweeps cover empty-signature models only")
-    # rejects atoms outside the fragment, on every swept size, up front
-    nu_bound(f, max_model, gamma, registry)
-    variables = sorted(f.free_vars)
+    # rejects atoms outside the fragment before any sweep
+    nus = {size: nu_bound(f, size, gamma, registry)
+           for size in range(1, max_model + 1)}
     reports = []
-    for size in range(1, max_model + 1):
-        model = Model(size)
-        nu = nu_bound(f, size, gamma, registry)
-        ev = Evaluator(model, registry)
-        for team in enumerate_teams(model, variables):
-            if not ev.evaluate(team, f):
-                continue
-            # every candidate comes before the team in the enumeration, so
-            # the sweep's memo already holds its verdict
-            witness = _first_witness(ev, team, f)
-            wsize = len(witness) if witness is not None else len(team)
-            reports.append(BoundReport(f, size, len(team), nu, wsize,
-                                       witness is not None and wsize <= nu))
+    for ev, team in _cells(EMPTY_SIGNATURE, max_model, f.free_tuple, "all",
+                           registry):
+        if not ev.evaluate(team, f):
+            continue
+        # every candidate comes before the team in the enumeration, so the
+        # sweep's memo already holds its verdict
+        witness = _first_witness(ev, team, f)
+        wsize = len(witness) if witness is not None else len(team)
+        nu = nus[ev.model.size]
+        reports.append(BoundReport(f, ev.model.size, len(team), nu, wsize,
+                                   witness is not None and wsize <= nu))
     return reports
 
 
@@ -220,8 +232,8 @@ class HierarchyReport:
                 f"= {self.occurrences}*n^{self.narrow_arity}")
 
 
-def hierarchy_witness(wide_arity: int, narrow_arity: int, occurrences: int,
-                      team_cap: int = 16) -> HierarchyReport:
+def hierarchy_witness(wide_arity: int, narrow_arity: int,
+                      occurrences: int) -> HierarchyReport:
     """Build the totality-arity separation witness: the least domain size n
     with n**wide > occurrences * n**narrow, the full team over wide-arity
     variables, and its exact minimal satisfying subteam."""
@@ -234,10 +246,9 @@ def hierarchy_witness(wide_arity: int, narrow_arity: int, occurrences: int,
     if n is None:
         raise AnalysisError(f"no domain size up to {_MAX_DOMAIN} separates the bounds")
     team_size = n ** wide_arity
-    if team_size > team_cap:
+    if team_size > _TEAM_ROW_CAP:
         raise AnalysisError(
-            f"witness team of size {team_size} exceeds the cap of {team_cap}"
-        )
+            f"witness team of size {team_size} exceeds the cap of {_TEAM_ROW_CAP}")
     model = Model(n)
     variables = tuple(f"w{i}" for i in range(1, wide_arity + 1))
     full = Team(variables, product(range(n), repeat=wide_arity))
@@ -282,7 +293,6 @@ def equivalent(f: Formula, g: Formula, variables: Iterable[str],
     """Exhaustively compare two formulas over all models of the signature up
     to max_model and all teams over the given variables; the first
     disagreement (re-checked from scratch) becomes the counterexample."""
-    _check_max_model(max_model)
     if team_filter not in ("all", "nonempty"):
         raise AnalysisError("team_filter must be 'all' or 'nonempty'")
     variables = tuple(sorted(set(variables)))
@@ -290,20 +300,12 @@ def equivalent(f: Formula, g: Formula, variables: Iterable[str],
         extra = h.free_vars - set(variables)
         if extra:
             raise AnalysisError(f"free variables {sorted(extra)} not swept")
-    for size in range(1, max_model + 1):
-        for model in enumerate_models(signature, size):
-            ev = Evaluator(model, registry)
-            for team in enumerate_teams(model, variables):
-                if team_filter == "nonempty" and team.is_empty():
-                    continue
-                a = ev.evaluate(team, f)
-                b = ev.evaluate(team, g)
-                if a != b:
-                    # revalidate with fresh state before reporting
-                    a2 = evaluate(model, team, f, registry)
-                    b2 = evaluate(model, team, g, registry)
-                    if a2 == b2:
-                        raise AnalysisError("unstable evaluation result")
-                    return EquivReport(False, max_model, team_filter,
-                                       model, team, a2)
+    for ev, team in _cells(signature, max_model, variables, team_filter,
+                           registry):
+        if ev.evaluate(team, f) != ev.evaluate(team, g):
+            # revalidate with fresh state before reporting
+            a = evaluate(ev.model, team, f, registry)
+            if a == evaluate(ev.model, team, g, registry):
+                raise AnalysisError("unstable evaluation result")
+            return EquivReport(False, max_model, team_filter, ev.model, team, a)
     return EquivReport(True, max_model, team_filter)

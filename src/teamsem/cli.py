@@ -20,6 +20,7 @@ from .evaluator import (EMPTY_REGISTRY, DependencySpec, EvalError, Evaluator,
 from .structures import (
     EnumerationLimit,
     Team,
+    _check_caps,
     enumerate_models,
     enumerate_teams,
     model_to_text,
@@ -246,6 +247,7 @@ def _sweep(out, want, variables, sig, reg, max_model,
     """Check ``out`` on every model up to max_model and every team passing
     the filter against ``want(ev, model, team)``: the value out must take,
     or None when either value is fine.  One evaluator serves each model."""
+    _check_caps(sig, max_model, len(variables))
     for size in range(1, max_model + 1):
         for model in enumerate_models(sig, size):
             ev = Evaluator(model, reg)

@@ -147,21 +147,22 @@ class DependencySpec:
     def upward_closed_on(self, size: int | None) -> bool:
         """Whether the search may prune with the claim on domains of the
         given size: a "yes" claim that :func:`check_upward_closed` confirms
-        on sizes 1 to size, and at most to the largest size whose relation
-        space fits its cap of 9 tuples (9 at arity 1, 3 at arity 2,
-        2 at arity 3, 1 beyond), which is also the bound when size is None.
-        A failing claim is ignored, so the search runs unpruned.  0-ary
-        notions ignore the team, so their claim stands as given.  Cached
-        per size."""
+        on sizes 1 to size.  The check reaches the largest size whose
+        relation space fits its cap of 9 tuples (9 at arity 1, 3 at arity 2,
+        2 at arity 3, 1 beyond), the size taken when size is None; past it
+        the claim cannot be checked and is not trusted.  A claim that is not
+        trusted is ignored, so the search runs unpruned.  0-ary notions
+        ignore the team, so their claim stands as given.  Cached per size."""
         if self.claimed_upward_closed != "yes" or self.arity == 0:
             return self.claimed_upward_closed == "yes"
         top = max(n for n in range(1, _TUPLE_CAP + 1)
                   if n ** self.arity <= _TUPLE_CAP)
-        if size is not None:
-            top = min(size, top)
-        holds = self._checked.get(top)
+        size = top if size is None else size
+        if size > top:
+            return False
+        holds = self._checked.get(size)
         if holds is None:
-            holds = self._checked[top] = check_upward_closed(self, top).holds
+            holds = self._checked[size] = check_upward_closed(self, size).holds
         return holds
 
     @cached_property

@@ -220,8 +220,23 @@ def all_assignment_rows(size: int, width: int) -> list[tuple[int, ...]]:
     return list(product(range(size), repeat=width))
 
 
-#: cap on the tuples of one size's relation space in :func:`enumerate_models`
+#: caps on one size of a sweep: the relation tuples of :func:`enumerate_models`
+#: and the assignments of a team of :func:`enumerate_teams`
 _MODEL_TUPLE_CAP = 16
+_TEAM_ROW_CAP = 16
+
+
+def _check_caps(signature: Signature, size: int, width: int = 0):
+    """Raise :class:`EnumerationLimit` when the models of the signature of
+    the given size, or the teams over width variables on them, pass their
+    caps.  Both counts grow with the size, so a sweep checks its largest."""
+    count = sum(size ** signature.arity(name) for name in signature.names)
+    if count > _MODEL_TUPLE_CAP:
+        raise EnumerationLimit(f"{count} relation tuples at size {size} exceed "
+                               f"the cap of {_MODEL_TUPLE_CAP}")
+    if size ** width > _TEAM_ROW_CAP:
+        raise EnumerationLimit(
+            f"{size ** width} assignments exceed the cap of {_TEAM_ROW_CAP}")
 
 
 def _by_rank(items: list) -> Iterator[tuple]:
@@ -232,19 +247,11 @@ def _by_rank(items: list) -> Iterator[tuple]:
         yield tuple(items[i] for i in range(count) if mask >> i & 1)
 
 
-def enumerate_teams(model: Model, variables: Iterable[str],
-                    limit: int = 16) -> Iterator[Team]:
+def enumerate_teams(model: Model, variables: Iterable[str]) -> Iterator[Team]:
     """All teams over the given variables, empty team first, in subset-rank
-    order over the lexicographic assignment list.
-
-    ``limit`` caps the number of assignments (|M| ** |variables|).
-    """
+    order over the lexicographic assignment list, at most 16 assignments."""
     vs = tuple(sorted(set(variables)))
-    count = model.size ** len(vs)
-    if count > limit:
-        raise EnumerationLimit(
-            f"{count} assignments exceed the cap of {limit}; raise the limit explicitly"
-        )
+    _check_caps(EMPTY_SIGNATURE, model.size, len(vs))
     for rows in _by_rank(all_assignment_rows(model.size, len(vs))):
         yield Team(vs, rows)
 
@@ -271,11 +278,8 @@ def enumerate_models(signature: Signature, size: int, *,
     together."""
     if size < 1:
         raise ValueError("model size must be >= 1")
+    _check_caps(signature, size)
     names = signature.names
-    count = sum(size ** signature.arity(name) for name in names)
-    if count > _MODEL_TUPLE_CAP:
-        raise EnumerationLimit(f"{count} relation tuples at size {size} exceed "
-                               f"the cap of {_MODEL_TUPLE_CAP}")
     spaces = [list(_by_rank(all_assignment_rows(size, signature.arity(name))))
               for name in names]
     for combo in product(*spaces):

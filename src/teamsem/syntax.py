@@ -544,6 +544,12 @@ def fresh_tuple(prefix: str, count: int, avoid: Iterable[str]) -> tuple[str, ...
 # ---------------------------------------------------------------------------
 # tokenizer
 
+#: binary operator -> (binding level, loosest first; printed separator)
+_BINARY = {IntImpl: (1, " -> "), ClassicalOr: (2, " || "), TensorOr: (3, " | "),
+           And: (4, " & ")}
+#: operator token -> (class, binding level)
+_INFIX = {sep.strip(): (cls, level) for cls, (level, sep) in _BINARY.items()}
+
 
 _TOKEN_RE = re.compile(
     r"""(?P<WS>\s+)
@@ -606,34 +612,18 @@ class _Parser:
             raise ParseError(f"trailing input {value!r}", pos)
         return f
 
-    # precedence climbing, loosest first
-    def formula(self) -> Formula:
-        left = self.classical_or()
-        if self.at("->"):
-            self.take()
-            return IntImpl(left, self.formula())
-        return left
-
-    def classical_or(self) -> Formula:
-        left = self.tensor_or()
-        while self.at("||"):
-            self.take()
-            left = ClassicalOr(left, self.tensor_or())
-        return left
-
-    def tensor_or(self) -> Formula:
-        left = self.conjunction()
-        while self.at("|"):
-            self.take()
-            left = TensorOr(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
+    def formula(self, least: int = 1) -> Formula:
+        """A formula whose binary operators bind at level least or tighter,
+        by precedence climbing over the printer's table ``_BINARY``.  A chain
+        nests left in the loop; ``->`` reads its right side at its own
+        level, so it nests right."""
         left = self.unary()
-        while self.at("&"):
-            self.take()
-            left = And(left, self.unary())
-        return left
+        while True:
+            cls, level = _INFIX.get(self.tokens[self.i][1], (None, 0))
+            if level < least:
+                return left
+            self.i += 1
+            left = cls(left, self.formula(level + (cls is not IntImpl)))
 
     def unary(self) -> Formula:
         """Prefix operators and quantifiers, read in a loop and applied
@@ -771,9 +761,6 @@ def parse(text: str, signature: Signature = EMPTY_SIGNATURE) -> Formula:
 
 # ---------------------------------------------------------------------------
 # pretty-printer
-
-_BINARY = {IntImpl: (1, " -> "), ClassicalOr: (2, " || "), TensorOr: (3, " | "),
-           And: (4, " & ")}
 
 #: constructs that print without surrounding parentheses after a quantifier
 #: or prefix operator (self-delimiting or unary-level)

@@ -6,7 +6,10 @@ extraction.
 
 All rewriters are pure and deterministic: generated variable names come
 from a fixed prefix sequence threaded through an avoid set seeded with the
-input's variables.
+input's variables.  They walk and rebuild formulas with ``syntax._nodes``
+and ``syntax._map``, not by recursion, so a deep chain cannot exhaust the
+stack.  ``_negate_plain`` alone recurses: its output grows quadratically
+with the depth of what it negates.
 """
 
 from __future__ import annotations
@@ -91,18 +94,21 @@ def restrict_formula(f: Formula, theta: Formula) -> Formula:
 def to_classical_dnf(f: Formula) -> list[Formula]:
     """Pull every whole-team disjunction to the top; the returned list is
     read as the ||-join of its entries, each entry ||-free."""
-    match f:
-        case ClassicalOr(l, r):
-            return to_classical_dnf(l) + to_classical_dnf(r)
-        case And(l, r) | TensorOr(l, r):
-            return [type(f)(a, b)
-                    for a in to_classical_dnf(l) for b in to_classical_dnf(r)]
-        case Exists(v, body) | Forall(v, body):
-            return [type(f)(v, b) for b in to_classical_dnf(body)]
-        case (PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual()
-              | Atom() | Bracket()):
-            return [f]
-    raise TransformError(f"cannot distribute || through {type(f).__name__}")
+    def leaf(g: Formula) -> list[Formula] | None:
+        if isinstance(g, (ContraNeg, IntImpl, Possibly)):
+            raise TransformError(f"cannot distribute || through {type(g).__name__}")
+        if not isinstance(g, (ClassicalOr, And, TensorOr, Exists, Forall)):
+            return [g]  # a literal, an atom or a bracket
+
+    def build(g: Formula, fields: list) -> list[Formula]:
+        left, right = fields
+        if type(g) is ClassicalOr:
+            return left + right
+        if type(g) in (Exists, Forall):  # left is the bound variable
+            return [type(g)(left, b) for b in right]
+        return [type(g)(a, b) for a in left for b in right]
+
+    return _map(f, leaf, build)
 
 
 def classical_or_all(parts: list[Formula]) -> Formula:
@@ -405,33 +411,30 @@ def extract_brackets(f: Formula) -> tuple[list[Formula], Formula]:
 
 
 def _extract(f: Formula) -> tuple[list[Formula], Formula]:
-    match f:
-        case Bracket(body):
-            return [body], TOP
-        case And(l, r):
-            sl, cl = _extract(l)
-            sr, cr = _extract(r)
-            return sl + sr, _simp_and(cl, cr)
-        case TensorOr(l, r):
-            sl, cl = _extract(l)
-            sr, cr = _extract(r)
-            return sl + sr, TensorOr(cl, cr)
-        case Exists(v, body) | Forall(v, body):
-            s, c = _extract(body)
-            return s, type(f)(v, c)
-        case ClassicalOr():
-            if any(type(g) is Bracket for g in _nodes(f)):
+    """(sentences, core) for f, which is each node's stand-in."""
+    def leaf(g: Formula) -> tuple[list[Formula], Formula] | None:
+        match g:
+            case Bracket(body):
+                return [body], TOP
+            case And() | TensorOr() | Exists() | Forall():
+                return None
+            case ClassicalOr() if any(type(h) is Bracket for h in _nodes(g)):
                 raise TransformError(
                     "brackets under || have no single conjunction form; "
-                    "use extract_brackets_dnf"
-                )
-            return [], f
-        case ContraNeg() | IntImpl() | Possibly():
-            raise TransformError(
-                f"bracket extraction does not handle {type(f).__name__}"
-            )
-        case _:
-            return [], f
+                    "use extract_brackets_dnf")
+            case ContraNeg() | IntImpl() | Possibly():
+                raise TransformError(
+                    f"bracket extraction does not handle {type(g).__name__}")
+        return [], g
+
+    def build(g: Formula, fields: list) -> tuple[list[Formula], Formula]:
+        if type(g) in (Exists, Forall):
+            v, (s, c) = fields
+            return s, type(g)(v, c)
+        (sl, cl), (sr, cr) = fields
+        return sl + sr, _simp_and(cl, cr) if type(g) is And else TensorOr(cl, cr)
+
+    return _map(f, leaf, build)
 
 
 def extract_brackets_dnf(f: Formula) -> list[tuple[list[Formula], Formula]]:

@@ -125,7 +125,7 @@ def test_hierarchy_witness_values():
     with pytest.raises(ts.AnalysisError):
         ts.hierarchy_witness(1, 1, 1)
     with pytest.raises(ts.AnalysisError):
-        ts.hierarchy_witness(5, 1, 1, team_cap=16)
+        ts.hierarchy_witness(5, 1, 1)
 
 
 def test_narrow_totality_definable_from_wide():

@@ -1,5 +1,7 @@
 """End-to-end command-line checks: subcommands, exit codes, file formats."""
 
+import time
+
 import pytest
 
 import teamsem as ts
@@ -287,6 +289,21 @@ def test_bounds_hierarchy(capsys):
 def test_bad_size_or_extra_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("transform", "depdef", "x", "y", "--verify", "5"),
+    ("bounds", "check", "geq(x y z, 2)", "--max-model", "3"),
+], ids=["models", "teams"])
+def test_sweep_past_a_cap_stops_before_it_starts(capsys, argv):
+    """A sweep checks its caps for its largest size first: the 25 assignments
+    to (x, y) at size 5, or the 27 to (x, y, z) at size 3, exit 2 before any
+    smaller size is swept."""
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "exceed the cap of 16" in err
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 

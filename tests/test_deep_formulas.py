@@ -238,6 +238,19 @@ def test_5000_quantifier_prefix_parses_and_prints(capsys):
     assert capsys.readouterr().out == text + "\n"
 
 
+@pytest.mark.parametrize("name,formula", [
+    ("dnf", " & ".join(["x = y", "NE"] * 1500)),
+    ("dnf", " || ".join(["x = y"] * 3000)),
+    ("brackets", " & ".join(["[forall z (z = z)]"] * 3000)),
+    ("negelim", "~(" + " || ".join(["x = y", "NE"] * 1500) + ")"),
+], ids=["dnf-and", "dnf-or", "brackets", "negelim"])
+def test_3000_deep_rewrites(capsys, name, formula):
+    """The ||-rewriters rebuild a formula without recursing down it."""
+    assert main(["transform", name, formula]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out
+
+
 def test_chains_agree_with_the_oracle():
     rng = random.Random(5)
     parts = ["x = y", "x != y", "NE", "const(x)", "ncon(y)", "x = x", "dep(x; y)"]

@@ -752,6 +752,28 @@ def test_false_upward_claim_is_not_trusted():
     assert not ts.DependencySpec("z", 0, ts.TOP).upward_closed
 
 
+def test_upward_claim_past_the_checkable_size_is_not_trusted():
+    """At arity 2 the claim can be checked up to size 3 only.  This notion,
+    R nonempty and (R not full, or at most three elements), is upward
+    closed up to size 3 and not at size 4, where the split of the full team
+    holds only if the claim is ignored."""
+    phi = ts.parse(
+        "exists a exists b R(a, b) & (exists c exists d !R(c, d) | forall x1 "
+        "forall x2 forall x3 forall x4 (x1 = x2 | x1 = x3 | x1 = x4 | x2 = x3 "
+        "| x2 = x4 | x3 = x4))", ts.Signature({"R": 2}))
+    claimed = ts.DependencySpec("d", 2, phi, claimed_upward_closed="yes")
+    assert ts.check_upward_closed(claimed, 3).holds
+    assert claimed.upward_closed_on(3) and not claimed.upward_closed_on(4)
+    full = ts.Team(("x", "y"), product(range(4), repeat=2))
+    split = ts.parse("D:d(x y) | D:d(x y)")
+    for spec in (claimed, ts.DependencySpec("d", 2, phi)):
+        reg = ts.EMPTY_REGISTRY.register(spec)
+        assert ts.evaluate(ts.Model(4), full, split, reg)
+    with pytest.raises(ts.AnalysisError, match="up to size 4"):
+        ts.nu_bound(ts.parse("D:d(x y)"), 4,
+                    registry=ts.EMPTY_REGISTRY.register(claimed))
+
+
 def test_check_upward_closed():
     sig = ts.Signature({"R": 1})
     total = ts.DependencySpec("tot", 1, ts.parse("forall x R(x)", sig))

@@ -116,7 +116,7 @@ def test_enumerate_teams_counts_and_order():
     zero = list(ts.enumerate_teams(m2, ()))
     assert zero == [ts.Team(()), ts.Team((), [()])]
     with pytest.raises(ts.EnumerationLimit):
-        list(ts.enumerate_teams(ts.Model(3), ("x", "y", "z"), limit=16))
+        list(ts.enumerate_teams(ts.Model(3), ("x", "y", "z")))
 
 
 def test_enumerate_models_counts():

@@ -1,0 +1,79 @@
+"""Count the evaluator's calls on every job of the benchmark's workloads.
+
+    python3 tools/counts.py TREE [--seed N]
+        [--workloads rewrite_equiv,model_sweep,...]
+
+TREE is a checkout of the repository.  The tool imports the tree's own
+``src/`` and ``perfbench/workloads.py``, builds each workload's job list
+from the seed, and runs every job once in this process, in order, with
+counting wrappers around ``Evaluator._eval`` and ``Evaluator._kernel``.  It
+prints one JSON object: workload -> {"_eval": calls, "_kernel": calls,
+"failed": jobs that raised}.
+
+The two counts are a machine-independent fingerprint of the searches: a
+change that keeps the candidates the evaluator tries, and their order,
+keeps both counts on every workload, whatever the host's speed.  A job
+that raises is counted up to the point where it raised, and its exception
+is printed on stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+import traceback
+from pathlib import Path
+
+COUNTED = ("_eval", "_kernel")
+
+
+def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
+    sys.path[:0] = [str(tree / "src"), str(tree / "tests"), str(tree / "perfbench")]
+    import workloads
+    from teamsem.evaluator import Evaluator
+
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in COUNTED:
+        setattr(Evaluator, name, counted(name, getattr(Evaluator, name)))
+    out = {}
+    for workload in names:
+        jobs = workloads.WORKLOADS[workload](random.Random(seed))
+        before, failed = dict(calls), 0
+        for job in jobs:
+            try:
+                job.run()
+            except Exception:  # counted as far as it ran, and reported
+                failed += 1
+                print(f"{workload}: {job.label}", file=sys.stderr)
+                traceback.print_exc()
+        out[workload] = {**{name: calls[name] - before[name] for name in COUNTED},
+                         "failed": failed}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("tree", type=Path)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--workloads",
+                    default="rewrite_equiv,model_sweep,hard_check,witness_search")
+    args = ap.parse_args(argv)
+    tree = args.tree.resolve()
+    if not (tree / "perfbench" / "workloads.py").is_file():
+        ap.error(f"{tree} has no perfbench/workloads.py")
+    print(json.dumps(count_calls(tree, args.seed, args.workloads.split(","))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

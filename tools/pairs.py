@@ -10,10 +10,13 @@ parent tree and then in the change tree, ``--pairs`` times, with the order
 inside a pair swapped every other pair so that a drift of the host's speed
 does not favour one side.  Before the pairs of a workload it runs one pass
 of ``python3 perfbench/worker.py --workload W --seed N`` in each tree and
-records both trees' ``verdict_digest``, and one short traced run,
-``python3 perfbench/run.py --workload W --seed N --seconds 1 --trace 1``,
+records both trees' ``verdict_digest``; under ``calls``, each tree's
+``Evaluator._eval`` and ``_kernel`` call counts, from the ``counts.py``
+beside this file run on the tree at the same seed; and one short traced
+run, ``python3 perfbench/run.py --workload W --seed N --seconds 1 --trace 1``,
 in each tree, whose ``correct`` and ``harness.share`` it records.  Each
-tree runs its own harness; nothing under ``perfbench/`` is imported here.
+tree runs its own harness, and ``counts.py`` its own workloads, in a
+process of their own; nothing under ``perfbench/`` is imported here.
 
 For every workload and end-to-end metric the tool writes to
 ``BENCH_<label>.json`` in the current directory the median and quartiles
@@ -55,6 +58,18 @@ def run_script(tree: Path, script: str, workload: str, seed: int,
         raise SystemExit(f"error: {script} {workload} in {tree} exited "
                          f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def call_counts(tree: Path, workload: str, seed: int) -> dict:
+    """The tree's evaluator call counts on the workload, from counts.py."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("counts.py")), str(tree),
+         "--seed", str(seed), "--workloads", workload],
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: counts.py {workload} in {tree} exited "
+                         f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return json.loads(proc.stdout)[workload]
 
 
 def src_lines(tree: Path) -> int:
@@ -155,6 +170,10 @@ def main(argv=None) -> int:
         clean &= same
         print(f"{workload} verdict_digest {'same' if same else 'DIFFERS'}: "
               f"{digests['parent'][:12]} {digests['change'][:12]}", flush=True)
+        counts = {side: call_counts(trees[side], workload, args.seed)
+                  for side in SIDES}
+        print(f"{workload} calls parent {counts['parent']} change "
+              f"{counts['change']}", flush=True)
         traced = {}
         for side in SIDES:
             out = run_script(trees[side], "perfbench/run.py", workload, args.seed,
@@ -181,6 +200,7 @@ def main(argv=None) -> int:
         clean &= all(o["correct"] == args.pairs and not o["failed"]
                      for o in outcome.values())
         result["workloads"][workload] = {"verdict_digest": digests,
+                                         "calls": counts,
                                          "traced": traced, "outcome": outcome,
                                          "metrics": summarise(runs, spec)}
     out = Path(f"BENCH_{args.label}.json")
