@@ -52,10 +52,14 @@ locality a node is evaluated on the team over its own free variables, so
 verdicts are memoized per (node uid, mask).  Restricting by a first-order
 formula is an AND with the rows known to satisfy it, and only rows not yet
 tested go to ``tarski_eval`` (a sentence goes once per evaluator);
-projection and universal extension are unions of per-row images.
-:class:`Team` values appear only at the public methods, and candidate
-subteams are always tried in combination order over the sorted rows,
-whatever the numbering.
+projection, universal extension and X[a/v] are unions of per-row images.
+Atoms read the set of value tuples a team takes on an argument tuple as a
+mask in the evaluator's universe of tuples of that arity, cached per
+mask: ``inc`` is a subset test of two masks, ``dep`` and ``ind`` compare
+counts, and a custom atom is decided once per relation.  :class:`Team`
+values appear only at the public methods, and candidate subteams are
+always tried in combination order over the sorted rows, whatever the
+numbering.
 """
 
 from __future__ import annotations
@@ -311,22 +315,24 @@ def _colour(rows: int, allowed: dict[int, int], conflict: dict[int, list[int]],
 class _Universe:
     """The rows over one sorted variable tuple that an evaluator has met,
     numbered on first sight; a team over these variables is the bit mask
-    of its rows' numbers.  The maps to other universes fill lazily."""
+    of its rows' numbers.  The universe of the value tuples of arity k has
+    the key k for its variables.  The maps to other universes fill lazily."""
 
-    __slots__ = ("vars", "rows", "index", "sat", "proj", "ext")
+    __slots__ = ("vars", "rows", "index", "sat", "proj", "vals", "ext")
 
-    def __init__(self, variables: tuple[str, ...]):
+    def __init__(self, variables: tuple[str, ...] | int):
         self.vars = variables
         self.rows: list[tuple[int, ...]] = []  # bit -> row
         self.index: dict[tuple[int, ...], int] = {}  # row -> bit
         #: first-order formula uid -> [rows tested, rows satisfying]
         self.sat: dict[int, list[int]] = {}
-        #: fewer variables -> (their universe, bit -> the row's bit there,
-        #: mask -> its projection)
-        self.proj: dict[tuple[str, ...],
-                        tuple[_Universe, list[int], dict[int, int]]] = {}
-        #: new variable -> (the wider universe, bit -> mask of the row's extension)
-        self.ext: dict[str, tuple[_Universe, list[int]]] = {}
+        #: fewer variables -> their _pick map, into their universe
+        self.proj: dict[tuple[str, ...], tuple] = {}
+        #: argument tuple -> its _pick map, into the value tuples of its arity
+        self.vals: dict[tuple[str, ...], tuple] = {}
+        #: (new variable, its value or None for every value) -> (the wider
+        #: universe, bit -> mask of the row's extensions)
+        self.ext: dict[tuple[str, int | None], tuple[_Universe, list[int]]] = {}
 
     def mask(self, rows: Iterable[tuple[int, ...]]) -> int:
         index = self.index
@@ -351,11 +357,6 @@ class _Universe:
         combination order over the sorted rows within a size."""
         return map(sum, _subsets(_bits(mask), least, most, self.row_of))
 
-    def columns(self, mask: int, vs: tuple[str, ...]) -> set[tuple[int, ...]]:
-        """The team's projection onto vs."""
-        idx = [self.vars.index(v) for v in vs]
-        return {tuple(row[i] for i in idx) for row in self.rows_of(mask)}
-
 
 class Evaluator:
     """One lax-semantics evaluation context: fixed model and registry, with
@@ -364,10 +365,13 @@ class Evaluator:
     def __init__(self, model: Model, registry: Registry | None = None):
         self.model = model
         self.registry = registry or EMPTY_REGISTRY
-        self._universes: dict[tuple[str, ...], _Universe] = {}
+        self._universes: dict[tuple[str, ...] | int, _Universe] = {}
         self._memo: dict[tuple[int, int], bool] = {}
         #: | node uid -> its _split_plan
         self._plans: dict[int, tuple] = {}
+        #: (arity, value mask) -> (the relation as a Model, custom atom
+        #: name -> its verdict there)
+        self._relations: dict[tuple[int, int], tuple[Model, dict[str, bool]]] = {}
 
     # -- public entry points: Team values in and out
 
@@ -398,46 +402,57 @@ class Evaluator:
 
     # -- masks
 
-    def _universe(self, variables: tuple[str, ...]) -> _Universe:
+    def _universe(self, variables: tuple[str, ...] | int) -> _Universe:
         u = self._universes.get(variables)
         if u is None:
             u = self._universes[variables] = _Universe(variables)
         return u
+
+    def _pick(self, u: _Universe, mask: int, table: dict, cols: tuple[str, ...],
+              target: tuple[str, ...] | int) -> tuple[_Universe, int]:
+        """The image of the team under row -> its values at cols, in the
+        universe keyed target: per row as u's rows appear, and per mask
+        once, in the map at table[cols]."""
+        hit = table.get(cols)
+        if hit is None:
+            hit = table[cols] = (self._universe(target),
+                                 [u.vars.index(v) for v in cols], [], {})
+        target, idx, image, done = hit  # image: bit -> the row's bit there
+        out = done.get(mask)
+        if out is None:
+            if len(image) < len(u.rows):
+                image += [target.mask((tuple(row[i] for i in idx),))
+                          for row in u.rows[len(image):]]
+            out = done[mask] = _image(mask, image)
+        return target, out
 
     def _project(self, u: _Universe, mask: int,
                  variables: tuple[str, ...]) -> tuple[_Universe, int]:
         """The team restricted to some of its variables."""
         if variables == u.vars:
             return u, mask
-        hit = u.proj.get(variables)
-        if hit is None:
-            hit = u.proj[variables] = (self._universe(variables), [], {})
-        target, image, done = hit
-        out = done.get(mask)
-        if out is None:
-            if len(image) < len(u.rows):
-                idx = [u.vars.index(v) for v in variables]
-                image += [target.mask((tuple(row[i] for i in idx),))
-                          for row in u.rows[len(image):]]
-            out = done[mask] = _image(mask, image)
-        return target, out
+        return self._pick(u, mask, u.proj, variables, variables)
 
-    def _wider(self, u: _Universe, v: str) -> tuple[_Universe, list[int]]:
-        """The universe over u's variables and v (not one of them), and the
-        extension masks of u's rows filled so far."""
-        hit = u.ext.get(v)
-        if hit is None:
-            hit = u.ext[v] = (self._universe(tuple(sorted(u.vars + (v,)))), [])
-        return hit
+    def _columns(self, u: _Universe, mask: int, cols: tuple[str, ...]) -> int:
+        """The value tuples the team takes on cols, variables of the team in
+        any order and possibly repeated, as a mask in the universe of the
+        value tuples of their arity, which every team of the evaluator
+        shares."""
+        return self._pick(u, mask, u.vals, cols, len(cols))[1]
 
-    def _extend(self, u: _Universe, v: str) -> tuple[_Universe, list[int]]:
+    def _extend(self, u: _Universe, v: str,
+                value: int | None = None) -> tuple[_Universe, list[int]]:
         """The universe over u's variables and v (not one of them), and
-        each of u's rows' extensions by every value of v, as masks there."""
-        wide, image = self._wider(u, v)
+        each of u's rows' extensions by every value of v, or by the one
+        value given, as masks there; filled as u's rows appear."""
+        hit = u.ext.get((v, value))
+        if hit is None:
+            hit = u.ext[v, value] = (self._universe(tuple(sorted(u.vars + (v,)))), [])
+        wide, image = hit
         if len(image) < len(u.rows):
             i = wide.vars.index(v)
-            domain = self.model.domain
-            image += [wide.mask(row[:i] + (m,) + row[i:] for m in domain)
+            values = self.model.domain if value is None else (value,)
+            image += [wide.mask(row[:i] + (m,) + row[i:] for m in values)
                       for row in u.rows[len(image):]]
         return wide, image
 
@@ -530,7 +545,8 @@ class Evaluator:
     def _kernel(self, u: _Universe, mask: int, kind: str, a: Atom) -> bool:
         """Whether the team satisfies the positive atom kind over a's
         arguments.  The team's variables are the atom's, so a kind with one
-        argument tuple takes as many values on it as the team has rows."""
+        argument tuple, or ``dep`` and ``ind`` on all of theirs, take as many
+        values as the team has rows."""
         match kind:
             case "ne":
                 return mask != 0
@@ -544,27 +560,20 @@ class Evaluator:
                 return mask.bit_count() == a.param
             case "cocount_eq":
                 return self.model.size - mask.bit_count() == a.param
-            case "dep":  # exits early: comparing projection sizes is slower
-                vs, ws = a.parts
-                vi = [u.vars.index(v) for v in vs]
-                wi = [u.vars.index(w) for w in ws]
-                seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-                for row in u.rows_of(mask):
-                    val = tuple(row[i] for i in wi)
-                    if seen.setdefault(tuple(row[i] for i in vi), val) != val:
-                        return False
-                return True
+            case "dep":  # as many v values as rows: one w value per v value
+                values = self._columns(u, mask, a.parts[0])
+                return values.bit_count() == mask.bit_count()
             case "inc":
-                return u.columns(mask, a.parts[0]) <= u.columns(mask, a.parts[1])
-            case "ind":  # every u v and u w seen together make a u v w row
+                return not (self._columns(u, mask, a.parts[0])
+                            & ~self._columns(u, mask, a.parts[1]))
+            case "ind":  # per u value: its v values times its w values
                 us, vs, ws = a.parts
-                k = len(us)
-                by_u: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-                for uw in u.columns(mask, us + ws):
-                    by_u.setdefault(uw[:k], []).append(uw[k:])
-                full = u.columns(mask, us + vs + ws)
-                return all(uv + w in full for uv in u.columns(mask, us + vs)
-                           for w in by_u[uv[:k]])
+                counts: dict[tuple[int, ...], list[int]] = {}  # u value -> [#v, #w]
+                for j, cols in enumerate((us + vs, us + ws)):
+                    values = self._universe(len(cols))  # decode the few value tuples
+                    for t in values.rows_of(self._columns(u, mask, cols)):
+                        counts.setdefault(t[:len(us)], [0, 0])[j] += 1
+                return mask.bit_count() == sum(m * n for m, n in counts.values())
             case "custom":
                 return self._custom(u, mask, a)
         raise EvalError(f"unknown atom kind {a.kind!r}")
@@ -577,10 +586,15 @@ class Evaluator:
             )
         if spec.arity == 0:  # a sentence with no relation: the team is ignored
             return self._sentence(spec.definition)
-        relation = u.columns(mask, a.parts[0])
-        sig = Signature({"R": spec.arity})
-        struct = Model(self.model.size, {"R": relation}, sig)
-        return tarski_eval(struct, {}, spec.definition)
+        key = spec.arity, self._columns(u, mask, a.parts[0])
+        if key not in self._relations:
+            relation = self._universe(spec.arity).rows_of(key[1])
+            sig = Signature({"R": spec.arity})
+            self._relations[key] = Model(self.model.size, {"R": relation}, sig), {}
+        struct, verdicts = self._relations[key]
+        if a.name not in verdicts:
+            verdicts[a.name] = tarski_eval(struct, {}, spec.definition)
+        return verdicts[a.name]
 
     def _sentence(self, body: Formula) -> bool:
         """Whether the model satisfies the first-order sentence: the one row
@@ -787,11 +801,9 @@ class Evaluator:
         fails is dropped.  A downward-closed body is its own downward part,
         and one row per block suffices for it."""
         if mask and v in body.const_vars:
-            wide = self._wider(u, v)[0]
-            i = wide.vars.index(v)
-            rows = u.rows_of(mask)
             for a in self.model.domain:
-                ya = wide.mask(row[:i] + (a,) + row[i:] for row in rows)
+                wide, image = self._extend(u, v, a)
+                ya = _image(mask, image)
                 if (self._restrict(wide, ya, body.envelope) == ya
                         and self._eval(body, wide, ya)):
                     return True

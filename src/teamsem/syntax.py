@@ -612,23 +612,49 @@ class _Parser:
             raise ParseError(f"trailing input {value!r}", pos)
         return f
 
-    def formula(self, least: int = 1) -> Formula:
-        """A formula whose binary operators bind at level least or tighter,
-        by precedence climbing over the printer's table ``_BINARY``.  A chain
-        nests left in the loop; ``->`` reads its right side at its own
-        level, so it nests right."""
-        left = self.unary()
+    def formula(self) -> Formula:
+        """Operands joined by binary operators that bind as the printer's
+        table ``_BINARY`` says, parsed on explicit stacks: an operator first
+        applies the pending ones that bind tighter, or as tight unless it is
+        ``->``, which nests right.  A ``(`` or ``[`` sets the pending
+        operands and operators aside with the prefix before it until its
+        closer, so neither a chain nor nested parentheses recurse."""
+        frames = []  # per open ( or [: (prefix, operands, operators, closer, position)
+        operands, ops = [], []  # ops[i] (class, level) takes operands[i] on its left
         while True:
-            cls, level = _INFIX.get(self.tokens[self.i][1], (None, 0))
-            if level < least:
-                return left
-            self.i += 1
-            left = cls(left, self.formula(level + (cls is not IntImpl)))
+            prefix = self.prefix()
+            kind, value, pos = self.peek()
+            if value in ("(", "["):
+                self.i += 1
+                frames.append((prefix, operands, ops, ")" if value == "(" else "]", pos))
+                operands, ops = [], []
+                continue
+            f = self.primary()
+            while True:
+                for cls, fields in reversed(prefix):
+                    f = cls(*fields, f)
+                cls, level = _INFIX.get(self.tokens[self.i][1], (None, 0))
+                while ops and ops[-1][1] >= level + (cls is IntImpl):
+                    f = ops.pop()[0](operands.pop(), f)
+                if cls is not None:
+                    self.i += 1
+                    operands.append(f)
+                    ops.append((cls, level))
+                    break
+                if not frames:
+                    return f
+                prefix, operands, ops, closer, pos = frames.pop()
+                self.expect(closer)
+                if closer == "]":
+                    try:
+                        f = Bracket(f)
+                    except ValueError as exc:
+                        raise ParseError(str(exc), pos) from None
 
-    def unary(self) -> Formula:
-        """Prefix operators and quantifiers, read in a loop and applied
-        innermost first, so a long prefix does not recurse."""
-        prefix = []  # (constructor, leading fields)
+    def prefix(self) -> list[tuple[type, tuple]]:
+        """Prefix operators and quantifiers, read in a loop, as (class,
+        leading fields), to apply innermost first."""
+        prefix = []
         while True:
             kind, value, _ = self.peek()
             if value in ("~", "<>"):
@@ -639,11 +665,7 @@ class _Parser:
                 cls = Exists if value == "exists" else Forall
                 prefix.append((cls, (self.variable(),)))
             else:
-                break
-        f = self.primary()
-        for cls, fields in reversed(prefix):
-            f = cls(*fields, f)
-        return f
+                return prefix
 
     def variable(self) -> str:
         kind, value, pos = self.take()
@@ -652,20 +674,8 @@ class _Parser:
         return value
 
     def primary(self) -> Formula:
+        """An operand that is neither parenthesised nor a bracket."""
         kind, value, pos = self.peek()
-        if value == "(":
-            self.take()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if value == "[":
-            self.take()
-            body = self.formula()
-            self.expect("]")
-            try:
-                return Bracket(body)
-            except ValueError as exc:
-                raise ParseError(str(exc), pos) from None
         if value == "!":
             self.take()
             kind2, value2, pos2 = self.peek()
@@ -777,14 +787,13 @@ def _pp(f: Formula, ctx: int) -> str:
     cls = type(f)
     if cls in _BINARY:
         level, sep = _BINARY[cls]
-        if cls is IntImpl:  # right associative
-            s = _pp(f.left, level + 1) + sep + _pp(f.right, level)
-        else:  # walk a left-nested chain instead of recursing down it
-            rights = []
-            while type(f) is cls:
-                rights.append(_pp(f.right, level + 1))
-                f = f.left
-            s = sep.join([_pp(f, level), *reversed(rights)])
+        right = cls is IntImpl  # -> nests right, the others left
+        parts = []  # walk the chain down its spine instead of recursing
+        while type(f) is cls:
+            parts.append(_pp(f.left if right else f.right, level + 1))
+            f = f.right if right else f.left
+        parts.append(_pp(f, level))
+        s = sep.join(parts if right else reversed(parts))
         return f"({s})" if level < ctx else s
     return _pp_prefix(f)
 

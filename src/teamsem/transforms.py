@@ -52,12 +52,21 @@ class TransformError(ValueError):
 
 
 def flatten(f: Formula) -> Formula:
-    """Replace every dependency atom (and NE) by T; first-order output."""
+    """Replace every dependency atom (and NE) by T; first-order output.  A
+    team satisfies phi -> psi, phi first-order, only if each row that
+    satisfies phi satisfies psi, so a chain of these flattens to one ``|``
+    chain of the dual negations of the phi and the flattened last psi."""
     def leaf(g: Formula) -> Formula | None:
         if g.first_order:
             return g
         if type(g) is Atom:
             return TOP
+        sides = []
+        while type(g) is IntImpl and g.left.first_order:
+            sides.append(dual_negate(g.left))
+            g = g.right
+        if sides:
+            return or_all([*sides, flatten(g)])
         if type(g) not in (And, TensorOr, Exists, Forall):
             raise TransformError(f"cannot flatten through {type(g).__name__}")
 

@@ -264,3 +264,34 @@ def test_chains_agree_with_the_oracle():
         for mask in range(16):
             team = ts.Team(("x", "y"), [r for i, r in enumerate(rows) if mask >> i & 1])
             assert ts.evaluate(model, team, f) == naive_eval(model, team, f), text
+
+
+IMPL_CHAIN = " -> ".join(["x = y"] * 3000)
+
+
+@pytest.mark.parametrize("args,expected", [
+    (["parse", IMPL_CHAIN], IMPL_CHAIN),
+    (["parse", "(" * 3000 + "x = y" + ")" * 3000], "x = y"),
+    (["parse", "[" + "(" * 3000 + "forall x (x = x)" + ")" * 3000 + "]"],
+     "[forall x (x = x)]"),
+    (["transform", "flatten", IMPL_CHAIN], " | ".join(["x != y"] * 2999) + " | x = y"),
+], ids=["impl-chain", "parentheses", "bracket", "flatten-impl-chain"])
+def test_3000_deep_implications_and_parentheses(capsys, args, expected):
+    """A -> chain and nested parentheses parse, print and flatten without
+    recursing down them."""
+    assert main(args) == 0
+    assert capsys.readouterr() == (expected + "\n", "")
+
+
+def test_implication_chains_nest_right():
+    f = ts.parse(IMPL_CHAIN)
+    for _ in range(2999):
+        assert isinstance(f, ts.IntImpl) and not isinstance(f.left, ts.IntImpl)
+        f = f.right
+    assert f == ts.parse("x = y")
+    mixed = ts.parse("x = y -> NE & x != y -> (x = x -> NE) -> NE | NE")
+    assert mixed == ts.IntImpl(ts.parse("x = y"), ts.IntImpl(
+        ts.parse("NE & x != y"),
+        ts.IntImpl(ts.parse("(x = x -> NE)"), ts.parse("NE | NE"))))
+    assert ts.parse(ts.pretty(mixed)) is mixed
+    assert ts.pretty(mixed) == "x = y -> NE & x != y -> (x = x -> NE) -> NE | NE"

@@ -307,6 +307,38 @@ def test_atom_kinds_against_naive_evaluator():
                     (str(a), size, sorted(t.rows))
 
 
+def test_atom_kernels_share_their_caches_across_teams():
+    """One evaluator decides every atom, repeated-variable and permuted
+    forms and two custom atoms of one arity included, on every team of at
+    most 4 rows over (x, y, z) at |M| = 3, so the projection, value-mask
+    and per-relation caches are reused across teams and atoms; each
+    verdict agrees with the oracle, which by locality is asked once per
+    atom and projection of the team onto the atom's variables."""
+    sig = ts.Signature({"R": 2})
+    reg = ts.EMPTY_REGISTRY.register(ts.DependencySpec(
+        "diag", 2, ts.parse("forall x forall y (!R(x, y) | x = y)", sig)))
+    reg = reg.register(ts.DependencySpec("func", 2, ts.parse(
+        "forall x forall y forall z (!R(x, y) | !R(x, z) | y = z)", sig)))
+    texts = ATOM_TEXTS + [
+        "inc(x; x)", "dep(x; x)", "inc(x y; y x)", "ind(x; x; y)",
+        "D:diag(x, y)", "D:func(x, y)", "D:func(z, x)", "D:diag(y, y)"]
+    by_vars = {}  # the atoms' sorted variables -> the atoms over them
+    for a in map(ts.parse, texts):
+        by_vars.setdefault(tuple(sorted(a.free_vars)), []).append(a)
+    m = ts.Model(3)
+    ev = ts.Evaluator(m, reg)
+    oracle = {}  # (atom, projected team) -> the oracle's verdict
+    for t in all_teams(m, ("x", "y", "z"), max_rows=4):
+        for vs, atoms in by_vars.items():
+            idx = [t.variables.index(v) for v in vs]
+            sub = ts.Team(vs, {tuple(row[i] for i in idx) for row in t.rows})
+            for a in atoms:
+                want = oracle.get((a, sub))
+                if want is None:
+                    want = oracle[a, sub] = naive_eval(m, sub, a, reg)
+                assert ev.evaluate(t, a) == want, (str(a), sorted(t.rows))
+
+
 def test_existential_choice_function_agreement():
     """The witness-search implementation of the lax existential agrees with
     direct choice-function enumeration."""

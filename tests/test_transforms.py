@@ -51,6 +51,26 @@ def test_flatten_is_implied():
                     assert ts.evaluate(m, t, ff), (text, size, sorted(t.rows))
 
 
+def test_flatten_through_implications_is_implied():
+    """An implication with a first-order antecedent flattens to the
+    pointwise (not antecedent) | flattened consequent, a chain to one |
+    chain, and the source still implies the output."""
+    f = ts.parse("x = y -> x != x -> dep(x; y) & NE")
+    assert ts.flatten(f) == ts.parse("x != y | x = x | T & T")
+    for text in ("x = y -> dep(x; y) | x != y", "x != y -> all(x)",
+                 "x = y -> (x != x -> NE) & const(y)"):
+        f = ts.parse(text)
+        ff = ts.flatten(f)
+        assert ff.first_order
+        for size in (1, 2, 3):
+            m = ts.Model(size)
+            for t in ts.enumerate_teams(m, ("x", "y")):
+                if ts.evaluate(m, t, f):
+                    assert ts.evaluate(m, t, ff), (text, size, sorted(t.rows))
+    with pytest.raises(ts.TransformError):
+        ts.flatten(ts.parse("x = y -> (NE -> x = y)"))
+
+
 def test_raise_property_for_upward_closed_formulas():
     """With upward-closed atoms only: a satisfying subteam plus a
     flattening-satisfying superteam forces the superteam to satisfy."""

@@ -4,11 +4,16 @@
         [--workloads rewrite_equiv,model_sweep,...] [--seed N] [--pairs 10]
         [--seconds 20]
 
-Each tree is a checkout of the repository.  For every workload the tool
-runs ``python3 perfbench/run.py --workload W --seed N --seconds S`` in the
-parent tree and then in the change tree, ``--pairs`` times, with the order
-inside a pair swapped every other pair so that a drift of the host's speed
-does not favour one side.  Before the pairs of a workload it runs one pass
+Each tree is a checkout of the repository.  First the tool byte-compiles
+``src/``, ``tests/`` and ``perfbench/`` in both trees with ``python3 -m
+compileall``, so that both start from fresh bytecode: with
+``PYTHONDONTWRITEBYTECODE`` set, a tree whose ``__pycache__`` is stale or
+missing would compile its modules again on every start and inflate its
+``setup_s``.  Then, for every workload, the tool runs ``python3
+perfbench/run.py --workload W --seed N --seconds S`` in the parent tree
+and then in the change tree, ``--pairs`` times, with the order inside a
+pair swapped every other pair so that a drift of the host's speed does
+not favour one side.  Before the pairs of a workload it runs one pass
 of ``python3 perfbench/worker.py --workload W --seed N`` in each tree and
 records both trees' ``verdict_digest``; under ``calls``, each tree's
 ``Evaluator._eval`` and ``_kernel`` call counts, from the ``counts.py``
@@ -58,6 +63,16 @@ def run_script(tree: Path, script: str, workload: str, seed: int,
         raise SystemExit(f"error: {script} {workload} in {tree} exited "
                          f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def compile_tree(tree: Path) -> None:
+    """Write fresh bytecode for the tree's sources, tests and harness."""
+    dirs = [d for d in ("src", "tests", "perfbench") if (tree / d).is_dir()]
+    proc = subprocess.run([sys.executable, "-m", "compileall", "-q", *dirs],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: compileall in {tree} exited "
+                         f"{proc.returncode}: {proc.stdout.strip()[-500:]}")
 
 
 def call_counts(tree: Path, workload: str, seed: int) -> dict:
@@ -161,6 +176,8 @@ def main(argv=None) -> int:
         "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         "workloads": {},
     }
+    for tree in trees.values():
+        compile_tree(tree)
     clean = True
     for workload in args.workloads.split(","):
         digests = {side: run_script(trees[side], "perfbench/worker.py", workload,
