@@ -10,7 +10,7 @@ The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
 whether some team Y between a forced lower bound and an upper bound
 satisfies a body.  ``_exists_sat`` is that bounded search and
 ``_subsets`` the one enumerator of candidate subteams.  Done literally the
-search would be hopeless, so it prunes using five structural facts:
+search would be hopeless, so it prunes using six structural facts:
 
   * a team satisfying a formula satisfies its first-order envelope (the
     formula with every team-level construct weakened to T), so the upper
@@ -20,6 +20,14 @@ search would be hopeless, so it prunes using five structural facts:
     such a side of a ``|`` chain takes every row its envelope admits;
   * formulas built from downward-closed atoms transfer to subteams, so the
     smallest candidates decide and a failing partial witness is discarded;
+  * every formula implies its downward part (the formula with every
+    construct that is not downward closed weakened to T), which subteams
+    inherit: a search for a team between forced rows and an upper bound,
+    over a formula that fails on the upper bound, has no solution if the
+    downward part fails on the forced rows, and a partial witness of the
+    existential whose downward part fails is dropped, checked on the
+    witness's projection onto the downward part's variables, which grows
+    by the projection of one block's chosen part per step;
   * first-order formulas, ``dep`` and ``const``, and ``&`` and ``forall``
     over these are 2-coherent: a team satisfies one iff every subteam of at
     most two rows does (J. Kontinen, "Coherence and computational
@@ -49,17 +57,19 @@ Inside an :class:`Evaluator` a team is an integer bit mask.  Per sorted
 variable tuple, the evaluator numbers the rows it meets on first sight, so
 a team over many variables costs its own rows, never all |M|**k.  By
 locality a node is evaluated on the team over its own free variables, so
-verdicts are memoized per (node uid, mask).  Restricting by a first-order
-formula is an AND with the rows known to satisfy it, and only rows not yet
-tested go to ``tarski_eval`` (a sentence goes once per evaluator);
-projection, universal extension and X[a/v] are unions of per-row images.
-Atoms read the set of value tuples a team takes on an argument tuple as a
-mask in the evaluator's universe of tuples of that arity, cached per
-mask: ``inc`` is a subset test of two masks, ``dep`` and ``ind`` compare
-counts, and a custom atom is decided once per relation.  :class:`Team`
-values appear only at the public methods, and candidate subteams are
-always tried in combination order over the sorted rows, whatever the
-numbering.
+verdicts are memoized per (node uid, mask); a tree of ``&`` and ``||``,
+nested either way, is walked on an explicit stack.  Restricting by a
+first-order formula is an AND with the rows known to satisfy it, and only
+rows not yet tested go to ``tarski_eval`` (a sentence goes once per
+evaluator); projection, universal extension and X[a/v] are unions of
+per-row images.  Atoms read the set of value tuples a team takes on an
+argument tuple as a mask in the evaluator's universe of tuples of that
+arity, the union of per-row images (projections are also cached per mask,
+value masks are not): ``inc`` is a subset test of two masks, ``dep`` and
+``ind`` compare counts, and a custom atom is decided once per relation.
+:class:`Team` values appear only at the public methods, and candidate
+subteams are always tried in combination order over the sorted rows,
+whatever the numbering.
 """
 
 from __future__ import annotations
@@ -102,6 +112,9 @@ _RESERVED_ATOM_NAMES = frozenset(_ATOM_SHAPES) | {"custom"}
 #: negated atom kind -> the positive kind whose kernel it fails
 _NEGATES = {"ncon": "const", "ndep": "dep", "ninc": "inc", "nind": "ind",
             "count_neq": "count_eq", "cocount_neq": "cocount_eq"}
+
+#: the connectives whose trees ``Evaluator._eval`` walks without recursing
+_CHAINED = (And, ClassicalOr)
 
 #: relation-space cap of :func:`check_upward_closed`
 _TUPLE_CAP = 9
@@ -411,19 +424,24 @@ class Evaluator:
     def _pick(self, u: _Universe, mask: int, table: dict, cols: tuple[str, ...],
               target: tuple[str, ...] | int) -> tuple[_Universe, int]:
         """The image of the team under row -> its values at cols, in the
-        universe keyed target: per row as u's rows appear, and per mask
-        once, in the map at table[cols]."""
+        universe keyed target: per row as u's rows appear, in the map at
+        table[cols], and per mask once if the table is u.proj.  Value masks
+        are not cached per mask: the atom memo already catches a repeated
+        (atom, mask) pair, so such a cache would almost never be read."""
         hit = table.get(cols)
         if hit is None:
             hit = table[cols] = (self._universe(target),
-                                 [u.vars.index(v) for v in cols], [], {})
+                                 [u.vars.index(v) for v in cols], [],
+                                 {} if table is u.proj else None)
         target, idx, image, done = hit  # image: bit -> the row's bit there
-        out = done.get(mask)
+        out = None if done is None else done.get(mask)
         if out is None:
             if len(image) < len(u.rows):
                 image += [target.mask((tuple(row[i] for i in idx),))
                           for row in u.rows[len(image):]]
-            out = done[mask] = _image(mask, image)
+            out = _image(mask, image)
+            if done is not None:
+                done[mask] = out
         return target, out
 
     def _project(self, u: _Universe, mask: int,
@@ -486,29 +504,43 @@ class Evaluator:
         result = self._memo.get(key)
         if result is not None:
             return result
-        cls = type(f)
-        if cls is not And and cls is not ClassicalOr:
+        if type(f) not in _CHAINED:
             result = self._memo[key] = self._eval_raw(f, u, mask)
             return result
-        # a left-nested & or || chain: walk down its spine to the first node
-        # with a verdict, then fold back up, one memo entry per spine node
-        spine = [(f, u, mask)]
-        top = u, mask
-        f = f.left
-        while type(f) is cls:
-            sub_u, sub_mask = self._project(*top, f.free_tuple)
-            result = self._memo.get((f.uid, sub_mask))
-            if result is not None:
-                break
-            spine.append((f, sub_u, sub_mask))
-            f = f.left
-        else:
-            result = self._eval(f, *top)
-        for node, sub_u, sub_mask in reversed(spine):
-            if result == (cls is And):  # the left operand does not decide
-                result = self._eval(node.right, sub_u, sub_mask)
-            self._memo[node.uid, sub_mask] = result
-        return result
+        # a tree of & and ||, nested either way: walk down the left spine
+        # to an operand with a verdict, then fold back up, deciding right
+        # operands as needed, one memo entry per node; a node on the stack
+        # waits for its left operand, or for its right one if so marked
+        memo = self._memo
+        stack = []  # (node, its team, waits for its right operand?)
+        while True:
+            while True:
+                stack.append((f, u, mask, False))
+                operand = f.left
+                if type(operand) not in _CHAINED:
+                    result = self._eval(operand, u, mask)
+                    break
+                u, mask = self._project(u, mask, operand.free_tuple)
+                result = memo.get((operand.uid, mask))
+                if result is not None:
+                    break
+                f = operand
+            while stack:
+                f, u, mask, right = stack.pop()
+                if not right and result == (type(f) is And):  # not decided
+                    operand = f.right
+                    if type(operand) not in _CHAINED:
+                        result = self._eval(operand, u, mask)
+                    else:
+                        sub_u, sub_mask = self._project(u, mask, operand.free_tuple)
+                        result = memo.get((operand.uid, sub_mask))
+                        if result is None:
+                            stack.append((f, u, mask, True))
+                            f, u, mask = operand, sub_u, sub_mask
+                            break
+                memo[f.uid, mask] = result
+            else:
+                return result
 
     def _eval_raw(self, f: Formula, u: _Universe, mask: int) -> bool:
         match f:
@@ -770,7 +802,9 @@ class Evaluator:
     def _exists_sat(self, f: Formula, u: _Universe, upper: int, lower: int,
                     nonempty: bool = False) -> bool:
         """Is there a team Y with lower <= Y <= upper satisfying f, and
-        with Y nonempty when asked?"""
+        with Y nonempty when asked?  Unless f is downward closed or holds
+        on upper, every such Y satisfies f's downward part, and so do the
+        forced rows lower, a subteam of Y: if they do not, there is none."""
         upper = self._restrict(u, upper, f.envelope)
         if lower & ~upper or (nonempty and not upper):
             return False
@@ -783,6 +817,9 @@ class Evaluator:
             most = least
         elif self._eval(f, u, upper):
             return True
+        elif lower and f.downward_part is not TOP and not self._eval(
+                f.downward_part, u, lower):
+            return False  # every candidate contains the forced rows
         else:
             most = None
         return any(self._eval(f, u, lower | extra)
@@ -797,8 +834,11 @@ class Evaluator:
         team, so its only candidates are the teams X[a/v].  Otherwise, unless
         the full allowed extension decides, each step of :func:`_depth_first`
         chooses a nonempty part of the next row's block, rows in sorted
-        order, and a partial witness whose downward-closed part already
-        fails is dropped.  A downward-closed body is its own downward part,
+        order, and a partial witness whose downward part already fails is
+        dropped.  The state carries the partial witness and its projection
+        onto the downward part's variables, to which each step adds the
+        projection of the part it chose, so no step projects the whole
+        witness again.  A downward-closed body is its own downward part,
         and one row per block suffices for it."""
         if mask and v in body.const_vars:
             for a in self.model.domain:
@@ -824,14 +864,18 @@ class Evaluator:
         prune = body.downward_part
         most = 1 if body.downward else None
 
-        def choose(i: int, acc: int) -> Iterator[int]:
+        def choose(i: int, state: tuple[int, int]) -> Iterator[tuple[int, int]]:
+            acc, seen = state  # the partial witness, its projection for prune
             for chosen in wide.submasks(blocks[i][1], 1, most):
-                nxt = acc | chosen
-                if prune is TOP or self._eval(prune, wide, nxt):
-                    yield nxt
+                if prune is TOP:
+                    yield acc | chosen, 0
+                    continue
+                pu, part = self._project(wide, chosen, prune.free_tuple)
+                if self._eval(prune, pu, seen | part):
+                    yield acc | chosen, seen | part
 
-        return _depth_first(0, len(blocks), choose,
-                            lambda acc: self._eval(body, wide, acc))
+        return _depth_first((0, 0), len(blocks), choose,
+                            lambda state: self._eval(body, wide, state[0]))
 
 
 def evaluate(model: Model, team: Team, f: Formula,

@@ -776,31 +776,49 @@ def parse(text: str, signature: Signature = EMPTY_SIGNATURE) -> Formula:
 #: or prefix operator (self-delimiting or unary-level)
 _BARE_UNDER_PREFIX = (Exists, Forall, ContraNeg, Possibly, Bracket,
                       PositiveLiteral, NegativeLiteral, Atom)
+#: the nodes that print without operands
+_LEAVES = (PositiveLiteral, NegativeLiteral, Equal, NotEqual, Atom)
 
 
 def pretty(f: Formula) -> str:
-    """Render a formula; parse(pretty(f)) is structurally equal to f."""
-    return _pp(f, 0)
+    """Render a formula; parse(pretty(f)) is structurally equal to f.  The
+    text and the (node, context level) pairs still to print wait on an
+    explicit stack, so no nesting, along a chain's spine or off it,
+    recurses."""
+    out = []
+    todo = [(f, 0)]  # last to print first
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            todo += reversed(_pp(*item))
+    return "".join(out)
 
 
-def _pp(f: Formula, ctx: int) -> str:
+def _pp(f: Formula, ctx: int) -> list:
+    """f as printed inside an operator of binding level ctx: text and
+    (operand, its context level) pairs, in order."""
     cls = type(f)
-    if cls in _BINARY:
-        level, sep = _BINARY[cls]
-        right = cls is IntImpl  # -> nests right, the others left
-        parts = []  # walk the chain down its spine instead of recursing
-        while type(f) is cls:
-            parts.append(_pp(f.left if right else f.right, level + 1))
-            f = f.right if right else f.left
-        parts.append(_pp(f, level))
-        s = sep.join(parts if right else reversed(parts))
-        return f"({s})" if level < ctx else s
-    return _pp_prefix(f)
+    if cls not in _BINARY:
+        return _pp_prefix(f)
+    level, sep = _BINARY[cls]
+    right = cls is IntImpl  # -> nests right, the others left
+    parts = []  # walk the chain down its spine, the end of the chain last
+    while type(f) is cls:
+        operand = f.left if right else f.right
+        parts += (_pp_leaf(operand) if type(operand) in _LEAVES
+                  else (operand, level + 1), sep)
+        f = f.right if right else f.left
+    parts.append(_pp_leaf(f) if type(f) in _LEAVES else (f, level))
+    if not right:
+        parts.reverse()
+    return ["(", *parts, ")"] if level < ctx else parts
 
 
-def _pp_prefix(f: Formula) -> str:
-    """A run of quantifiers and prefix operators, walked in a loop instead
-    of recursing down it, then the operand that ends the run."""
+def _pp_prefix(f: Formula) -> list:
+    """A run of quantifiers and prefix operators, walked in a loop, then
+    the operand that ends the run."""
     heads = []
     while True:
         match f:
@@ -810,17 +828,17 @@ def _pp_prefix(f: Formula) -> str:
                 heads.append("~")
             case Possibly(body):
                 heads.append("<>")
+            case Bracket(body):
+                return ["".join(heads) + "[", (body, 0), "]"]
             case _:
-                return "".join(heads) + _pp_leaf(f)
+                return ["".join(heads) + _pp_leaf(f)]
         if not isinstance(body, _BARE_UNDER_PREFIX):
-            return "".join(heads) + f"({_pp(body, 0)})"
+            return ["".join(heads) + "(", (body, 0), ")"]
         f = body
 
 
 def _pp_leaf(f: Formula) -> str:
     match f:
-        case Bracket(body):
-            return f"[{_pp(body, 0)}]"
         case PositiveLiteral(rel, args):
             return f"{rel}({', '.join(args)})"
         case NegativeLiteral(rel, args):

@@ -295,3 +295,31 @@ def test_implication_chains_nest_right():
         ts.IntImpl(ts.parse("(x = x -> NE)"), ts.parse("NE | NE"))))
     assert ts.parse(ts.pretty(mixed)) is mixed
     assert ts.pretty(mixed) == "x = y -> NE & x != y -> (x = x -> NE) -> NE | NE"
+
+
+def _nested(op: str, n: int, right: bool) -> str:
+    """n copies of x = y joined by op, parenthesised to nest right (each
+    right operand a chain) or left (each left operand a chain)."""
+    text = "x = y"
+    for _ in range(n - 1):
+        text = f"x = y {op} ({text})" if right else f"({text}) {op} x = y"
+    return text
+
+
+@pytest.mark.parametrize("op,right", [("&", True), ("|", True), ("||", True),
+                                      ("->", False)],
+                         ids=["and-right", "tensor-right", "or-right", "impl-left"])
+def test_3000_deep_counter_nested_chains_parse_and_print(capsys, op, right):
+    """A chain nested the other way from how its operator groups is walked
+    off its spine without recursing, by the printer and the evaluator."""
+    text = _nested(op, 3000, right)
+    assert main(["parse", text]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and ts.parse(out) is ts.parse(text)
+
+
+def test_3000_deep_right_nested_conjunction_evaluates():
+    f = ts.parse(_nested("&", 3000, right=True))
+    model = ts.Model(2)
+    assert ts.evaluate(model, ts.Team(("x", "y"), [(0, 0), (1, 1)]), f)
+    assert not ts.evaluate(model, ts.Team(("x", "y"), [(0, 0), (0, 1)]), f)

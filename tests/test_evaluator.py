@@ -870,3 +870,138 @@ def test_wide_team_stays_cheap():
     assert got == naive_eval(m, t, f)
     g = ts.parse(f"exists z (dep({' '.join(xs[:6])}; z) & z != x1)")
     assert ts.evaluate(m, t, g) == naive_eval(m, t, g)
+
+
+# ---------------------------------------------------------------------------
+# searches over formulas that are neither upward nor downward closed
+
+
+def _direct_evals(monkeypatch, name: str, searched) -> list:
+    """Record the _eval calls that the named search method makes itself,
+    not those nested in another _eval: (the formula searched, which
+    searched(*args) picks from the method's arguments, the formula
+    evaluated, its team's variables, the verdict)."""
+    records, open_searches = [], []  # per open search: [formula, open _evals]
+    search, evaluate = getattr(ts.Evaluator, name), ts.Evaluator._eval
+
+    def search_spy(self, *args, **kwargs):
+        open_searches.append([searched(*args), 0])
+        try:
+            return search(self, *args, **kwargs)
+        finally:
+            open_searches.pop()
+
+    def eval_spy(self, f, u, mask):
+        if not open_searches:
+            return evaluate(self, f, u, mask)
+        top = open_searches[-1]
+        direct = top[1] == 0
+        top[1] += 1
+        try:
+            result = evaluate(self, f, u, mask)
+        finally:
+            top[1] -= 1
+        if direct:
+            records.append((top[0], f, u.vars, result))
+        return result
+
+    monkeypatch.setattr(ts.Evaluator, name, search_spy)
+    monkeypatch.setattr(ts.Evaluator, "_eval", eval_spy)
+    return records
+
+
+#: route -> formulas whose searched part (a side of the |, the body of <>
+#: or of exists) mixes downward-closed parts with inc or NE
+FORCED_ROW_FORMULAS = {
+    "single side": ["(dep(x; y) & NE) | x = y", "(dep(x; y) & inc(y; x)) | P(x)",
+                    "(const(x) & inc(x; y)) | x != y",
+                    "(dep(y; x) & P(x) & NE) | x = y"],
+    "possibly": ["<>(dep(x; y) & inc(y; x))", "<>(const(x) & inc(x; y) & P(y))"],
+    "generic split": ["(dep(x; y) & NE) | inc(x; y)",
+                      "(dep(y; x) & inc(x; y)) | (const(x) & NE)",
+                      "(const(y) & NE) | inc(y; x)"],
+}
+
+
+@pytest.mark.parametrize("route", FORCED_ROW_FORMULAS)
+def test_forced_row_refutation_against_naive_evaluator(monkeypatch, route):
+    """A search for a team between forced rows and an upper bound, over a
+    formula that is not downward closed and fails on the upper bound,
+    gives up when the formula's downward part fails on the forced rows.
+    Random teams over (x, y) of at most 4 rows at |M| <= 3 agree with the
+    oracle.  Through a single side of a | beside a first-order side and
+    through the general split the refutation fires; <> forces no rows, so
+    there it is never asked."""
+    sig = ts.Signature({"P": 1})
+    formulas = [ts.parse(text, sig) for text in FORCED_ROW_FORMULAS[route]]
+    for f in formulas:
+        part = f.left if isinstance(f, ts.TensorOr) else f.body
+        assert part.downward_part not in (ts.TOP, part), str(part)
+    records = _direct_evals(monkeypatch, "_exists_sat", lambda f, *rest: f)
+    generic = _spy(monkeypatch, "_generic_split")
+    rng = random.Random(2012)
+    for _ in range(150):
+        f = rng.choice(formulas)
+        size = rng.choice((1, 2, 3, 3))
+        m = ts.Model(size, {"P": {(i,) for i in range(size) if rng.random() < 0.5}},
+                     sig)
+        rows = list(product(range(size), repeat=2))
+        t = ts.Team(("x", "y"), rng.sample(rows, min(len(rows), rng.randrange(0, 5))))
+        assert ts.evaluate(m, t, f) == naive_eval(m, t, f), \
+            (str(f), size, sorted(m.interp["P"]), sorted(t.rows))
+    refuted = [r for searched, g, _, r in records
+               if g is searched.downward_part and not r]
+    assert bool(refuted) is (route != "possibly")
+    assert bool(generic) is (route == "generic split")
+
+
+#: bodies of exists z whose downward part leaves out a column of the
+#: witness universe over (x, y, z)
+PROJECTED_PRUNE_BODIES = ["dep(x; z) & inc(y; z)", "dep(x; z) & P(z) & inc(z; y)",
+                          "dep(z; x) & NE & inc(x; z)", "const(x) & inc(z; y)"]
+
+
+def test_projected_witness_prune_against_naive_evaluator(monkeypatch):
+    """The witness search of exists carries its partial witness's
+    projection onto the downward part's variables and grows it one block
+    at a time.  Random teams over (x, y) of at most 4 rows at |M| <= 3
+    agree with the oracle, and the prune is asked on teams over fewer
+    variables than the witness has."""
+    sig = ts.Signature({"P": 1})
+    formulas = [ts.Exists("z", ts.parse(text, sig)) for text in PROJECTED_PRUNE_BODIES]
+    for f in formulas:
+        prune = f.body.downward_part
+        assert prune not in (ts.TOP, f.body) and len(prune.free_vars) < 3, str(f)
+    records = _direct_evals(monkeypatch, "_exists", lambda u, mask, v, body: body)
+    rng = random.Random(2013)
+    for _ in range(150):
+        f = rng.choice(formulas)
+        size = rng.choice((1, 2, 3, 3))
+        m = ts.Model(size, {"P": {(i,) for i in range(size) if rng.random() < 0.5}},
+                     sig)
+        rows = list(product(range(size), repeat=2))
+        t = ts.Team(("x", "y"), rng.sample(rows, min(len(rows), rng.randrange(0, 5))))
+        assert ts.evaluate(m, t, f) == naive_eval(m, t, f), \
+            (str(f), size, sorted(m.interp["P"]), sorted(t.rows))
+    projected = [(r, body) for body, g, vs, r in records
+                 if g is body.downward_part and vs == g.free_tuple != ("x", "y", "z")]
+    assert {r for r, _ in projected} == {True, False}
+    assert {body for _, body in projected} == {f.body for f in formulas}
+
+
+def test_generic_split_refutes_on_the_forced_rows(monkeypatch):
+    """A planted false instance of (dep(x; y) & NE) | inc(x; y): the rows
+    (0, 1) and (0, 2) are in no inclusion part, as no row has y = 0, so
+    they are forced to the left side, where they break dep(x; y).  For
+    every part the inc side holds on, the search for the left side's part
+    asks the side on its upper bound only, and then refutes on the forced
+    rows, instead of trying each of their supersets."""
+    f = ts.parse("(dep(x; y) & NE) | inc(x; y)")
+    inner = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b] + [(1, 1), (2, 2)]
+    t = ts.Team(("x", "y"), [(0, 1), (0, 2)] + inner)
+    searches = _spy(monkeypatch, "_exists_sat")
+    records = _direct_evals(monkeypatch, "_exists_sat", lambda g, *rest: g)
+    assert not ts.evaluate(ts.Model(4), t, f)
+    assert len(searches) > 100
+    tried = [r for searched, g, _, r in records if g is searched is f.left]
+    assert len(tried) == len(searches)

@@ -6,13 +6,15 @@
 TREE is a checkout of the repository.  The tool imports the tree's own
 ``src/`` and ``perfbench/workloads.py``, builds each workload's job list
 from the seed, and runs every job once in this process, in order, with
-counting wrappers around ``Evaluator._eval`` and ``Evaluator._kernel``.  It
-prints one JSON object: workload -> {"_eval": calls, "_kernel": calls,
-"failed": jobs that raised}.
+counting wrappers around ``Evaluator._eval``, ``Evaluator._kernel`` and
+``Evaluator._pick``.  It prints one JSON object: workload -> {"_eval":
+calls, "_kernel": calls, "_pick": calls, "failed": jobs that raised}.
 
-The two counts are a machine-independent fingerprint of the searches: a
-change that keeps the candidates the evaluator tries, and their order,
-keeps both counts on every workload, whatever the host's speed.  A job
+The first two counts are a machine-independent fingerprint of the
+searches: a change that keeps the candidates the evaluator tries, and
+their order, keeps both counts on every workload, whatever the host's
+speed.  ``_pick`` counts the projections and value-tuple maps the
+evaluator computes, its work below the atoms and the searches.  A job
 that raises is counted up to the point where it raised, and its exception
 is printed on stderr.
 """
@@ -26,7 +28,7 @@ import sys
 import traceback
 from pathlib import Path
 
-COUNTED = ("_eval", "_kernel")
+COUNTED = ("_eval", "_kernel", "_pick")
 
 
 def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
