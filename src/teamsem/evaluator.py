@@ -10,7 +10,7 @@ The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
 whether some team Y between a forced lower bound and an upper bound
 satisfies a body.  ``_exists_sat`` is that bounded search and
 ``_subsets`` the one enumerator of candidate subteams.  Done literally the
-search would be hopeless, so it prunes using six structural facts:
+search would be hopeless, so it prunes using seven structural facts:
 
   * a team satisfying a formula satisfies its first-order envelope (the
     formula with every team-level construct weakened to T), so the upper
@@ -37,7 +37,15 @@ search would be hopeless, so it prunes using six structural facts:
   * a body that forces ``const(v)`` (see ``Formula.const_vars``) needs one
     value per witness: on a nonempty team X, ``exists v`` over it holds iff
     the body holds on X[a/v] for some value a, so |M| candidates replace a
-    nonempty set of values per row.
+    nonempty set of values per row;
+  * an upward-closed formula that holds on a subteam of E, the rows of a
+    team that pass its envelope, minus a row r, holds on E minus r: so it
+    has no satisfying subteam if it fails on E, and a row r is in every one
+    (forced) if it fails on E minus r.  The subteam enumerations then try
+    only the supersets of the forced rows inside E, which keep their order.
+    The test costs |E| + 1 evaluations; the search for a first witness runs
+    it only after 8 (|E| + 1) candidates have failed (``_DEFER``), so it
+    adds at most 1/8 to a search it does not shorten.
 
 Every backtracking search runs on one driver, ``_depth_first``, which
 keeps one generator per level on a list, so a team of many rows does not
@@ -76,7 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, dropwhile, islice, product
 from typing import Iterable, Iterator, Mapping
 
 from .structures import EnumerationLimit, Model, Team, enumerate_models, tarski_eval
@@ -118,6 +126,11 @@ _CHAINED = (And, ClassicalOr)
 
 #: relation-space cap of :func:`check_upward_closed`
 _TUPLE_CAP = 9
+
+#: candidates :meth:`Evaluator.first_satisfying_subteam` tries per row of E
+#: (plus one) before it runs the forced-row test, which costs |E| + 1
+#: evaluations: so the test adds at most 1/8 to a search it does not shorten
+_DEFER = 8
 
 
 @dataclass(frozen=True)
@@ -392,19 +405,71 @@ class Evaluator:
         return self._eval(f, *self._team(team, f))
 
     def satisfying_subteams(self, team: Team, f: Formula) -> frozenset[Team]:
-        """All subteams of the given team that satisfy f."""
+        """All subteams of the given team that satisfy f.  For an
+        upward-closed f only the supersets of its forced rows are tried
+        (see :meth:`_candidates`), found before the first."""
         u, mask = self._team(team, f)
         return frozenset(team.with_rows(u.rows_of(sub))
-                         for sub in u.submasks(mask) if self._eval(f, u, sub))
+                         for sub in self._candidates(u, mask, f, 0)
+                         if self._eval(f, u, sub))
 
     def first_satisfying_subteam(self, team: Team, f: Formula) -> Team | None:
         """The first subteam satisfying f, smaller sizes first and in
-        combination order over the sorted rows within a size, or None."""
+        combination order over the sorted rows within a size, or None.  For
+        an upward-closed f the search skips the candidates that miss a
+        forced row, once _DEFER * (|E| + 1) candidates have failed, E the
+        rows that pass f's envelope (see :meth:`_candidates`); the
+        candidates it skips all fail, so the first witness is the same."""
         u, mask = self._team(team, f)
-        for sub in u.submasks(mask):
+        for sub in self._candidates(u, mask, f, _DEFER):
             if self._eval(f, u, sub):
                 return team.with_rows(u.rows_of(sub))
         return None
+
+    def _candidates(self, u: _Universe, mask: int, f: Formula,
+                    defer: int) -> Iterator[int]:
+        """The sub-masks of mask that may satisfy f, in the order of
+        :meth:`_Universe.submasks`.  For an upward-closed f these are the
+        sub-masks of E, the rows passing f's envelope; after the first
+        defer * (|E| + 1) of them, only those that contain every forced row
+        (see :meth:`_runs`), unless that many are all there are."""
+        if not upward_closed(f, self.registry, self.model.size):
+            return u.submasks(mask)
+        upper = self._restrict(u, mask, f.envelope)
+        budget = defer * (upper.bit_count() + 1)
+        if budget >= 1 << upper.bit_count():  # the test would not pay
+            return u.submasks(upper)
+        return chain.from_iterable(self._runs(u, upper, f, budget))
+
+    def _runs(self, u: _Universe, upper: int, f: Formula,
+              budget: int) -> Iterator[Iterable[int]]:
+        """The candidates of :meth:`_candidates` in runs, each taken only
+        once the one before it is used up: the first budget sub-masks of
+        upper, then those after them that contain the forced rows F (none
+        if f fails on upper).  These keep their order, as F | S and F | S'
+        differ where S and S' do; a switch within a size resumes after the
+        last candidate tried."""
+        plain, last = u.submasks(upper), None
+        if budget:
+            yield islice(plain, budget - 1)
+            last = next(plain)  # kept, to resume after it
+            yield (last,)
+        # f holds on a subteam of upper (minus a row) iff it holds on upper
+        # (minus that row): |upper| + 1 evaluations
+        if not self._eval(f, u, upper):
+            return
+        forced = sum(bit for bit in _bits(upper) if not self._eval(f, u, upper ^ bit))
+        if not forced:  # every candidate left may still hold
+            yield plain
+            return
+        least = 0 if last is None else last.bit_count()
+        subs = map(forced.__or__, u.submasks(
+            upper & ~forced, max(0, least - forced.bit_count())))
+        if last is not None:
+            seen = (least, sorted(u.rows_of(last)))
+            subs = dropwhile(lambda sub: (sub.bit_count(),
+                                          sorted(u.rows_of(sub))) <= seen, subs)
+        yield subs
 
     def _team(self, team: Team, f: Formula) -> tuple[_Universe, int]:
         missing = f.free_vars - set(team.variables)

@@ -778,63 +778,57 @@ _BARE_UNDER_PREFIX = (Exists, Forall, ContraNeg, Possibly, Bracket,
                       PositiveLiteral, NegativeLiteral, Atom)
 #: the nodes that print without operands
 _LEAVES = (PositiveLiteral, NegativeLiteral, Equal, NotEqual, Atom)
+#: the quantifiers and prefix operators, which print before their body
+_PREFIXES = (Exists, Forall, ContraNeg, Possibly)
 
 
 def pretty(f: Formula) -> str:
-    """Render a formula; parse(pretty(f)) is structurally equal to f.  The
-    text and the (node, context level) pairs still to print wait on an
-    explicit stack, so no nesting, along a chain's spine or off it,
-    recurses."""
+    """Render a formula; parse(pretty(f)) is structurally equal to f.  A
+    node prints its first operand at once and leaves its second, with the
+    separator before it, and any closing bracket on an explicit stack, so no
+    nesting, along a chain's spine or off it, recurses."""
     out = []
-    todo = [(f, 0)]  # last to print first
+    todo = [("", f, 0)]  # text or (text before, node, context level), last first
     while todo:
         item = todo.pop()
         if type(item) is str:
             out.append(item)
-        else:
-            todo += reversed(_pp(*item))
+            continue
+        head, f, ctx = item
+        while True:
+            cls = type(f)
+            if cls in _BINARY:
+                level, sep = _BINARY[cls]
+                if level < ctx:
+                    head += "("
+                    todo.append(")")
+                if cls is IntImpl:  # -> nests right, the others left
+                    todo.append((sep, f.right, level))
+                    f, ctx = f.left, level + 1
+                    continue
+                while type(f) is cls:  # walk down the chain's spine
+                    right = f.right
+                    todo.append(sep + _pp_leaf(right) if type(right) in _LEAVES
+                                else (sep, right, level + 1))
+                    f = f.left
+                ctx = level
+            elif cls is Bracket:
+                head += "["
+                todo.append("]")
+                f, ctx = f.body, 0
+            elif cls in _PREFIXES:
+                head += (f"exists {f.var} " if cls is Exists else
+                         f"forall {f.var} " if cls is Forall else
+                         "~" if cls is ContraNeg else "<>")
+                f = f.body
+                if not isinstance(f, _BARE_UNDER_PREFIX):
+                    head += "("
+                    todo.append(")")
+                    ctx = 0
+            else:
+                out.append(head + _pp_leaf(f))
+                break
     return "".join(out)
-
-
-def _pp(f: Formula, ctx: int) -> list:
-    """f as printed inside an operator of binding level ctx: text and
-    (operand, its context level) pairs, in order."""
-    cls = type(f)
-    if cls not in _BINARY:
-        return _pp_prefix(f)
-    level, sep = _BINARY[cls]
-    right = cls is IntImpl  # -> nests right, the others left
-    parts = []  # walk the chain down its spine, the end of the chain last
-    while type(f) is cls:
-        operand = f.left if right else f.right
-        parts += (_pp_leaf(operand) if type(operand) in _LEAVES
-                  else (operand, level + 1), sep)
-        f = f.right if right else f.left
-    parts.append(_pp_leaf(f) if type(f) in _LEAVES else (f, level))
-    if not right:
-        parts.reverse()
-    return ["(", *parts, ")"] if level < ctx else parts
-
-
-def _pp_prefix(f: Formula) -> list:
-    """A run of quantifiers and prefix operators, walked in a loop, then
-    the operand that ends the run."""
-    heads = []
-    while True:
-        match f:
-            case Exists(v, body) | Forall(v, body):
-                heads.append(f"{'exists' if type(f) is Exists else 'forall'} {v} ")
-            case ContraNeg(body):
-                heads.append("~")
-            case Possibly(body):
-                heads.append("<>")
-            case Bracket(body):
-                return ["".join(heads) + "[", (body, 0), "]"]
-            case _:
-                return ["".join(heads) + _pp_leaf(f)]
-        if not isinstance(body, _BARE_UNDER_PREFIX):
-            return ["".join(heads) + "(", (body, 0), ")"]
-        f = body
 
 
 def _pp_leaf(f: Formula) -> str:

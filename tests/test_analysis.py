@@ -197,6 +197,22 @@ def test_witness_searches_reuse_the_sweep_evaluator(monkeypatch):
     assert len(built) == 2
 
 
+def test_hierarchy_witness_searches_only_supersets_of_forced_rows(monkeypatch):
+    """The only subteam of the full 16-row team satisfying all(w1 w2) is the
+    team itself: every row is forced, so after the deferred forced-row test
+    the search tries the team alone, not its 65,536 subteams."""
+    calls = []
+    evaluate = ts.Evaluator._eval
+
+    def counting_eval(self, *args):
+        calls.append(None)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(ts.Evaluator, "_eval", counting_eval)
+    assert ts.hierarchy_witness(2, 1, 3).witness_size == 16
+    assert len(calls) <= 300
+
+
 def test_witness_order_survives_a_warm_evaluator():
     """Rows get their numbers in the order an evaluator meets them; the
     witness search still takes the sorted-row order, so an evaluator that

@@ -3,6 +3,7 @@ cross-check, flatness, locality, and the dependency registry."""
 
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -147,7 +148,7 @@ def test_flatness_on_corpus():
                 for t in ts.enumerate_teams(m, ("x", "y")):
                     got = ts.evaluate(m, t, f)
                     want = all(ts.tarski_eval(m, s, f) for s in t.assignments())
-                    assert got == want, (text, size, sorted(t.rows))
+                    assert got == want, (text, sorted(t.rows))
 
 
 def test_dual_negation_pointwise():
@@ -160,7 +161,7 @@ def test_dual_negation_pointwise():
                     got = ts.evaluate(m, t, neg)
                     want = all(not ts.tarski_eval(m, s, f)
                                for s in t.assignments())
-                    assert got == want, (text, size, sorted(t.rows))
+                    assert got == want, (text, sorted(t.rows))
 
 
 def test_locality_dummy_column():
@@ -236,6 +237,149 @@ def _all_subteams(t):
     rows = sorted(t.rows)
     return {t.with_rows(c) for k in range(len(rows) + 1)
             for c in combinations(rows, k)}
+
+
+#: upward-closed formulas, their first-order conjuncts dropping rows from E
+UPWARD_TEXTS = [
+    "geq(x y, 3) & x != y", "all(x y)", "NE & x = y", "ncon(x) & ncon(y)",
+    "ndep(x; y) | geq(y, 2)", "exists z (ncon(z) & z != x)",
+    "forall z geq(x z, 3)", "D:some(x) & P(y)", "all(x y) & x != y",
+    "(all(x) & !P(y)) | ncon(y)", "ndep(x; y) & P(x) | NE & x = y",
+]
+UPWARD_SIG = ts.Signature({"P": 1})
+UPWARD_REG = ts.EMPTY_REGISTRY.register(ts.DependencySpec(
+    "some", 1, ts.parse("exists a R(a)", ts.Signature({"R": 1})), "yes")
+).register(ts.DependencySpec(  # some x value with three y values
+    "fan", 2, ts.parse("exists a exists b exists c exists d (R(a, b) & R(a, c)"
+                       " & R(a, d) & b != c & b != d & c != d)",
+                       ts.Signature({"R": 2})), "yes")
+).register(ts.DependencySpec(  # a cycle through three values
+    "cyc", 2, ts.parse("exists a exists b exists c (R(a, b) & R(b, c) & R(c, a)"
+                       " & a != b & b != c & a != c)", ts.Signature({"R": 2})),
+    "yes"))
+
+
+def test_upward_satisfying_subteams_match_the_oracle():
+    """satisfying_subteams enumerates only the supersets of an upward-closed
+    formula's forced rows inside its envelope; the set is the literal one."""
+    from teamsem.evaluator import upward_closed
+
+    for interp in ({(1,)}, {(0,), (1,)}):
+        m = ts.Model(2, {"P": frozenset(interp)}, UPWARD_SIG)
+        for text in ("x = y", "NE & x = y", "all(x)", "dep(x; y)",
+                     "count_eq(x, 2)", *UPWARD_TEXTS):
+            f = ts.parse(text, UPWARD_SIG)
+            assert text not in UPWARD_TEXTS or upward_closed(f, UPWARD_REG, 2)
+            for t in all_teams(m, ("x", "y")):
+                want = {s for s in _all_subteams(t)
+                        if naive_eval(m, s, f, UPWARD_REG)}
+                got = ts.satisfying_subteams(m, t, f, UPWARD_REG)
+                assert got == want, (text, sorted(t.rows))
+
+
+FULL = tuple(product(range(3), repeat=2))
+SEVEN = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 1))
+#: formula, team rows at |M| = 3 with P = {0, 2}, then what the first-witness
+#: search meets: where the first witness is, where the forced-row test falls,
+#: and which rows of E are forced (None without a witness)
+WITNESS_CASES = [
+    ("geq(x y, 3) & x != y", FULL, "before the test", "within a size", "none"),
+    ("D:fan(x y)", FULL[1:], "in the size of the test", "within a size", "none"),
+    ("D:cyc(x y)", tuple(r for r in FULL if r != (1, 2)), "in the size of the test",
+     "within a size", "some"),
+    ("geq(x y, 5) & x != y", FULL, "past the size of the test", "within a size",
+     "none"),
+    ("all(x y)", FULL, "past the size of the test", "within a size", "all"),
+    ("all(x) & geq(x y, 5)", SEVEN, "past the size of the test",
+     "at the end of a size", "some"),
+    ("exists z all(x z) & forall z geq(x y z, 15)", SEVEN,
+     "past the size of the test", "at the end of a size", "some"),
+    ("all(x y) & x != y", FULL, "none", "within a size", None),
+    ("forall z geq(x y z, 1) & all(x y) & P(x)", FULL, "none", "within a size",
+     None),
+]
+
+
+def test_first_witness_matches_the_literal_order():
+    """first_satisfying_subteam against the plain search: combinations of
+    the sorted rows, sizes ascending, each decided by a fresh evaluator.  The
+    cases cover witnesses before the forced-row test, after it in the same
+    size and in a later one, the test run in the middle of a size and at its
+    end, forced rows, and no witness although the team satisfies the
+    envelope; each is also searched by an evaluator that met the rows in
+    reverse order, and so are random teams."""
+    from teamsem.evaluator import _DEFER, upward_closed
+
+    m = ts.Model(3, {"P": frozenset({(0,), (2,)})}, UPWARD_SIG)
+    rng = random.Random(2024)
+    cases = [(ts.parse(text, UPWARD_SIG), rows, meets)
+             for text, rows, *meets in WITNESS_CASES]
+    cases += [(ts.parse(rng.choice(UPWARD_TEXTS), UPWARD_SIG),
+               rng.sample(FULL, rng.randint(5, 9)), None) for _ in range(24)]
+    for f, rows, meets in cases:
+        assert upward_closed(f, UPWARD_REG, 3)
+        t = ts.Team(("x", "y"), rows)
+
+        def holds(combo):
+            return ts.evaluate(m, t.with_rows(combo), f, UPWARD_REG)
+
+        want = next((t.with_rows(combo) for k in range(len(rows) + 1)
+                     for combo in combinations(sorted(rows), k) if holds(combo)),
+                    None)
+        assert ts.Evaluator(m, UPWARD_REG).first_satisfying_subteam(t, f) == want
+        warm = ts.Evaluator(m, UPWARD_REG)
+        for row in sorted(rows, reverse=True):
+            warm.evaluate(t.with_rows([row]), f)
+        assert warm.first_satisfying_subteam(t, f) == want, (f, rows)
+        if meets is None:
+            continue
+        upper = sorted(ts.restrict(m, t, f.envelope).rows)
+        budget = _DEFER * (len(upper) + 1)
+        assert 2 ** len(upper) > budget  # the test runs
+        cuts = [sum(comb(len(upper), j) for j in range(k + 1))
+                for k in range(len(upper) + 1)]
+        size = next(k for k, cut in enumerate(cuts) if cut >= budget)
+        test = "at the end of a size" if budget in cuts else "within a size"
+        forced = None
+        if want is None:
+            where = "none"
+        else:
+            position = cuts[len(want) - 1] + 1 + sum(
+                1 for combo in combinations(upper, len(want))
+                if combo < tuple(sorted(want.rows)))
+            where = ("before the test" if position <= budget else
+                     "in the size of the test" if len(want) == size else
+                     "past the size of the test")
+            n_forced = sum(1 for row in upper
+                           if not holds([r for r in upper if r != row]))
+            forced = ("none" if not n_forced else
+                      "all" if n_forced == len(upper) else "some")
+        assert [where, test, forced] == meets, (ts.pretty(f), rows)
+
+
+def test_forced_row_candidates_keep_the_plain_order():
+    """After the deferral point the candidates are exactly the later plain
+    candidates that contain every forced row, in plain order, and none if
+    the formula fails on E; satisfying_subteams filters from the start."""
+    from teamsem.evaluator import _DEFER
+
+    m = ts.Model(3, {"P": frozenset({(0,), (2,)})}, UPWARD_SIG)
+    for text, rows, *_ in WITNESS_CASES:
+        f = ts.parse(text, UPWARD_SIG)
+        t = ts.Team(("x", "y"), rows)
+        upper = ts.restrict(m, t, f.envelope)
+        forced = [row for row in upper.rows if not ts.evaluate(
+            m, upper.with_rows(upper.rows - {row}), f, UPWARD_REG)]
+        holds = ts.evaluate(m, upper, f, UPWARD_REG)
+        ev = ts.Evaluator(m, UPWARD_REG)
+        u, mask = ev._team(t, f)
+        plain = list(u.submasks(u.mask(upper.rows)))
+        need = u.mask(forced)
+        budget = _DEFER * (len(upper) + 1)
+        for defer, tried in ((_DEFER, budget), (0, 0)):
+            want = plain[:tried] + [sub for sub in plain[tried:]
+                                    if holds and sub & need == need]
+            assert list(ev._candidates(u, mask, f, defer)) == want, (text, defer)
 
 
 def test_subsets_order_and_bounds():
