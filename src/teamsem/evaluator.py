@@ -459,7 +459,7 @@ class Evaluator:
         if not self._eval(f, u, upper):
             return
         forced = sum(bit for bit in _bits(upper) if not self._eval(f, u, upper ^ bit))
-        if not forced:  # every candidate left may still hold
+        if not forced:  # the same candidates, without re-enumerating those tried
             yield plain
             return
         least = 0 if last is None else last.bit_count()

@@ -148,7 +148,7 @@ def test_flatness_on_corpus():
                 for t in ts.enumerate_teams(m, ("x", "y")):
                     got = ts.evaluate(m, t, f)
                     want = all(ts.tarski_eval(m, s, f) for s in t.assignments())
-                    assert got == want, (text, sorted(t.rows))
+                    assert got == want, (text, size, sorted(t.rows))
 
 
 def test_dual_negation_pointwise():
@@ -161,7 +161,7 @@ def test_dual_negation_pointwise():
                     got = ts.evaluate(m, t, neg)
                     want = all(not ts.tarski_eval(m, s, f)
                                for s in t.assignments())
-                    assert got == want, (text, sorted(t.rows))
+                    assert got == want, (text, size, sorted(t.rows))
 
 
 def test_locality_dummy_column():
