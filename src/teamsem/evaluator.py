@@ -10,7 +10,7 @@ The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
 whether some team Y between a forced lower bound and an upper bound
 satisfies a body.  ``_exists_sat`` is that bounded search and
 ``_subsets`` the one enumerator of candidate subteams.  Done literally the
-search would be hopeless, so it prunes using seven structural facts:
+search would be hopeless, so it prunes using eight structural facts:
 
   * a team satisfying a formula satisfies its first-order envelope (the
     formula with every team-level construct weakened to T), so the upper
@@ -45,7 +45,13 @@ search would be hopeless, so it prunes using seven structural facts:
     only the supersets of the forced rows inside E, which keep their order.
     The test costs |E| + 1 evaluations; the search for a first witness runs
     it only after 8 (|E| + 1) candidates have failed (``_DEFER``), so it
-    adds at most 1/8 to a search it does not shorten.
+    adds at most 1/8 to a search it does not shorten;
+  * a team satisfying a formula has at least as many rows as its size
+    bound (``Evaluator._least``): 1 for ``NE``, 2 for ``ncon`` and ``ndep``,
+    the parameter of ``geq`` and ``count_eq``, |M|**k for ``all`` over k
+    variables, the larger side's under ``&`` and ``|``, the smaller under
+    ``||``, the body's over |M|, rounded up, under a quantifier, and at
+    least 1 under ``<>``; the subteam enumerations start at that size.
 
 Every backtracking search runs on one driver, ``_depth_first``, which
 keeps one generator per level on a list, so a team of many rows does not
@@ -85,6 +91,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, dropwhile, islice, product
+from math import comb
 from typing import Iterable, Iterator, Mapping
 
 from .structures import EnumerationLimit, Model, Team, enumerate_models, tarski_eval
@@ -107,6 +114,7 @@ from .syntax import (
     TensorOr,
     TOP,
     _ATOM_SHAPES,
+    _nodes,
 )
 
 
@@ -127,9 +135,8 @@ _CHAINED = (And, ClassicalOr)
 #: relation-space cap of :func:`check_upward_closed`
 _TUPLE_CAP = 9
 
-#: candidates :meth:`Evaluator.first_satisfying_subteam` tries per row of E
-#: (plus one) before it runs the forced-row test, which costs |E| + 1
-#: evaluations: so the test adds at most 1/8 to a search it does not shorten
+#: candidates per row of E (plus one) that the first-witness search tries,
+#: from the size bound up, before the forced-row test (see the module docstring)
 _DEFER = 8
 
 
@@ -395,6 +402,7 @@ class Evaluator:
         self._memo: dict[tuple[int, int], bool] = {}
         #: | node uid -> its _split_plan
         self._plans: dict[int, tuple] = {}
+        self._sizes: dict[int, int] = {}
         #: (arity, value mask) -> (the relation as a Model, custom atom
         #: name -> its verdict there)
         self._relations: dict[tuple[int, int], tuple[Model, dict[str, bool]]] = {}
@@ -405,9 +413,8 @@ class Evaluator:
         return self._eval(f, *self._team(team, f))
 
     def satisfying_subteams(self, team: Team, f: Formula) -> frozenset[Team]:
-        """All subteams of the given team that satisfy f.  For an
-        upward-closed f only the supersets of its forced rows are tried
-        (see :meth:`_candidates`), found before the first."""
+        """All subteams of the given team that satisfy f, among the
+        candidates of :meth:`_candidates`, which skips only subteams that fail."""
         u, mask = self._team(team, f)
         return frozenset(team.with_rows(u.rows_of(sub))
                          for sub in self._candidates(u, mask, f, 0)
@@ -415,10 +422,10 @@ class Evaluator:
 
     def first_satisfying_subteam(self, team: Team, f: Formula) -> Team | None:
         """The first subteam satisfying f, smaller sizes first and in
-        combination order over the sorted rows within a size, or None.  For
-        an upward-closed f the search skips the candidates that miss a
-        forced row, once _DEFER * (|E| + 1) candidates have failed, E the
-        rows that pass f's envelope (see :meth:`_candidates`); the
+        combination order over the sorted rows within a size, or None.  It
+        starts at f's size bound, and for an upward-closed f skips those that
+        miss a forced row once _DEFER * (|E| + 1) from the bound have failed,
+        E the rows that pass f's envelope (see :meth:`_candidates`); the
         candidates it skips all fail, so the first witness is the same."""
         u, mask = self._team(team, f)
         for sub in self._candidates(u, mask, f, _DEFER):
@@ -428,28 +435,30 @@ class Evaluator:
 
     def _candidates(self, u: _Universe, mask: int, f: Formula,
                     defer: int) -> Iterator[int]:
-        """The sub-masks of mask that may satisfy f, in the order of
-        :meth:`_Universe.submasks`.  For an upward-closed f these are the
-        sub-masks of E, the rows passing f's envelope; after the first
-        defer * (|E| + 1) of them, only those that contain every forced row
-        (see :meth:`_runs`), unless that many are all there are."""
+        """The sub-masks of mask that may satisfy f, from f's size bound up,
+        in the order of :meth:`_Universe.submasks`.  For an upward-closed f
+        these are the sub-masks of E, the rows passing f's envelope; past the
+        first defer * (|E| + 1) from the bound, only those holding every
+        forced row (see :meth:`_runs`), unless that many are all there are."""
+        least = self._least(f)
         if not upward_closed(f, self.registry, self.model.size):
-            return u.submasks(mask)
+            return u.submasks(mask, least)
         upper = self._restrict(u, mask, f.envelope)
-        budget = defer * (upper.bit_count() + 1)
-        if budget >= 1 << upper.bit_count():  # the test would not pay
-            return u.submasks(upper)
-        return chain.from_iterable(self._runs(u, upper, f, budget))
+        n = upper.bit_count()
+        budget = defer * (n + 1)
+        if budget >= (1 << n) - sum(comb(n, k) for k in range(least)):
+            return u.submasks(upper, least)  # the test would not pay
+        return chain.from_iterable(self._runs(u, upper, f, least, budget))
 
-    def _runs(self, u: _Universe, upper: int, f: Formula,
+    def _runs(self, u: _Universe, upper: int, f: Formula, least: int,
               budget: int) -> Iterator[Iterable[int]]:
         """The candidates of :meth:`_candidates` in runs, each taken only
         once the one before it is used up: the first budget sub-masks of
-        upper, then those after them that contain the forced rows F (none
-        if f fails on upper).  These keep their order, as F | S and F | S'
-        differ where S and S' do; a switch within a size resumes after the
-        last candidate tried."""
-        plain, last = u.submasks(upper), None
+        upper from size least, then those after them that contain the forced
+        rows F (none if f fails on upper).  These keep their order, as F | S
+        and F | S' differ where S and S' do; a switch within a size resumes
+        after the last candidate tried."""
+        plain, last = u.submasks(upper, least), None
         if budget:
             yield islice(plain, budget - 1)
             last = next(plain)  # kept, to resume after it
@@ -462,7 +471,7 @@ class Evaluator:
         if not forced:  # the same candidates, without re-enumerating those tried
             yield plain
             return
-        least = 0 if last is None else last.bit_count()
+        least = least if last is None else last.bit_count()
         subs = map(forced.__or__, u.submasks(
             upper & ~forced, max(0, least - forced.bit_count())))
         if last is not None:
@@ -470,6 +479,27 @@ class Evaluator:
             subs = dropwhile(lambda sub: (sub.bit_count(),
                                           sorted(u.rows_of(sub))) <= seen, subs)
         yield subs
+
+    def _least(self, f: Formula) -> int:
+        """f's size bound at the model size (0 where no rule applies), per node."""
+        sizes = self._sizes
+        if f.uid not in sizes:
+            for g in reversed(list(_nodes(f))):  # children first
+                k = 0
+                match g:
+                    case Atom(kind, parts, param):
+                        k = self.model.size ** len(parts[0]) if kind == "all" else {
+                            "ne": 1, "ncon": 2, "ndep": 2, "geq": param,
+                            "count_eq": param}.get(kind, 0)
+                    case And(l, r) | TensorOr(l, r) | ClassicalOr(l, r):
+                        pick = min if type(g) is ClassicalOr else max
+                        k = pick(sizes[l.uid], sizes[r.uid])
+                    case Exists(_, body) | Forall(_, body):
+                        k = -(-sizes[body.uid] // self.model.size)
+                    case Possibly(body):
+                        k = max(1, sizes[body.uid])
+                sizes[g.uid] = k
+        return sizes[f.uid]
 
     def _team(self, team: Team, f: Formula) -> tuple[_Universe, int]:
         missing = f.free_vars - set(team.variables)

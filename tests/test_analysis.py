@@ -1,6 +1,8 @@
 """Witness bounds, minimal subteams, the hierarchy witness, and the
 equivalence sweep."""
 
+from itertools import product
+
 import pytest
 
 import teamsem as ts
@@ -211,6 +213,25 @@ def test_hierarchy_witness_searches_only_supersets_of_forced_rows(monkeypatch):
     monkeypatch.setattr(ts.Evaluator, "_eval", counting_eval)
     assert ts.hierarchy_witness(2, 1, 3).witness_size == 16
     assert len(calls) <= 300
+
+
+def test_witness_search_starts_at_the_size_bound(monkeypatch):
+    """No subteam of fewer than 6 rows satisfies NE & geq(x y, 6), and
+    nothing is forced in the full 16-row team: the search starts at the
+    first 6-row subteam, not after the 6,885 smaller ones."""
+    calls = []
+    evaluate = ts.Evaluator._eval
+
+    def counting_eval(self, *args):
+        calls.append(None)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(ts.Evaluator, "_eval", counting_eval)
+    full = ts.Team(("x", "y"), product(range(4), repeat=2))
+    witness = ts.minimal_satisfying_subteam(
+        ts.Model(4), full, ts.parse("NE & geq(x y, 6)"))
+    assert sorted(witness.rows) == sorted(full.rows)[:6]
+    assert len(calls) <= 20
 
 
 def test_witness_order_survives_a_warm_evaluator():

@@ -294,6 +294,10 @@ WITNESS_CASES = [
      "at the end of a size", "some"),
     ("exists z all(x z) & forall z geq(x y z, 15)", SEVEN,
      "past the size of the test", "at the end of a size", "some"),
+    ("geq(x y, 4) & <>(x = y & !P(x)) & D:cyc(x y)", FULL,
+     "past the size of the test", "within a size", "some"),
+    ("<>(x = y & !P(x)) & D:cyc(x y)", FULL, "past the size of the test",
+     "within a size", "some"),
     ("all(x y) & x != y", FULL, "none", "within a size", None),
     ("forall z geq(x y z, 1) & all(x y) & P(x)", FULL, "none", "within a size",
      None),
@@ -359,8 +363,9 @@ def test_first_witness_matches_the_literal_order():
 
 def test_forced_row_candidates_keep_the_plain_order():
     """After the deferral point the candidates are exactly the later plain
-    candidates that contain every forced row, in plain order, and none if
-    the formula fails on E; satisfying_subteams filters from the start."""
+    candidates, from the size bound up, that contain every forced row, in
+    plain order, and none if the formula fails on E; satisfying_subteams
+    filters from the start."""
     from teamsem.evaluator import _DEFER
 
     m = ts.Model(3, {"P": frozenset({(0,), (2,)})}, UPWARD_SIG)
@@ -373,13 +378,63 @@ def test_forced_row_candidates_keep_the_plain_order():
         holds = ts.evaluate(m, upper, f, UPWARD_REG)
         ev = ts.Evaluator(m, UPWARD_REG)
         u, mask = ev._team(t, f)
-        plain = list(u.submasks(u.mask(upper.rows)))
+        plain = list(u.submasks(u.mask(upper.rows), ev._least(f)))
         need = u.mask(forced)
         budget = _DEFER * (len(upper) + 1)
         for defer, tried in ((_DEFER, budget), (0, 0)):
             want = plain[:tried] + [sub for sub in plain[tried:]
                                     if holds and sub & need == need]
             assert list(ev._candidates(u, mask, f, defer)) == want, (text, defer)
+
+
+def test_size_bound_past_the_team_finds_nothing():
+    """A bound above every candidate count leaves no candidate to defer to;
+    a bound equal to the team's size leaves the team itself."""
+    m = ts.Model(3)
+    t = ts.Team(("x", "y"), FULL[:6])
+    for k, want in ((7, None), (6, t)):
+        f = ts.parse(f"geq(x y, {k})")
+        assert ts.minimal_satisfying_subteam(m, t, f) == want
+        assert ts.satisfying_subteams(m, t, f) == ({want} if want else set())
+
+
+#: atoms with a nonzero size bound, over x and {v}
+BOUNDED_ATOMS = ["NE", "ncon({v})", "ndep(x; {v})", "geq(x {v}, 3)",
+                 "count_eq({v}, 2)", "all(x {v})"]
+
+
+def test_size_bound_is_sound_against_the_oracle():
+    """No team with fewer rows than a formula's size bound satisfies it,
+    by the literal evaluator, for every bounded atom under each connective;
+    a bare atom's bound is the size of its smallest satisfying team."""
+    for atom in BOUNDED_ATOMS:
+        a, az = atom.format(v="y"), atom.format(v="z")
+        texts = [(a, 3), (f"{a} & ncon(y)", 3), (f"{a} | ncon(y)", 3),
+                 (f"{a} || ncon(y)", 3), (f"~{a}", 3), (f"{a} -> ncon(y)", 3),
+                 (f"ncon(y) -> {a}", 3), (f"exists z {az}", 2),
+                 (f"forall z {az}", 2), (f"exists z ({az} & y = z)", 2),
+                 (f"<>{a}", 2), (f"<>(x = y & {a})", 2)]
+        for text, top in texts:
+            f = ts.parse(text)
+            for n in range(1, top + 1):
+                m = ts.Model(n)
+                least = ts.Evaluator(m)._least(f)
+                for t in all_teams(m, ("x", "y"), least - 1):
+                    assert not naive_eval(m, t, f), (text, n, sorted(t.rows))
+                if text == a:
+                    sizes = [len(t) for t in all_teams(m, ("x", "y"))
+                             if naive_eval(m, t, f)]
+                    assert min(sizes, default=least) == least, (text, n)
+
+
+def test_size_bound_of_a_deep_chain():
+    """The bound is read without recursing: 1,500 levels of exists z (_ &
+    geq(x y, k)) over NE, each halving the bound at |M| = 2."""
+    f = ts.parse("NE")
+    for k in range(1, 1501):
+        f = ts.Exists("z", ts.And(f, ts.Atom("geq", (("x", "y"),), k)))
+    assert ts.Evaluator(ts.Model(1))._least(f) == 1500
+    assert ts.Evaluator(ts.Model(2))._least(f) == 750
 
 
 def test_subsets_order_and_bounds():

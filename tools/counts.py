@@ -8,7 +8,8 @@ TREE is a checkout of the repository.  The tool imports the tree's own
 from the seed, and runs every job once in this process, in order, with
 counting wrappers around ``Evaluator._eval``, ``Evaluator._kernel`` and
 ``Evaluator._pick``.  It prints one JSON object: workload -> {"_eval":
-calls, "_kernel": calls, "_pick": calls, "failed": jobs that raised}.
+calls, "_kernel": calls, "_pick": calls, "failed": jobs that raised,
+"top": [label, calls] of the job with the most ``_eval`` calls}.
 
 The first two counts are a machine-independent fingerprint of the
 searches: a change that keeps the candidates the evaluator tries, and
@@ -49,16 +50,19 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
     out = {}
     for workload in names:
         jobs = workloads.WORKLOADS[workload](random.Random(seed))
-        before, failed = dict(calls), 0
+        before, failed, top = dict(calls), 0, [None, -1]
         for job in jobs:
+            start = calls["_eval"]
             try:
                 job.run()
             except Exception:  # counted as far as it ran, and reported
                 failed += 1
                 print(f"{workload}: {job.label}", file=sys.stderr)
                 traceback.print_exc()
+            if calls["_eval"] - start > top[1]:
+                top = [job.label, calls["_eval"] - start]
         out[workload] = {**{name: calls[name] - before[name] for name in COUNTED},
-                         "failed": failed}
+                         "failed": failed, "top": top}
     return out
 
 
