@@ -18,7 +18,6 @@ from typing import Iterable
 
 from .evaluator import EMPTY_REGISTRY, Evaluator, Registry, evaluate, upward_closed
 from .structures import (
-    _TEAM_ROW_CAP,
     Model,
     Team,
     _check_caps,
@@ -54,6 +53,10 @@ Bound = tuple[str, int]
 
 #: largest domain size :func:`hierarchy_witness` tries
 _MAX_DOMAIN = 8
+
+#: most rows of the full team :func:`hierarchy_witness` searches: 3**3,
+#: which the size bound of ``all`` decides with one candidate
+_HIERARCHY_ROW_CAP = 27
 
 
 def bound_value(bound: Bound, n: int) -> int:
@@ -246,9 +249,9 @@ def hierarchy_witness(wide_arity: int, narrow_arity: int,
     if n is None:
         raise AnalysisError(f"no domain size up to {_MAX_DOMAIN} separates the bounds")
     team_size = n ** wide_arity
-    if team_size > _TEAM_ROW_CAP:
-        raise AnalysisError(
-            f"witness team of size {team_size} exceeds the cap of {_TEAM_ROW_CAP}")
+    if team_size > _HIERARCHY_ROW_CAP:
+        raise AnalysisError(f"witness team of size {team_size} exceeds "
+                            f"the cap of {_HIERARCHY_ROW_CAP}")
     model = Model(n)
     variables = tuple(f"w{i}" for i in range(1, wide_arity + 1))
     full = Team(variables, product(range(n), repeat=wide_arity))

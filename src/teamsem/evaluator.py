@@ -10,11 +10,12 @@ The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
 whether some team Y between a forced lower bound and an upper bound
 satisfies a body.  ``_exists_sat`` is that bounded search and
 ``_subsets`` the one enumerator of candidate subteams.  Done literally the
-search would be hopeless, so it prunes using eight structural facts:
+search would be hopeless, so it prunes using seven structural facts:
 
   * a team satisfying a formula satisfies its first-order envelope (the
     formula with every team-level construct weakened to T), so the upper
-    bound shrinks to the rows passing the envelope pointwise;
+    bound shrinks to the rows passing the envelope pointwise, and the
+    subteam enumerations try only subteams of those rows;
   * formulas built from upward-closed atoms transfer upward to any
     envelope-satisfying superteam, so the largest candidate decides, and
     such a side of a ``|`` chain takes every row its envelope admits;
@@ -38,14 +39,6 @@ search would be hopeless, so it prunes using eight structural facts:
     value per witness: on a nonempty team X, ``exists v`` over it holds iff
     the body holds on X[a/v] for some value a, so |M| candidates replace a
     nonempty set of values per row;
-  * an upward-closed formula that holds on a subteam of E, the rows of a
-    team that pass its envelope, minus a row r, holds on E minus r: so it
-    has no satisfying subteam if it fails on E, and a row r is in every one
-    (forced) if it fails on E minus r.  The subteam enumerations then try
-    only the supersets of the forced rows inside E, which keep their order.
-    The test costs |E| + 1 evaluations; the search for a first witness runs
-    it only after 8 (|E| + 1) candidates have failed (``_DEFER``), so it
-    adds at most 1/8 to a search it does not shorten;
   * a team satisfying a formula has at least as many rows as its size
     bound (``Evaluator._least``): 1 for ``NE``, 2 for ``ncon`` and ``ndep``,
     the parameter of ``geq`` and ``count_eq``, |M|**k for ``all`` over k
@@ -90,11 +83,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, dropwhile, islice, product
-from math import comb
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping
 
-from .structures import EnumerationLimit, Model, Team, enumerate_models, tarski_eval
+from .structures import (_TEAM_ROW_CAP, EnumerationLimit, Model, Team,
+                         enumerate_models, tarski_eval)
 from .syntax import (
     And,
     Atom,
@@ -134,10 +127,6 @@ _CHAINED = (And, ClassicalOr)
 
 #: relation-space cap of :func:`check_upward_closed`
 _TUPLE_CAP = 9
-
-#: candidates per row of E (plus one) that the first-witness search tries,
-#: from the size bound up, before the forced-row test (see the module docstring)
-_DEFER = 8
 
 
 @dataclass(frozen=True)
@@ -417,68 +406,24 @@ class Evaluator:
         candidates of :meth:`_candidates`, which skips only subteams that fail."""
         u, mask = self._team(team, f)
         return frozenset(team.with_rows(u.rows_of(sub))
-                         for sub in self._candidates(u, mask, f, 0)
+                         for sub in self._candidates(u, mask, f)
                          if self._eval(f, u, sub))
 
     def first_satisfying_subteam(self, team: Team, f: Formula) -> Team | None:
         """The first subteam satisfying f, smaller sizes first and in
-        combination order over the sorted rows within a size, or None.  It
-        starts at f's size bound, and for an upward-closed f skips those that
-        miss a forced row once _DEFER * (|E| + 1) from the bound have failed,
-        E the rows that pass f's envelope (see :meth:`_candidates`); the
-        candidates it skips all fail, so the first witness is the same."""
+        combination order over the sorted rows within a size, or None.  The
+        candidates of :meth:`_candidates` skip only subteams that fail."""
         u, mask = self._team(team, f)
-        for sub in self._candidates(u, mask, f, _DEFER):
+        for sub in self._candidates(u, mask, f):
             if self._eval(f, u, sub):
                 return team.with_rows(u.rows_of(sub))
         return None
 
-    def _candidates(self, u: _Universe, mask: int, f: Formula,
-                    defer: int) -> Iterator[int]:
-        """The sub-masks of mask that may satisfy f, from f's size bound up,
-        in the order of :meth:`_Universe.submasks`.  For an upward-closed f
-        these are the sub-masks of E, the rows passing f's envelope; past the
-        first defer * (|E| + 1) from the bound, only those holding every
-        forced row (see :meth:`_runs`), unless that many are all there are."""
-        least = self._least(f)
-        if not upward_closed(f, self.registry, self.model.size):
-            return u.submasks(mask, least)
-        upper = self._restrict(u, mask, f.envelope)
-        n = upper.bit_count()
-        budget = defer * (n + 1)
-        if budget >= (1 << n) - sum(comb(n, k) for k in range(least)):
-            return u.submasks(upper, least)  # the test would not pay
-        return chain.from_iterable(self._runs(u, upper, f, least, budget))
-
-    def _runs(self, u: _Universe, upper: int, f: Formula, least: int,
-              budget: int) -> Iterator[Iterable[int]]:
-        """The candidates of :meth:`_candidates` in runs, each taken only
-        once the one before it is used up: the first budget sub-masks of
-        upper from size least, then those after them that contain the forced
-        rows F (none if f fails on upper).  These keep their order, as F | S
-        and F | S' differ where S and S' do; a switch within a size resumes
-        after the last candidate tried."""
-        plain, last = u.submasks(upper, least), None
-        if budget:
-            yield islice(plain, budget - 1)
-            last = next(plain)  # kept, to resume after it
-            yield (last,)
-        # f holds on a subteam of upper (minus a row) iff it holds on upper
-        # (minus that row): |upper| + 1 evaluations
-        if not self._eval(f, u, upper):
-            return
-        forced = sum(bit for bit in _bits(upper) if not self._eval(f, u, upper ^ bit))
-        if not forced:  # the same candidates, without re-enumerating those tried
-            yield plain
-            return
-        least = least if last is None else last.bit_count()
-        subs = map(forced.__or__, u.submasks(
-            upper & ~forced, max(0, least - forced.bit_count())))
-        if last is not None:
-            seen = (least, sorted(u.rows_of(last)))
-            subs = dropwhile(lambda sub: (sub.bit_count(),
-                                          sorted(u.rows_of(sub))) <= seen, subs)
-        yield subs
+    def _candidates(self, u: _Universe, mask: int, f: Formula) -> Iterator[int]:
+        """The sub-masks of mask that may satisfy f, in the order of
+        :meth:`_Universe.submasks`: those of the rows passing f's envelope,
+        from f's size bound up."""
+        return u.submasks(self._restrict(u, mask, f.envelope), self._least(f))
 
     def _least(self, f: Formula) -> int:
         """f's size bound at the model size (0 where no rule applies), per node."""
@@ -646,6 +591,9 @@ class Evaluator:
             case ContraNeg(body):
                 return not self._eval(body, u, mask)
             case IntImpl(l, r):
+                if mask.bit_count() > _TEAM_ROW_CAP:
+                    raise EvalError(f"-> on a team of {mask.bit_count()} rows "
+                                    f"exceeds the cap of {_TEAM_ROW_CAP}")
                 return all(not self._eval(l, u, sub) or self._eval(r, u, sub)
                            for sub in u.submasks(mask))
             case Possibly(body):

@@ -201,8 +201,9 @@ def test_witness_searches_reuse_the_sweep_evaluator(monkeypatch):
 
 def test_hierarchy_witness_searches_only_supersets_of_forced_rows(monkeypatch):
     """The only subteam of the full 16-row team satisfying all(w1 w2) is the
-    team itself: every row is forced, so after the deferred forced-row test
-    the search tries the team alone, not its 65,536 subteams."""
+    team itself, and the size bound of all(w1 w2) at |M| = 4 is 16 rows: the
+    search starts there, so it tries the team alone, not its 65,536
+    subteams."""
     calls = []
     evaluate = ts.Evaluator._eval
 

@@ -91,6 +91,17 @@ def test_eval_rejects_a_relation_given_twice(workspace, capsys):
     assert err == "error: relation P given twice\n"
 
 
+def test_eval_implication_past_the_row_cap(workspace, capsys):
+    model = workspace / "m5.model"
+    model.write_text("domain 5\n")
+    team = workspace / "xy17.team"
+    team.write_text("vars x y\n" + "".join(f"{i // 5} {i % 5}\n" for i in range(17)))
+    code, out, err = run(capsys, "eval", "NE -> dep(x; y)", "--model", str(model),
+                         "--team", str(team))
+    assert (code, out) == (2, "")
+    assert err == "error: -> on a team of 17 rows exceeds the cap of 16\n"
+
+
 def test_eval_custom_dependency(workspace, capsys):
     code, out, _ = run(
         capsys, "eval", "D:big()", "--model", str(workspace / "m3.model"),
@@ -270,6 +281,11 @@ def test_bounds_hierarchy(capsys):
     assert "n=2" in out and "4 > 2" in out
     code, out, _ = run(capsys, "bounds", "hierarchy", "2", "1", "3")
     assert code == 0 and "n=4" in out and "16 > 12" in out
+    code, out, _ = run(capsys, "bounds", "hierarchy", "3", "2", "2")
+    assert code == 0 and "n=3" in out and "27 > 18" in out
+    code, out, err = run(capsys, "bounds", "hierarchy", "5", "1", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: witness team of size 32 exceeds the cap of 27\n"
 
 
 @pytest.mark.parametrize("argv", [

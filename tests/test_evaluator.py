@@ -3,7 +3,6 @@ cross-check, flatness, locality, and the dependency registry."""
 
 import random
 from itertools import combinations, product
-from math import comb
 
 import pytest
 
@@ -260,8 +259,8 @@ UPWARD_REG = ts.EMPTY_REGISTRY.register(ts.DependencySpec(
 
 
 def test_upward_satisfying_subteams_match_the_oracle():
-    """satisfying_subteams enumerates only the supersets of an upward-closed
-    formula's forced rows inside its envelope; the set is the literal one."""
+    """satisfying_subteams enumerates only the subteams of the rows passing
+    a formula's envelope, from its size bound up; the set is the literal one."""
     from teamsem.evaluator import upward_closed
 
     for interp in ({(1,)}, {(0,), (1,)}):
@@ -279,112 +278,53 @@ def test_upward_satisfying_subteams_match_the_oracle():
 
 FULL = tuple(product(range(3), repeat=2))
 SEVEN = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 1))
-#: formula, team rows at |M| = 3 with P = {0, 2}, then what the first-witness
-#: search meets: where the first witness is, where the forced-row test falls,
-#: and which rows of E are forced (None without a witness)
+#: formula, team rows at |M| = 3 with P = {0, 2}: witnesses of several sizes,
+#: formulas with forced rows, and no witness although the team satisfies the
+#: envelope
 WITNESS_CASES = [
-    ("geq(x y, 3) & x != y", FULL, "before the test", "within a size", "none"),
-    ("D:fan(x y)", FULL[1:], "in the size of the test", "within a size", "none"),
-    ("D:cyc(x y)", tuple(r for r in FULL if r != (1, 2)), "in the size of the test",
-     "within a size", "some"),
-    ("geq(x y, 5) & x != y", FULL, "past the size of the test", "within a size",
-     "none"),
-    ("all(x y)", FULL, "past the size of the test", "within a size", "all"),
-    ("all(x) & geq(x y, 5)", SEVEN, "past the size of the test",
-     "at the end of a size", "some"),
-    ("exists z all(x z) & forall z geq(x y z, 15)", SEVEN,
-     "past the size of the test", "at the end of a size", "some"),
-    ("geq(x y, 4) & <>(x = y & !P(x)) & D:cyc(x y)", FULL,
-     "past the size of the test", "within a size", "some"),
-    ("<>(x = y & !P(x)) & D:cyc(x y)", FULL, "past the size of the test",
-     "within a size", "some"),
-    ("all(x y) & x != y", FULL, "none", "within a size", None),
-    ("forall z geq(x y z, 1) & all(x y) & P(x)", FULL, "none", "within a size",
-     None),
+    ("geq(x y, 3) & x != y", FULL),
+    ("D:fan(x y)", FULL[1:]),
+    ("D:cyc(x y)", tuple(r for r in FULL if r != (1, 2))),
+    ("geq(x y, 5) & x != y", FULL),
+    ("all(x y)", FULL),
+    ("all(x) & geq(x y, 5)", SEVEN),
+    ("exists z all(x z) & forall z geq(x y z, 15)", SEVEN),
+    ("geq(x y, 4) & <>(x = y & !P(x)) & D:cyc(x y)", FULL),
+    ("<>(x = y & !P(x)) & D:cyc(x y)", FULL),
+    ("all(x y) & x != y", FULL),
+    ("forall z geq(x y z, 1) & all(x y) & P(x)", FULL),
+]
+#: formulas that are not upward closed, some with first-order conjuncts
+#: dropping rows from the envelope
+OTHER_TEXTS = [
+    "dep(x; y) & NE", "dep(x; y) & NE & x != y", "count_eq(x, 2) & P(y)",
+    "inc(x; y) & NE & P(x)", "const(x) & geq(y, 2) | x = y", "~NE & x = y",
 ]
 
 
 def test_first_witness_matches_the_literal_order():
     """first_satisfying_subteam against the plain search: combinations of
-    the sorted rows, sizes ascending, each decided by a fresh evaluator.  The
-    cases cover witnesses before the forced-row test, after it in the same
-    size and in a later one, the test run in the middle of a size and at its
-    end, forced rows, and no witness although the team satisfies the
-    envelope; each is also searched by an evaluator that met the rows in
-    reverse order, and so are random teams."""
-    from teamsem.evaluator import _DEFER, upward_closed
-
+    the sorted rows, sizes ascending, each decided by a fresh evaluator.
+    Every formula takes the envelope cut and the size bound, upward closed
+    or not.  Each case is also searched by an evaluator that met the rows
+    in reverse order, and so are random teams."""
     m = ts.Model(3, {"P": frozenset({(0,), (2,)})}, UPWARD_SIG)
     rng = random.Random(2024)
-    cases = [(ts.parse(text, UPWARD_SIG), rows, meets)
-             for text, rows, *meets in WITNESS_CASES]
-    cases += [(ts.parse(rng.choice(UPWARD_TEXTS), UPWARD_SIG),
-               rng.sample(FULL, rng.randint(5, 9)), None) for _ in range(24)]
-    for f, rows, meets in cases:
-        assert upward_closed(f, UPWARD_REG, 3)
+    cases = [(ts.parse(text, UPWARD_SIG), rows) for text, rows in WITNESS_CASES]
+    for texts, count in ((UPWARD_TEXTS, 24), (OTHER_TEXTS, 12)):
+        cases += [(ts.parse(rng.choice(texts), UPWARD_SIG),
+                   rng.sample(FULL, rng.randint(5, 9))) for _ in range(count)]
+    for f, rows in cases:
         t = ts.Team(("x", "y"), rows)
-
-        def holds(combo):
-            return ts.evaluate(m, t.with_rows(combo), f, UPWARD_REG)
-
         want = next((t.with_rows(combo) for k in range(len(rows) + 1)
-                     for combo in combinations(sorted(rows), k) if holds(combo)),
+                     for combo in combinations(sorted(rows), k)
+                     if ts.evaluate(m, t.with_rows(combo), f, UPWARD_REG)),
                     None)
         assert ts.Evaluator(m, UPWARD_REG).first_satisfying_subteam(t, f) == want
         warm = ts.Evaluator(m, UPWARD_REG)
         for row in sorted(rows, reverse=True):
             warm.evaluate(t.with_rows([row]), f)
         assert warm.first_satisfying_subteam(t, f) == want, (f, rows)
-        if meets is None:
-            continue
-        upper = sorted(ts.restrict(m, t, f.envelope).rows)
-        budget = _DEFER * (len(upper) + 1)
-        assert 2 ** len(upper) > budget  # the test runs
-        cuts = [sum(comb(len(upper), j) for j in range(k + 1))
-                for k in range(len(upper) + 1)]
-        size = next(k for k, cut in enumerate(cuts) if cut >= budget)
-        test = "at the end of a size" if budget in cuts else "within a size"
-        forced = None
-        if want is None:
-            where = "none"
-        else:
-            position = cuts[len(want) - 1] + 1 + sum(
-                1 for combo in combinations(upper, len(want))
-                if combo < tuple(sorted(want.rows)))
-            where = ("before the test" if position <= budget else
-                     "in the size of the test" if len(want) == size else
-                     "past the size of the test")
-            n_forced = sum(1 for row in upper
-                           if not holds([r for r in upper if r != row]))
-            forced = ("none" if not n_forced else
-                      "all" if n_forced == len(upper) else "some")
-        assert [where, test, forced] == meets, (ts.pretty(f), rows)
-
-
-def test_forced_row_candidates_keep_the_plain_order():
-    """After the deferral point the candidates are exactly the later plain
-    candidates, from the size bound up, that contain every forced row, in
-    plain order, and none if the formula fails on E; satisfying_subteams
-    filters from the start."""
-    from teamsem.evaluator import _DEFER
-
-    m = ts.Model(3, {"P": frozenset({(0,), (2,)})}, UPWARD_SIG)
-    for text, rows, *_ in WITNESS_CASES:
-        f = ts.parse(text, UPWARD_SIG)
-        t = ts.Team(("x", "y"), rows)
-        upper = ts.restrict(m, t, f.envelope)
-        forced = [row for row in upper.rows if not ts.evaluate(
-            m, upper.with_rows(upper.rows - {row}), f, UPWARD_REG)]
-        holds = ts.evaluate(m, upper, f, UPWARD_REG)
-        ev = ts.Evaluator(m, UPWARD_REG)
-        u, mask = ev._team(t, f)
-        plain = list(u.submasks(u.mask(upper.rows), ev._least(f)))
-        need = u.mask(forced)
-        budget = _DEFER * (len(upper) + 1)
-        for defer, tried in ((_DEFER, budget), (0, 0)):
-            want = plain[:tried] + [sub for sub in plain[tried:]
-                                    if holds and sub & need == need]
-            assert list(ev._candidates(u, mask, f, defer)) == want, (text, defer)
 
 
 def test_size_bound_past_the_team_finds_nothing():
@@ -885,6 +825,21 @@ def test_dep_splits_past_the_enumeration_cap():
             t = _planted_dep_split(rng, k, want)
             assert len(t) > 16
             assert ts.evaluate(m, t, f) is want, (k, sorted(t.rows))
+
+
+def test_implication_caps_its_local_team():
+    """-> tries every subteam of its team, so it refuses a team of more than
+    16 rows over its own variables; on 16 rows or fewer it still decides."""
+    m = ts.Model(5)
+    rows = list(product(range(5), repeat=2))
+    f, g = ts.parse("NE -> dep(x; y)"), ts.parse("ndep(x; y) -> ncon(y)")
+    with pytest.raises(ts.EvalError, match="17 rows exceeds the cap of 16"):
+        ts.evaluate(m, ts.Team(("x", "y"), rows[:17]), f)
+    sixteen = ts.Team(("x", "y"), rows[:16])
+    assert not ts.evaluate(m, sixteen, f) and ts.evaluate(m, sixteen, g)
+    # 32 rows over (x, y, z), 16 over (x, y)
+    wide = ts.Team(("x", "y", "z"), (r + (z,) for r in rows[:16] for z in (0, 1)))
+    assert not ts.evaluate(m, wide, f)
 
 
 # ---------------------------------------------------------------------------
