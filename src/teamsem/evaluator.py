@@ -10,7 +10,7 @@ The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
 whether some team Y between a forced lower bound and an upper bound
 satisfies a body.  ``_exists_sat`` is that bounded search and
 ``_subsets`` the one enumerator of candidate subteams.  Done literally the
-search would be hopeless, so it prunes using seven structural facts:
+search would be hopeless, so it prunes using eight structural facts:
 
   * a team satisfying a formula satisfies its first-order envelope (the
     formula with every team-level construct weakened to T), so the upper
@@ -44,7 +44,13 @@ search would be hopeless, so it prunes using seven structural facts:
     the parameter of ``geq`` and ``count_eq``, |M|**k for ``all`` over k
     variables, the larger side's under ``&`` and ``|``, the smaller under
     ``||``, the body's over |M|, rounded up, under a quantifier, and at
-    least 1 under ``<>``; the subteam enumerations start at that size.
+    least 1 under ``<>``; the subteam enumerations start at that size;
+  * union-closed formulas (first-order and upward-closed ones, ``inc``, and
+    ``&``, ``|``, ``exists`` and ``forall`` over these) have a greatest
+    satisfying subteam G of any team, or none, a greatest fixpoint (P.
+    Galliani and L. Hella, "Inclusion logic and fixed point logic", CSL
+    2013): a ``|`` side takes its G, ``exists`` holds iff the body's G
+    meets every row's block, and the searches look inside G.
 
 Every backtracking search runs on one driver, ``_depth_first``, which
 keeps one generator per level on a list, so a team of many rows does not
@@ -232,6 +238,13 @@ def upward_closed(f: Formula, registry: Registry, size: int | None = None) -> bo
         registry.get(n).upward_closed_on(size) for n in f.custom_names)
 
 
+def union_closed(f: Formula, registry: Registry, size: int | None = None) -> bool:
+    """The union of two satisfying teams satisfies f: built-in constructs
+    by their kind, custom atoms as for :func:`upward_closed`."""
+    return f.union_builtin and all(
+        registry.get(n).upward_closed_on(size) for n in f.custom_names)
+
+
 def _subsets(items: Iterable, least: int = 0, most: int | None = None,
              key=None) -> Iterator[tuple]:
     """Subsets of the items sorted by key, with least to most members,
@@ -260,6 +273,11 @@ def _image(mask: int, image: list[int]) -> int:
         out |= image[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def _meets(mask: int, image: list[int], sub: int) -> int:
+    """The bits of mask whose images meet sub, image[i] that of bit i."""
+    return sum(bit for bit in _bits(mask) if image[bit.bit_length() - 1] & sub)
 
 
 def _depth_first(root, depth: int, step, done) -> bool:
@@ -392,6 +410,8 @@ class Evaluator:
         #: | node uid -> its _split_plan
         self._plans: dict[int, tuple] = {}
         self._sizes: dict[int, int] = {}
+        #: (node uid, mask) -> the node's greatest satisfying subteam, or None
+        self._greatest: dict[tuple[int, int], int | None] = {}
         #: (arity, value mask) -> (the relation as a Model, custom atom
         #: name -> its verdict there)
         self._relations: dict[tuple[int, int], tuple[Model, dict[str, bool]]] = {}
@@ -422,8 +442,11 @@ class Evaluator:
     def _candidates(self, u: _Universe, mask: int, f: Formula) -> Iterator[int]:
         """The sub-masks of mask that may satisfy f, in the order of
         :meth:`_Universe.submasks`: those of the rows passing f's envelope,
-        from f's size bound up."""
-        return u.submasks(self._restrict(u, mask, f.envelope), self._least(f))
+        or of G(f) there if f is union closed, from f's size bound up."""
+        top = self._restrict(u, mask, f.envelope)
+        if union_closed(f, self.registry, self.model.size):
+            top = self._largest(f, u, top)
+        return iter(()) if top is None else u.submasks(top, self._least(f))
 
     def _least(self, f: Formula) -> int:
         """f's size bound at the model size (0 where no rule applies), per node."""
@@ -683,8 +706,8 @@ class Evaluator:
 
     def _tensor_or(self, u: _Universe, mask: int, f: TensorOr) -> bool:
         """The one rule for a ``|`` chain, nested either way: each side
-        takes only rows its envelope admits; a flat side takes all of them,
-        and the other sides cover the rows no flat side admits."""
+        takes only rows its envelope admits; a union-closed side takes its G
+        of them, and the other sides cover the rest (with none, the G must)."""
         plan = self._plans.get(f.uid)
         if plan is None:
             plan = self._plans[f.uid] = self._split_plan(f)
@@ -698,11 +721,15 @@ class Evaluator:
             return False
         covered = 0
         for side, part in zip(flat, admitted):
-            if not (side.first_order or self._eval(side, u, part)):
+            if not side.up_builtin:  # union closed, not upward closed
+                part = self._largest(side, u, part)
+                if part is None:
+                    return False
+            elif not (side.first_order or self._eval(side, u, part)):
                 return False
             covered |= part
         if not rest:
-            return True
+            return covered == mask
         todo = mask & ~covered
         admitted = admitted[len(flat):]
         if len(rest) == 1:
@@ -718,15 +745,15 @@ class Evaluator:
 
     def _split_plan(self, f: TensorOr) -> tuple:
         """The sides of the ``|`` chain at f (a first-order ``|`` is one),
-        left to right: the flat ones, first-order or upward closed at the
-        model size; the rest; and how the rest split: "coherent",
-        "downward" (if each is so) or "split".  Made once per node."""
+        left to right: the flat ones, union closed at the model size; the
+        rest; and how the rest split: "coherent", "downward" (if each is
+        so) or "split".  Made once per node."""
         flat, rest, todo = [], [], [f]
         while todo:
             g = todo.pop()
             if type(g) is TensorOr and not g.first_order:
                 todo += (g.right, g.left)
-            elif g.first_order or upward_closed(g, self.registry, self.model.size):
+            elif union_closed(g, self.registry, self.model.size):
                 flat.append(g)
             else:
                 rest.append(g)
@@ -845,16 +872,19 @@ class Evaluator:
     def _exists_sat(self, f: Formula, u: _Universe, upper: int, lower: int,
                     nonempty: bool = False) -> bool:
         """Is there a team Y with lower <= Y <= upper satisfying f, and
-        with Y nonempty when asked?  Unless f is downward closed or holds
-        on upper, every such Y satisfies f's downward part, and so do the
-        forced rows lower, a subteam of Y: if they do not, there is none."""
+        with Y nonempty when asked?  For a union-closed f, iff G(f, upper)
+        holds lower (and a row, if asked).  Otherwise, unless f is downward
+        closed or holds on upper, every such Y satisfies f's downward part,
+        and so do the forced rows lower, a subteam of Y: if they do not,
+        there is none."""
         upper = self._restrict(u, upper, f.envelope)
         if lower & ~upper or (nonempty and not upper):
             return False
         if f.first_order:
             return True
-        if upward_closed(f, self.registry, self.model.size):
-            return self._eval(f, u, upper)
+        if union_closed(f, self.registry, self.model.size):
+            top = self._largest(f, u, upper)
+            return top is not None and not lower & ~top and bool(top or not nonempty)
         least = 1 if nonempty and not lower else 0
         if f.downward:  # the smallest candidates decide
             most = least
@@ -868,21 +898,96 @@ class Evaluator:
         return any(self._eval(f, u, lower | extra)
                    for extra in u.submasks(upper & ~lower, least, most))
 
+    # -- greatest satisfying subteams
+
+    def _largest(self, f: Formula, u: _Universe, mask: int) -> int | None:
+        """G(f, team) for a union-closed f, or None if no subteam satisfies
+        f: the rows passing a first-order f; the envelope rows if an
+        upward-closed f (here ``up_builtin``) holds there; else f's rule,
+        memoized per (uid, mask) over f's free variables and lifted to the
+        team, the rules of nested nodes waiting on one list, not recursing."""
+        frames, found = [], None
+        while True:
+            if f is not None and f.up_builtin:  # first-order or upward closed
+                found = self._restrict(u, mask, f.envelope)
+                if not (f.first_order or self._eval(f, u, found)):
+                    found = None
+            elif f is not None:  # start f's rule on the team over its variables
+                sub_u, sub = self._project(u, mask, f.free_tuple)
+                frames.append((self._rule(f, sub_u, sub), f, u, mask, (f.uid, sub)))
+                found = None
+            if not frames:
+                return found
+            rule, f, u, mask, key = frames[-1]
+            try:
+                f, u, mask = rule.send(found)
+            except StopIteration as stop:
+                frames.pop()
+                found = self._greatest[key] = stop.value
+                if found is not None and u.vars != f.free_tuple:
+                    found = _meets(mask, u.proj[f.free_tuple][2], found)
+                f = None
+
+    def _rule(self, f: Formula, u: _Universe, mask: int):
+        """G(f) on a team over f's free variables, yielding (node, universe,
+        mask) per G it needs: under ``inc``, ``&`` and ``forall``, the team
+        less the rows that break f, until none does; under ``|`` the sides'
+        G joined; under ``exists`` the rows whose block meets the body's G."""
+        if (f.uid, mask) in self._greatest:
+            return self._greatest[f.uid, mask]
+        match f:
+            case Atom(parts=(left, right)):  # inc
+                while True:
+                    missing = (self._columns(u, mask, left)
+                               & ~self._columns(u, mask, right))
+                    if not missing:
+                        return mask
+                    mask &= ~_meets(mask, u.vals[left][2], missing)
+            case TensorOr(l, r):
+                left = yield l, u, mask
+                right = None if left is None else (yield r, u, mask)
+                return None if right is None else left | right
+            case And(l, r):
+                while True:
+                    last = mask
+                    mask = yield l, u, mask
+                    if mask is None:
+                        return None
+                    mask = yield r, u, mask
+                    if mask is None or mask == last:
+                        return mask
+            case Exists(v, body):
+                wide, image = self._extend(u, v)
+                found = yield body, wide, _image(mask, image)
+                return None if found is None else _meets(mask, image, found)
+            case Forall(v, body):
+                wide, image = self._extend(u, v)
+                while True:
+                    found = yield body, wide, _image(mask, image)
+                    if found is None:
+                        return None
+                    drop = _meets(mask, image, ~found)  # blocks leaving found
+                    if not drop:
+                        return mask
+                    mask ^= drop
+
     # -- lax existential quantification
 
     def _exists(self, u: _Universe, mask: int, v: str, body: Formula) -> bool:
         """Lax witness search: a satisfying Y inside the universal extension
         must hit the extension block of every original row.  A body that
         forces ``const(v)`` takes one value a for the whole of a nonempty
-        team, so its only candidates are the teams X[a/v].  Otherwise, unless
-        the full allowed extension decides, each step of :func:`_depth_first`
-        chooses a nonempty part of the next row's block, rows in sorted
-        order, and a partial witness whose downward part already fails is
-        dropped.  The state carries the partial witness and its projection
-        onto the downward part's variables, to which each step adds the
-        projection of the part it chose, so no step projects the whole
-        witness again.  A downward-closed body is its own downward part,
-        and one row per block suffices for it."""
+        team, so its only candidates are the teams X[a/v].  A union-closed
+        body has a witness iff its G on the allowed extension meets every
+        block.  Otherwise, unless the full allowed extension decides, each
+        step of :func:`_depth_first` chooses a nonempty part of the next
+        row's block, rows in sorted order, and a partial witness whose
+        downward part already fails is dropped.  The state carries the
+        partial witness and its projection onto the downward part's
+        variables, to which each step adds the projection of the part it
+        chose, so no step projects the whole witness again.  A
+        downward-closed body is its own downward part, and one row per
+        block suffices for it."""
         if mask and v in body.const_vars:
             for a in self.model.domain:
                 wide, image = self._extend(u, v, a)
@@ -899,10 +1004,13 @@ class Evaluator:
             if not block:
                 return False
             blocks.append((u.row_of(bit), block))
-        if body.first_order or self._eval(body, wide, allowed):
+        if body.first_order:
             return True  # the full allowed extension is itself a witness
-        if upward_closed(body, self.registry, self.model.size):
-            return False
+        if union_closed(body, self.registry, self.model.size):
+            top = self._largest(body, wide, allowed)
+            return top is not None and all(block & top for _, block in blocks)
+        if self._eval(body, wide, allowed):
+            return True
         blocks.sort()
         prune = body.downward_part
         most = 1 if body.downward else None

@@ -147,14 +147,16 @@ class Formula:
     ``up_builtin``    satisfaction transfers to envelope-satisfying
                       superteams, given that every custom atom named in
                       ``custom_names`` is upward closed
+    ``union_builtin`` unions of satisfying teams satisfy it, given the same:
+                      ``inc`` and ``up_builtin`` nodes under &, |, quantifiers
     ``envelope``, ``downward_part``  the weakenings the search prunes with
     """
 
     # the fields live in __dict__, the stored properties in slots
     __slots__ = ("_hash", "uid", "free_vars", "free_tuple", "first_order",
                  "arities", "downward", "coherent", "const_vars",
-                 "up_builtin", "custom_names", "_envelope", "_downward_part",
-                 "__dict__", "__weakref__")
+                 "up_builtin", "union_builtin", "custom_names", "_envelope",
+                 "_downward_part", "__dict__", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *args):
@@ -353,7 +355,7 @@ class Atom(Formula):
 
 #: the stored properties that _derive computes, in its order
 _DERIVED = ("free_vars", "first_order", "arities", "downward", "coherent",
-            "const_vars", "up_builtin", "custom_names")
+            "const_vars", "up_builtin", "union_builtin", "custom_names")
 _EMPTY: frozenset = frozenset()
 
 
@@ -366,12 +368,13 @@ def _derive(f: Formula) -> tuple:
     match f:
         case PositiveLiteral(rel, args) | NegativeLiteral(rel, args):
             return (frozenset(args), True, frozenset({(rel, len(args))}), True,
-                    True, _EMPTY, True, ())
+                    True, _EMPTY, True, True, ())
         case Equal(a, b) | NotEqual(a, b):
-            return frozenset((a, b)), True, _EMPTY, True, True, _EMPTY, True, ()
+            return frozenset((a, b)), True, _EMPTY, True, True, _EMPTY, True, True, ()
         case And(l, r) | TensorOr(l, r):
             fo = l.first_order and r.first_order
             up = l.up_builtin and r.up_builtin
+            union = l.union_builtin and r.union_builtin
             names = l.custom_names + tuple(
                 n for n in r.custom_names if n not in l.custom_names)
             conj = isinstance(f, And)
@@ -379,11 +382,12 @@ def _derive(f: Formula) -> tuple:
             const = _union(l.const_vars, r.const_vars) if conj else _EMPTY
             return (_union(l.free_vars, r.free_vars), fo,
                     _union(l.arities, r.arities), l.downward and r.downward,
-                    coherent, const, up, names if up else ())
+                    coherent, const, up, union, names if union else ())
         case ClassicalOr(l, r) | IntImpl(l, r):
             down = isinstance(f, IntImpl) or (l.downward and r.downward)
             return (_union(l.free_vars, r.free_vars), False,
-                    _union(l.arities, r.arities), down, False, _EMPTY, False, ())
+                    _union(l.arities, r.arities), down, False, _EMPTY, False,
+                    False, ())
         case Exists(v, body) | Forall(v, body):
             coherent = body.first_order or (isinstance(f, Forall) and body.coherent)
             const = body.const_vars
@@ -391,18 +395,20 @@ def _derive(f: Formula) -> tuple:
                 const = const - {v}
             return (body.free_vars - {v}, body.first_order, body.arities,
                     body.downward, coherent, const, body.up_builtin,
-                    body.custom_names)
+                    body.union_builtin, body.custom_names)
         case ContraNeg(body) | Possibly(body):
+            up = isinstance(f, Possibly)
             return (body.free_vars, False, body.arities, False, False, _EMPTY,
-                    isinstance(f, Possibly), ())
+                    up, up, ())
         case Bracket(body):
-            return _EMPTY, False, body.arities, True, False, _EMPTY, True, ()
+            return _EMPTY, False, body.arities, True, False, _EMPTY, True, True, ()
         case Atom(kind, parts, _, name):
             custom = kind == "custom"
             down = kind in _DOWNWARD_KINDS
             const = frozenset(parts[0]) if kind == "const" else _EMPTY
             return (frozenset(v for part in parts for v in part), False, _EMPTY,
                     down, down, const, custom or kind in _UPWARD_KINDS,
+                    custom or kind in _UPWARD_KINDS or kind == "inc",
                     (name,) if custom else ())
     raise TypeError(f"not a formula: {f!r}")
 

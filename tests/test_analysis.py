@@ -235,6 +235,34 @@ def test_witness_search_starts_at_the_size_bound(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_witness_search_stops_when_a_union_closed_formula_has_no_greatest_subteam(
+        monkeypatch):
+    """Binary totality is upward closed, so its greatest satisfying
+    subteam of a team is the whole team or none.  On the 16 rows over
+    (x, y, z) at |M| = 3 whose (x, y) pairs miss (2, 2), one evaluation on
+    the team shows there is none: the search yields no candidates, where
+    it used to decide all 65,536 subteams."""
+    sig = ts.Signature({"R": 2})
+    spec = ts.DependencySpec("tot", 2, ts.parse("forall a forall b R(a, b)", sig),
+                             claimed_upward_closed="yes")
+    reg = ts.EMPTY_REGISTRY.register(spec)
+    calls = []
+    evaluate = ts.Evaluator._eval
+
+    def counting_eval(self, *args):
+        calls.append(None)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(ts.Evaluator, "_eval", counting_eval)
+    rows = [(x, y, z) for x, y in product(range(3), repeat=2) if (x, y) != (2, 2)
+            for z in range(2)]
+    t = ts.Team(("x", "y", "z"), rows)
+    assert len(t) == 16
+    f = ts.parse("D:tot(x y)")
+    assert ts.minimal_satisfying_subteam(ts.Model(3), t, f, reg) is None
+    assert len(calls) <= 2
+
+
 def test_witness_order_survives_a_warm_evaluator():
     """Rows get their numbers in the order an evaluator meets them; the
     witness search still takes the sorted-row order, so an evaluator that

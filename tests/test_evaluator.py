@@ -1145,17 +1145,22 @@ def test_projected_witness_prune_against_naive_evaluator(monkeypatch):
 
 def test_generic_split_refutes_on_the_forced_rows(monkeypatch):
     """A planted false instance of (dep(x; y) & NE) | inc(x; y): the rows
-    (0, 1) and (0, 2) are in no inclusion part, as no row has y = 0, so
-    they are forced to the left side, where they break dep(x; y).  For
-    every part the inc side holds on, the search for the left side's part
-    asks the side on its upper bound only, and then refutes on the forced
-    rows, instead of trying each of their supersets."""
+    (0, 1) and (0, 2) are in no inclusion part, as no row has y = 0.  The
+    inc side takes its greatest satisfying subteam G, the other eight
+    rows, so one search asks the left side for a part containing the rows
+    outside G; they break dep(x; y), and the search refutes on them after
+    asking the side on its upper bound only.  Without (0, 2) the one row
+    left outside G satisfies the left side, and the split holds."""
     f = ts.parse("(dep(x; y) & NE) | inc(x; y)")
     inner = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b] + [(1, 1), (2, 2)]
     t = ts.Team(("x", "y"), [(0, 1), (0, 2)] + inner)
     searches = _spy(monkeypatch, "_exists_sat")
     records = _direct_evals(monkeypatch, "_exists_sat", lambda g, *rest: g)
     assert not ts.evaluate(ts.Model(4), t, f)
-    assert len(searches) > 100
-    tried = [r for searched, g, _, r in records if g is searched is f.left]
-    assert len(tried) == len(searches)
+    [(searched, u, upper, lower)] = searches
+    assert searched is f.left and upper.bit_count() == 10
+    assert sorted(u.rows_of(lower)) == [(0, 1), (0, 2)]
+    assert [(g, r) for _, g, _, r in records] == [(f.left, False),
+                                                 (f.left.downward_part, False)]
+    assert ts.evaluate(ts.Model(4), t.with_rows([(0, 1)] + inner), f)
+    assert len(searches) == 2

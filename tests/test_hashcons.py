@@ -11,7 +11,7 @@ import pytest
 import teamsem as ts
 from corpus import (BOUND_CORPUS, BRACKET_CORPUS, FO_CORPUS, NEG_CORPUS, SENTENCE_PAIRS,
                     all_teams)
-from teamsem.evaluator import upward_closed
+from teamsem.evaluator import union_closed, upward_closed
 from teamsem.syntax import (
     _TABLE,
     And,
@@ -193,6 +193,17 @@ def ref_up(f, registry) -> bool:
     return False
 
 
+def ref_union(f, registry) -> bool:
+    match f:
+        case Atom("inc"):
+            return True
+        case And(l, r) | TensorOr(l, r):
+            return ref_union(l, registry) and ref_union(r, registry)
+        case Exists(_, body) | Forall(_, body):
+            return ref_union(body, registry)
+    return ref_up(f, registry)
+
+
 def ref_simp_and(l, r):
     return r if l == ts.TOP else l if r == ts.TOP else And(l, r)
 
@@ -315,6 +326,7 @@ def test_stored_properties_match_references():
             assert node.envelope.first_order and node.downward_part.downward, label
             for registry in REGISTRIES:
                 assert upward_closed(node, registry) is ref_up(node, registry), label
+                assert union_closed(node, registry) is ref_union(node, registry), label
 
 
 @pytest.mark.parametrize("text, coherent", [
@@ -389,6 +401,26 @@ def test_const_vars_are_forced():
         for t in all_teams(model, node.free_tuple):
             if any(len({row[i] for row in t.rows}) > 1 for i in idx):
                 assert not ev.evaluate(t, node), (ts.pretty(node), sorted(t.rows))
+                checked += 1
+    assert checked > 1000
+
+
+def test_union_closed_nodes_are_closed_under_unions():
+    """Whenever a node is union closed, the union of any two teams over its
+    free variables that satisfy it satisfies it, at |M| <= 2 on nodes of at
+    most two free variables."""
+    checked = 0
+    for node in {node for f in corpus() for node in nodes(f)}:
+        if len(node.free_vars) > 2 or not union_closed(node, REGISTRIES[0]):
+            continue
+        for size in (1, 2):
+            model = _model(node, size)
+            ev = ts.Evaluator(model, REGISTRIES[0])
+            sat = [t for t in all_teams(model, node.free_tuple)
+                   if ev.evaluate(t, node)]
+            for a, b in combinations(sat, 2):
+                assert ev.evaluate(a.with_rows(a.rows | b.rows), node), \
+                    (ts.pretty(node), sorted(a.rows), sorted(b.rows))
                 checked += 1
     assert checked > 1000
 

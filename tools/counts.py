@@ -6,18 +6,22 @@
 TREE is a checkout of the repository.  The tool imports the tree's own
 ``src/`` and ``perfbench/workloads.py``, builds each workload's job list
 from the seed, and runs every job once in this process, in order, with
-counting wrappers around ``Evaluator._eval``, ``Evaluator._kernel`` and
-``Evaluator._pick``.  It prints one JSON object: workload -> {"_eval":
-calls, "_kernel": calls, "_pick": calls, "failed": jobs that raised,
-"top": [label, calls] of the job with the most ``_eval`` calls}.
+counting wrappers around ``Evaluator._eval``, ``Evaluator._kernel``,
+``Evaluator._pick`` and ``Evaluator._largest``.  It prints one JSON
+object: workload -> {"_eval": calls, "_kernel": calls, "_pick": calls,
+"_largest": calls, "failed": jobs that raised, "top": [label, calls] of
+the job with the most ``_eval`` calls}.  A method the tree's evaluator
+does not have counts 0, so older trees can be compared.
 
 The first two counts are a machine-independent fingerprint of the
 searches: a change that keeps the candidates the evaluator tries, and
 their order, keeps both counts on every workload, whatever the host's
 speed.  ``_pick`` counts the projections and value-tuple maps the
-evaluator computes, its work below the atoms and the searches.  A job
-that raises is counted up to the point where it raised, and its exception
-is printed on stderr.
+evaluator computes, its work below the atoms and the searches.
+``_largest`` counts the greatest satisfying subteams the searches ask
+for, not the ones those computations need in turn.  A job that raises is
+counted up to the point where it raised, and its exception is printed on
+stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import sys
 import traceback
 from pathlib import Path
 
-COUNTED = ("_eval", "_kernel", "_pick")
+COUNTED = ("_eval", "_kernel", "_pick", "_largest")
 
 
 def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
@@ -46,7 +50,8 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
         return wrapper
 
     for name in COUNTED:
-        setattr(Evaluator, name, counted(name, getattr(Evaluator, name)))
+        if hasattr(Evaluator, name):
+            setattr(Evaluator, name, counted(name, getattr(Evaluator, name)))
     out = {}
     for workload in names:
         jobs = workloads.WORKLOADS[workload](random.Random(seed))
