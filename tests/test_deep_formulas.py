@@ -323,3 +323,10 @@ def test_3000_deep_right_nested_conjunction_evaluates():
     model = ts.Model(2)
     assert ts.evaluate(model, ts.Team(("x", "y"), [(0, 0), (1, 1)]), f)
     assert not ts.evaluate(model, ts.Team(("x", "y"), [(0, 0), (0, 1)]), f)
+
+
+def test_3000_deep_exists_nest_over_ne_evaluates():
+    """The greatest satisfying subteam of an upward-closed quantifier comes
+    from its rule on the frame list, so a 3,000-deep nest does not recurse."""
+    f = ts.parse(" ".join(f"exists v{i}" for i in range(3000)) + " (NE)")
+    assert ts.evaluate(ts.Model(2), ts.Team(("x",), [(0,), (1,)]), f)

@@ -150,6 +150,22 @@ def test_flatness_on_corpus():
                     assert got == want, (text, size, sorted(t.rows))
 
 
+def test_first_order_nodes_are_decided_by_flatness(monkeypatch):
+    """A first-order exists, forall or | is decided by restricting the
+    team by it, never by the lax rules, and agrees with the oracle."""
+    sig = ts.Signature({"R": 2})
+    lax = [_spy(monkeypatch, name) for name in ("_exists", "_extend", "_tensor_or")]
+    for text in ("exists z (R(x, z) | z = y)", "forall z (R(z, x) | x = y)",
+                 "R(x, y) | x = y"):
+        f = ts.parse(text, sig)
+        for size in (1, 2):
+            for m in ts.enumerate_models(sig, size):
+                for t in ts.enumerate_teams(m, ("x", "y")):
+                    assert ts.evaluate(m, t, f) == naive_eval(m, t, f), \
+                        (text, size, sorted(m.interp["R"]), sorted(t.rows))
+    assert [len(calls) for calls in lax] == [0, 0, 0]
+
+
 def test_dual_negation_pointwise():
     for sig, text in FO_CORPUS[:12]:
         f = ts.parse(text, sig)

@@ -7,11 +7,12 @@ TREE is a checkout of the repository.  The tool imports the tree's own
 ``src/`` and ``perfbench/workloads.py``, builds each workload's job list
 from the seed, and runs every job once in this process, in order, with
 counting wrappers around ``Evaluator._eval``, ``Evaluator._kernel``,
-``Evaluator._pick`` and ``Evaluator._largest``.  It prints one JSON
-object: workload -> {"_eval": calls, "_kernel": calls, "_pick": calls,
-"_largest": calls, "failed": jobs that raised, "top": [label, calls] of
-the job with the most ``_eval`` calls}.  A method the tree's evaluator
-does not have counts 0, so older trees can be compared.
+``Evaluator._pick`` and ``Evaluator._largest``, and around the evaluator
+module's ``tarski_eval``.  It prints one JSON object: workload ->
+{"_eval": calls, "_kernel": calls, "_pick": calls, "_largest": calls,
+"tarski_eval": calls, "failed": jobs that raised, "top": [label, calls]
+of the job with the most ``_eval`` calls}.  A method or function the
+tree's evaluator does not have counts 0, so older trees can be compared.
 
 The first two counts are a machine-independent fingerprint of the
 searches: a change that keeps the candidates the evaluator tries, and
@@ -19,9 +20,12 @@ their order, keeps both counts on every workload, whatever the host's
 speed.  ``_pick`` counts the projections and value-tuple maps the
 evaluator computes, its work below the atoms and the searches.
 ``_largest`` counts the greatest satisfying subteams the searches ask
-for, not the ones those computations need in turn.  A job that raises is
-counted up to the point where it raised, and its exception is printed on
-stderr.
+for, every flat side of a ``|`` chain among them, not the ones those
+computations need in turn.  ``tarski_eval`` counts the calls made from the
+evaluator module (rows and sentences it restricts by, custom atoms it
+decides, upward-closure checks), not the function's calls on its own
+subformulas.  A job that raises is counted up to the point where it
+raised, and its exception is printed on stderr.
 """
 
 from __future__ import annotations
@@ -34,14 +38,16 @@ import traceback
 from pathlib import Path
 
 COUNTED = ("_eval", "_kernel", "_pick", "_largest")
+#: counted functions of the evaluator module
+FUNCTIONS = ("tarski_eval",)
 
 
 def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
     sys.path[:0] = [str(tree / "src"), str(tree / "tests"), str(tree / "perfbench")]
     import workloads
-    from teamsem.evaluator import Evaluator
+    from teamsem import evaluator
 
-    calls = dict.fromkeys(COUNTED, 0)
+    calls = dict.fromkeys(COUNTED + FUNCTIONS, 0)
 
     def counted(name, method):
         def wrapper(*args, **kwargs):
@@ -49,9 +55,10 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
             return method(*args, **kwargs)
         return wrapper
 
-    for name in COUNTED:
-        if hasattr(Evaluator, name):
-            setattr(Evaluator, name, counted(name, getattr(Evaluator, name)))
+    for owner, members in ((evaluator.Evaluator, COUNTED), (evaluator, FUNCTIONS)):
+        for name in members:
+            if hasattr(owner, name):
+                setattr(owner, name, counted(name, getattr(owner, name)))
     out = {}
     for workload in names:
         jobs = workloads.WORKLOADS[workload](random.Random(seed))
@@ -66,7 +73,7 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
                 traceback.print_exc()
             if calls["_eval"] - start > top[1]:
                 top = [job.label, calls["_eval"] - start]
-        out[workload] = {**{name: calls[name] - before[name] for name in COUNTED},
+        out[workload] = {**{name: calls[name] - before[name] for name in calls},
                          "failed": failed, "top": top}
     return out
 
