@@ -9,7 +9,7 @@ read properties of the team's projections.
 The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
 whether some team Y between a forced lower bound and an upper bound
 satisfies a body.  ``_exists_sat`` is that bounded search and
-``_subsets`` the one enumerator of candidate subteams.  Done literally the
+``_subteams`` the one candidate stream of all searches.  Done literally the
 search would be hopeless, so it prunes using nine structural facts:
 
   * first-order formulas are flat: a team satisfies one iff each row does,
@@ -52,8 +52,8 @@ search would be hopeless, so it prunes using nine structural facts:
     ``&``, ``|``, ``exists`` and ``forall`` over these) have a greatest
     satisfying subteam G of any team, or none, a greatest fixpoint (P.
     Galliani and L. Hella, "Inclusion logic and fixed point logic", CSL
-    2013): every such ``|`` side takes its G, ``exists`` holds iff the
-    body's G meets every row's block, and the searches look inside G.
+    2013): such a node holds iff its G is the team, which decides such
+    quantifiers; such ``|`` sides take their G; searches look inside G.
 
 Every backtracking search runs on one driver, ``_depth_first``, which
 keeps one generator per level on a list, so a team of many rows does not
@@ -422,30 +422,40 @@ class Evaluator:
 
     def satisfying_subteams(self, team: Team, f: Formula) -> frozenset[Team]:
         """All subteams of the given team that satisfy f, among the
-        candidates of :meth:`_candidates`, which skips only subteams that fail."""
+        candidates of :meth:`_subteams`, which skips only subteams that fail."""
         u, mask = self._team(team, f)
         return frozenset(team.with_rows(u.rows_of(sub))
-                         for sub in self._candidates(u, mask, f)
+                         for sub in self._subteams(f, u, self._top(f, u, mask))
                          if self._eval(f, u, sub))
 
     def first_satisfying_subteam(self, team: Team, f: Formula) -> Team | None:
         """The first subteam satisfying f, smaller sizes first and in
         combination order over the sorted rows within a size, or None.  The
-        candidates of :meth:`_candidates` skip only subteams that fail."""
+        candidates of :meth:`_subteams` skip only subteams that fail."""
         u, mask = self._team(team, f)
-        for sub in self._candidates(u, mask, f):
-            if self._eval(f, u, sub):
-                return team.with_rows(u.rows_of(sub))
-        return None
+        return next((team.with_rows(u.rows_of(sub))
+                     for sub in self._subteams(f, u, self._top(f, u, mask))
+                     if self._eval(f, u, sub)), None)
 
-    def _candidates(self, u: _Universe, mask: int, f: Formula) -> Iterator[int]:
-        """The sub-masks of mask that may satisfy f, in the order of
-        :meth:`_Universe.submasks`: those of the rows passing f's envelope,
-        or of G(f) there if f is union closed, from f's size bound up."""
-        top = self._restrict(u, mask, f.envelope)
-        if union_closed(f, self.registry, self.model.size):
-            top = self._largest(f, u, top)
-        return iter(()) if top is None else u.submasks(top, self._least(f))
+    def _top(self, f: Formula, u: _Universe, upper: int) -> int | None:
+        """The rows of upper that a subteam satisfying f can hold: f's
+        envelope rows, cut to G(f) if f is union closed (None if no G)."""
+        top = self._restrict(u, upper, f.envelope)
+        closed = union_closed(f, self.registry, self.model.size)
+        return self._largest(f, u, top) if closed else top
+
+    def _subteams(self, f: Formula, u: _Universe, top: int | None, lower: int = 0,
+                  least: int = 0, most: int | None = None) -> Iterator[int]:
+        """The teams Y with lower <= Y <= top (see :meth:`_top`) that may
+        satisfy f, in the order of :meth:`_Universe.submasks` over the rows
+        added to lower, from least, or f's size bound less |lower|, to most
+        of them; none if lower fails f's downward part, as every Y would."""
+        if top is None or lower & ~top or lower and f.downward_part is not TOP \
+                and not self._eval(f.downward_part, u, lower):
+            return iter(())
+        extra = u.submasks(top & ~lower,
+                           max(least, self._least(f) - lower.bit_count()), most)
+        return map(lower.__or__, extra)
 
     def _least(self, f: Formula) -> int:
         """f's size bound at the model size (0 where no rule applies), per node."""
@@ -608,16 +618,22 @@ class Evaluator:
         if f.first_order:  # flat: the team satisfies f iff each row does
             return self._restrict(u, mask, f) == mask
         match f:
+            case Atom():
+                return self._atom(u, mask, f)
+            case Exists() | Forall() if union_closed(f, self.registry,
+                                                     self.model.size):
+                return self._largest(f, u, mask) == mask
             case TensorOr():
                 return self._tensor_or(u, mask, f)
             case ContraNeg(body):
                 return not self._eval(body, u, mask)
-            case IntImpl(l, r):
+            case IntImpl(l, r):  # every subteam satisfying l satisfies r
                 if mask.bit_count() > _TEAM_ROW_CAP:
                     raise EvalError(f"-> on a team of {mask.bit_count()} rows "
                                     f"exceeds the cap of {_TEAM_ROW_CAP}")
-                return all(not self._eval(l, u, sub) or self._eval(r, u, sub)
-                           for sub in u.submasks(mask))
+                return all(self._eval(r, u, sub)
+                           for sub in self._subteams(l, u, self._top(l, u, mask))
+                           if self._eval(l, u, sub))
             case Possibly(body):
                 return self._exists_sat(body, u, mask, 0, nonempty=True)
             case Exists(v, body):
@@ -627,8 +643,6 @@ class Evaluator:
                 return self._eval(body, wide, _image(mask, image))
             case Bracket(body):
                 return self._sentence(body)
-            case Atom():
-                return self._atom(u, mask, f)
         raise EvalError(f"cannot evaluate {type(f).__name__}")
 
     # -- atoms
@@ -843,10 +857,11 @@ class Evaluator:
     def _generic_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
                        admitted: list[int]) -> bool:
         """Two or more sides cover the team, side j within admitted[j]: the
-        last side takes each part it holds on that contains the rows no
-        earlier side admits, extras in combination order; the earlier
-        sides cover the rest alike, the first by :meth:`_exists_sat`.  Each
-        step of :func:`_depth_first` gives one side, last first, its part."""
+        last side takes each part it holds on among its candidates
+        (:meth:`_subteams`) that contain the rows no earlier side admits;
+        the earlier sides cover the rest alike, the first by
+        :meth:`_exists_sat`.  Each step of :func:`_depth_first` gives one
+        side, last first, its part."""
         before = [0]  # j -> the rows sides 0 to j - 1 admit
         for part in admitted:
             before.append(before[-1] | part)
@@ -856,9 +871,7 @@ class Evaluator:
             """What sides 0 to j - 1 must cover after side j = last - level
             takes a part."""
             j = last - level
-            forced = need & ~before[j]
-            for extra in u.submasks(admitted[j] & ~forced):
-                part = forced | extra
+            for part in self._subteams(sides[j], u, admitted[j], need & ~before[j]):
                 if self._eval(sides[j], u, part):
                     yield need & ~part
 
@@ -869,38 +882,29 @@ class Evaluator:
     def _exists_sat(self, f: Formula, u: _Universe, upper: int, lower: int,
                     nonempty: bool = False) -> bool:
         """Is there a team Y with lower <= Y <= upper satisfying f, and
-        with Y nonempty when asked?  For a union-closed f, first-order or
-        not, iff G(f, upper) holds lower (and a row, if asked).  Otherwise,
-        unless f is downward closed or holds on upper, every such Y
-        satisfies f's downward part, and so do the forced rows lower, a
-        subteam of Y: if they do not, there is none."""
-        upper = self._restrict(u, upper, f.envelope)
-        if lower & ~upper or (nonempty and not upper):
+        with Y nonempty when asked?  Y lies inside f's top (see
+        :meth:`_top`); a downward-closed f is decided by the smallest
+        candidates of :meth:`_subteams`, any other f holds if it holds on
+        its top, which a union-closed f, holding on its G, always does, and
+        else the candidates are tried in turn."""
+        top = self._top(f, u, upper)
+        if top is None or lower & ~top or (nonempty and not top):
             return False
-        if union_closed(f, self.registry, self.model.size):
-            top = self._largest(f, u, upper)
-            return top is not None and not lower & ~top and bool(top or not nonempty)
-        least = 1 if nonempty and not lower else 0
-        if f.downward:  # the smallest candidates decide
-            most = least
-        elif self._eval(f, u, upper):
+        if not f.downward and self._eval(f, u, top):
             return True
-        elif lower and f.downward_part is not TOP and not self._eval(
-                f.downward_part, u, lower):
-            return False  # every candidate contains the forced rows
-        else:
-            most = None
-        return any(self._eval(f, u, lower | extra)
-                   for extra in u.submasks(upper & ~lower, least, most))
+        least = 1 if nonempty and not lower else 0
+        most = least if f.downward else None  # the smallest candidates decide
+        return any(self._eval(f, u, sub)
+                   for sub in self._subteams(f, u, top, lower, least, most))
 
     # -- greatest satisfying subteams
 
     def _largest(self, f: Formula, u: _Universe, mask: int) -> int | None:
         """G(f, team) for a union-closed f, or None if no subteam satisfies
         f: the rows passing a first-order f; the envelope rows if an
-        upward-closed f (here ``up_builtin``) that is not a quantifier holds
-        there; else f's rule, memoized per (uid, mask) over f's free
-        variables and lifted to the team, the rules of nested nodes waiting
+        upward-closed non-quantifier f (``up_builtin``) holds there; else
+        f's rule, memoized with f's verdict true on G per (uid, mask) over
+        f's free variables and lifted to the team, its nested rules waiting
         on one list, so a nest of quantifiers does not recurse."""
         frames, found = [], None
         while True:
@@ -921,8 +925,10 @@ class Evaluator:
             except StopIteration as stop:
                 frames.pop()
                 found = self._greatest[key] = stop.value
-                if found is not None and u.vars != f.free_tuple:
-                    found = _meets(mask, u.proj[f.free_tuple][2], found)
+                if found is not None:
+                    self._memo[key[0], found] = True  # f holds on its G
+                    if u.vars != f.free_tuple:
+                        found = _meets(mask, u.proj[f.free_tuple][2], found)
                 f = None
 
     def _rule(self, f: Formula, u: _Universe, mask: int):
@@ -974,17 +980,17 @@ class Evaluator:
         """Lax witness search: a satisfying Y inside the universal extension
         must hit the extension block of every original row.  A body that
         forces ``const(v)`` takes one value a for the whole of a nonempty
-        team, so its only candidates are the teams X[a/v].  The body is never
-        first order (the ``exists`` would be flat); a union-closed body has a
-        witness iff its G on the allowed extension meets every block.
-        Otherwise, unless the full allowed extension decides, each step of
-        :func:`_depth_first` chooses a nonempty part of the next row's block,
-        rows in sorted order, and a partial witness whose downward part
-        already fails is dropped.  The state carries the partial witness
-        and its projection onto the downward part's variables, to which each
-        step adds the projection of the part it chose, so no step projects
-        the whole witness again.  A downward-closed body is its own downward
-        part, and one row per block suffices for it."""
+        team, so its only candidates are the teams X[a/v].  The body is
+        neither first order (the ``exists`` would be flat) nor union closed
+        (its G decides the ``exists``).  Unless the full allowed extension
+        decides, each step of :func:`_depth_first` chooses a nonempty part
+        of the next row's block, rows in sorted order, and a partial witness
+        whose downward part already fails is dropped.  The state carries the
+        partial witness and its projection onto the downward part's
+        variables, to which each step adds the projection of the part it
+        chose, so no step projects the whole witness again.  A
+        downward-closed body is its own downward part, and one row per
+        block suffices for it."""
         if mask and v in body.const_vars:
             for a in self.model.domain:
                 wide, image = self._extend(u, v, a)
@@ -995,18 +1001,12 @@ class Evaluator:
             return False
         wide, image = self._extend(u, v)
         allowed = self._restrict(wide, _image(mask, image), body.envelope)
-        blocks = []
-        for bit in _bits(mask):
-            block = image[bit.bit_length() - 1] & allowed
-            if not block:
-                return False
-            blocks.append((u.row_of(bit), block))
-        if union_closed(body, self.registry, self.model.size):
-            top = self._largest(body, wide, allowed)
-            return top is not None and all(block & top for _, block in blocks)
+        blocks = sorted((u.row_of(bit), image[bit.bit_length() - 1] & allowed)
+                        for bit in _bits(mask))
+        if not all(block for _, block in blocks):
+            return False
         if self._eval(body, wide, allowed):
             return True
-        blocks.sort()
         prune = body.downward_part
         most = 1 if body.downward else None
 

@@ -330,3 +330,12 @@ def test_3000_deep_exists_nest_over_ne_evaluates():
     from its rule on the frame list, so a 3,000-deep nest does not recurse."""
     f = ts.parse(" ".join(f"exists v{i}" for i in range(3000)) + " (NE)")
     assert ts.evaluate(ts.Model(2), ts.Team(("x",), [(0,), (1,)]), f)
+
+
+def test_3000_deep_forall_nest_over_ne_evaluates():
+    """A union-closed quantifier holds iff its greatest satisfying subteam
+    is the team, and that comes from its rule on the frame list, so a
+    3,000-deep forall nest does not recurse."""
+    f = ts.parse(" ".join(f"forall v{i}" for i in range(3000)) + " (NE)")
+    assert ts.evaluate(ts.Model(2), ts.Team(("x",), [(0,), (1,)]), f)
+    assert not ts.evaluate(ts.Model(2), ts.Team(("x",)), f)

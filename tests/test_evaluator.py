@@ -858,6 +858,32 @@ def test_implication_caps_its_local_team():
     assert not ts.evaluate(m, wide, f)
 
 
+def test_implication_tries_only_antecedent_candidates(monkeypatch):
+    """-> asks its consequent only on the subteams that satisfy its
+    antecedent, and tries as those only the antecedent's candidate
+    subteams: inside its greatest satisfying subteam, here the rows with
+    x != y, and from its size bound, here 3 rows, up.  The first such
+    subteam breaks dep(x; y), so the verdict is false after the G and that
+    one candidate."""
+    f = ts.parse("(geq(x y, 3) & x != y) -> dep(x; y)")
+    m = ts.Model(3)
+    t = ts.Team(("x", "y"), sorted(product(range(3), repeat=2))[:8])
+    asked = []
+    evaluate = ts.Evaluator._eval
+
+    def spy(self, g, u, mask):
+        if g is f.left:
+            asked.append(u.rows_of(mask))
+        return evaluate(self, g, u, mask)
+
+    monkeypatch.setattr(ts.Evaluator, "_eval", spy)
+    assert not ts.evaluate(m, t, f)
+    assert not naive_eval(m, t, f)
+    assert asked and all(len(rows) >= 3 and all(x != y for x, y in rows)
+                         for rows in asked), asked
+    assert len(asked) == 2
+
+
 # ---------------------------------------------------------------------------
 # existentials whose body forces constancy of the bound variable
 
@@ -1180,3 +1206,34 @@ def test_generic_split_refutes_on_the_forced_rows(monkeypatch):
                                                  (f.left.downward_part, False)]
     assert ts.evaluate(ts.Model(4), t.with_rows([(0, 1)] + inner), f)
     assert len(searches) == 2
+
+
+def test_generic_split_starts_each_part_at_its_size_bound(monkeypatch):
+    """The general split draws each side's parts from the candidates of
+    its size bound up, so a side count_eq(v, 2) is never asked on a part
+    of fewer than 2 rows.  30 seeded teams of 6 to 10 rows over (x, y) at
+    |M| = 4; those of at most 6 rows agree with the oracle."""
+    f = ts.parse("count_eq(x, 2) | count_eq(y, 2)")
+    m = ts.Model(4)
+    small = []
+    evaluate = ts.Evaluator._eval
+
+    def spy(self, g, u, mask):
+        if g in (f.left, f.right) and mask.bit_count() < 2:
+            small.append((g, u.rows_of(mask)))
+        return evaluate(self, g, u, mask)
+
+    monkeypatch.setattr(ts.Evaluator, "_eval", spy)
+    generic = _spy(monkeypatch, "_generic_split")
+    rng = random.Random(2020)
+    rows = list(product(range(4), repeat=2))
+    verdicts, checked = set(), 0
+    for _ in range(30):
+        t = ts.Team(("x", "y"), rng.sample(rows, rng.randint(6, 10)))
+        got = ts.evaluate(m, t, f)
+        verdicts.add(got)
+        if len(t) <= 6:
+            assert got == naive_eval(m, t, f), sorted(t.rows)
+            checked += 1
+    assert small == []
+    assert generic and checked and verdicts == {True, False}

@@ -7,12 +7,15 @@ TREE is a checkout of the repository.  The tool imports the tree's own
 ``src/`` and ``perfbench/workloads.py``, builds each workload's job list
 from the seed, and runs every job once in this process, in order, with
 counting wrappers around ``Evaluator._eval``, ``Evaluator._kernel``,
-``Evaluator._pick`` and ``Evaluator._largest``, and around the evaluator
-module's ``tarski_eval``.  It prints one JSON object: workload ->
-{"_eval": calls, "_kernel": calls, "_pick": calls, "_largest": calls,
-"tarski_eval": calls, "failed": jobs that raised, "top": [label, calls]
-of the job with the most ``_eval`` calls}.  A method or function the
-tree's evaluator does not have counts 0, so older trees can be compared.
+``Evaluator._pick`` and ``Evaluator._largest``, around the search routes
+``Evaluator._exists_sat``, ``_exists``, ``_coherent_split``,
+``_down_split`` and ``_generic_split``, and around the evaluator module's
+``tarski_eval``.  It prints one JSON object: workload -> {"_eval": calls,
+"_kernel": calls, "_pick": calls, "_largest": calls, one count per search
+route, "tarski_eval": calls, "failed": jobs that raised, "top": [label,
+calls] of the job with the most ``_eval`` calls}.  A method or function
+the tree's evaluator does not have counts 0, so older trees can be
+compared.
 
 The first two counts are a machine-independent fingerprint of the
 searches: a change that keeps the candidates the evaluator tries, and
@@ -20,12 +23,19 @@ their order, keeps both counts on every workload, whatever the host's
 speed.  ``_pick`` counts the projections and value-tuple maps the
 evaluator computes, its work below the atoms and the searches.
 ``_largest`` counts the greatest satisfying subteams the searches ask
-for, every flat side of a ``|`` chain among them, not the ones those
-computations need in turn.  ``tarski_eval`` counts the calls made from the
-evaluator module (rows and sentences it restricts by, custom atoms it
-decides, upward-closure checks), not the function's calls on its own
-subformulas.  A job that raises is counted up to the point where it
-raised, and its exception is printed on stderr.
+for, every flat side of a ``|`` chain and every union-closed quantifier
+among them, not the ones those computations need in turn.  The route
+counts show which searches a workload reaches: the bounded subteam search
+(``_exists_sat``: a single side of a ``|`` chain that is not union closed,
+``<>``, and the first side of a general split), the existential's witness
+search (``_exists``, for a body that is not union closed), and the three
+split solvers of ``|`` chains with two or more such sides.  A route that
+reads 0 on every workload is guarded by the tests alone.
+``tarski_eval`` counts the calls made from the evaluator module (rows and
+sentences it restricts by, custom atoms it decides, upward-closure
+checks), not the function's calls on its own subformulas.  A job that
+raises is counted up to the point where it raised, and its exception is
+printed on stderr.
 """
 
 from __future__ import annotations
@@ -37,7 +47,8 @@ import sys
 import traceback
 from pathlib import Path
 
-COUNTED = ("_eval", "_kernel", "_pick", "_largest")
+COUNTED = ("_eval", "_kernel", "_pick", "_largest", "_exists_sat", "_exists",
+           "_coherent_split", "_down_split", "_generic_split")
 #: counted functions of the evaluator module
 FUNCTIONS = ("tarski_eval",)
 
