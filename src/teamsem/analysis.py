@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .evaluator import EMPTY_REGISTRY, Evaluator, Registry, evaluate, upward_closed
+from .evaluator import (EMPTY_REGISTRY, Evaluator, Registry, evaluate,
+                        upward_closed, witness_size)
 from .structures import (
     Model,
     Team,
@@ -71,67 +72,53 @@ def bound_value(bound: Bound, n: int) -> int:
 
 
 class GammaTable:
-    """Witness-size bounds per atom.  Defaults: NE needs 1 row, inconstancy
-    and dependence-failure need 2, geq(vs, n) needs n, a k-ary totality or
-    custom atom needs n**k rows; first-order literals and constancy
-    contribute nothing.  ``overrides`` maps atom kinds or custom names to
-    replacement bounds."""
+    """Witness-size bounds per atom at a domain size n.  Defaults: an
+    upward-closed built-in atom needs its ``evaluator.witness_size``, a
+    k-ary custom atom whose upward-closure claim is confirmed n**k rows;
+    first-order literals and constancy contribute nothing.  ``overrides``
+    maps atom kinds or custom names to replacement bounds."""
 
     def __init__(self, overrides: dict[str, Bound] | None = None):
         self.overrides = dict(overrides or {})
 
-    def bound_for(self, atom: Atom, registry: Registry, size: int) -> Bound:
-        """The atom's bound; a custom atom's upward-closure claim must be
-        checked on domains up to size."""
-        key = atom.name if atom.kind == "custom" else atom.kind
+    def bound_for(self, atom: Atom, registry: Registry, size: int) -> int:
+        """The atom's bound at domain size; a custom atom's upward-closure
+        claim must be checked on domains up to size."""
+        custom = atom.kind == "custom"
+        key = atom.name if custom else atom.kind
         if key in self.overrides:
-            return self.overrides[key]
-        match atom.kind:
-            case "const":
-                return ("const", 0)
-            case "ne":
-                return ("const", 1)
-            case "ncon" | "ndep":
-                return ("const", 2)
-            case "geq":
-                return ("const", atom.param)
-            case "all":
-                return ("pow", len(atom.parts[0]))
-            case "custom":
-                if not upward_closed(atom, registry, size):
-                    raise AnalysisError(
-                        f"custom atom {atom.name!r} has no bound override and no "
-                        f"upward-closure claim that check_upward_closed confirms "
-                        f"up to size {size} (relation spaces of at most 9 tuples)")
-                return ("pow", registry.get(atom.name).arity)
-        raise AnalysisError(
-            f"atom {atom.kind} is not upward closed and has no bound override")
-
-
-#: the constructs the bounded fragment passes through
-_BOUNDED = (And, TensorOr, ClassicalOr, Exists, Forall, PositiveLiteral,
-            NegativeLiteral, Equal, NotEqual)
-
-
-def _atom_occurrences(f: Formula) -> list[Atom]:
-    out = []
-    for g in _nodes(f):
-        if type(g) is Atom:
-            out.append(g)
-        elif not isinstance(g, _BOUNDED):
-            raise AnalysisError(f"{type(g).__name__} is outside the bounded fragment")
-    return out
+            return bound_value(self.overrides[key], size)
+        # constancy is not upward closed, but its witness size is 0
+        if not (atom.const_vars or upward_closed(atom, registry, size)):
+            raise AnalysisError(
+                f"custom atom {atom.name!r} has no bound override and no "
+                f"upward-closure claim that check_upward_closed confirms "
+                f"up to size {size} (relation spaces of at most 9 tuples)" if custom
+                else f"atom {atom.kind} is not upward closed and has no bound override")
+        return size ** registry.get(atom.name).arity if custom else witness_size(atom, size)
 
 
 def nu_bound(f: Formula, n: int, gamma: GammaTable | None = None,
              registry: Registry | None = None) -> int:
     """Occurrence-weighted witness bound: the sum over all dependency-atom
-    occurrences of their individual bounds at domain size n."""
+    occurrences of their individual bounds at domain size n, folded over
+    f's distinct nodes (an atom's bound, else the sum of its children's)."""
     gamma = gamma or GammaTable()
     registry = registry or EMPTY_REGISTRY
-    return sum(
-        bound_value(gamma.bound_for(a, registry, n), n) for a in _atom_occurrences(f)
-    )
+    nu: dict[int, int] = {}  # node uid -> its bound
+    for g in _nodes(f):
+        match g:
+            case Atom():
+                nu[g.uid] = gamma.bound_for(g, registry, n)
+            case And(l, r) | TensorOr(l, r) | ClassicalOr(l, r):
+                nu[g.uid] = nu[l.uid] + nu[r.uid]
+            case Exists(_, body) | Forall(_, body):
+                nu[g.uid] = nu[body.uid]
+            case PositiveLiteral() | NegativeLiteral() | Equal() | NotEqual():
+                nu[g.uid] = 0
+            case _:
+                raise AnalysisError(f"{type(g).__name__} is outside the bounded fragment")
+    return nu[f.uid]
 
 
 def _cells(signature: Signature, max_model: int, variables: tuple[str, ...],
@@ -180,9 +167,9 @@ class BoundReport:
     holds: bool
 
     def __str__(self):
-        flag = "ok" if self.holds else "VIOLATION"
+        cmp, flag = ("<=", "ok") if self.holds else (">", "VIOLATION")
         return (f"|M|={self.model_size} |X|={self.team_size}: "
-                f"witness {self.witness_size} <= nu {self.nu_value} [{flag}]")
+                f"witness {self.witness_size} {cmp} nu {self.nu_value} [{flag}]")
 
 
 def check_boundedness(f: Formula, max_model: int,

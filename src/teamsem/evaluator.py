@@ -43,11 +43,10 @@ search would be hopeless, so it prunes using nine structural facts:
     the body holds on X[a/v] for some value a, so |M| candidates replace a
     nonempty set of values per row;
   * a team satisfying a formula has at least as many rows as its size
-    bound (``Evaluator._least``): 1 for ``NE``, 2 for ``ncon`` and ``ndep``,
-    the parameter of ``geq`` and ``count_eq``, |M|**k for ``all`` over k
-    variables, the larger side's under ``&`` and ``|``, the smaller under
-    ``||``, the body's over |M|, rounded up, under a quantifier, and at
-    least 1 under ``<>``; the subteam enumerations start at that size;
+    bound (``Evaluator._least``): an atom's :func:`witness_size`, the
+    larger side's under ``&`` and ``|``, the smaller under ``||``, the
+    body's over |M|, rounded up, under a quantifier, and at least 1 under
+    ``<>``; the subteam enumerations start at that size;
   * union-closed formulas (first-order and upward-closed ones, ``inc``, and
     ``&``, ``|``, ``exists`` and ``forall`` over these) have a greatest
     satisfying subteam G of any team, or none, a greatest fixpoint (P.
@@ -242,6 +241,17 @@ def union_closed(f: Formula, registry: Registry, size: int | None = None) -> boo
     by their kind, custom atoms as for :func:`upward_closed`."""
     return f.union_builtin and all(
         registry.get(n).upward_closed_on(size) for n in f.custom_names)
+
+
+def witness_size(atom: Atom, size: int) -> int:
+    """The fewest rows of a team satisfying the atom at domain size: 1 for
+    ``NE``, 2 for ``ncon`` and ``ndep``, the parameter of ``geq`` and
+    ``count_eq``, size**k for ``all`` over k variables, else 0.  Those that
+    are upward closed hold on that many rows of any team they hold on."""
+    if atom.kind == "all":
+        return size ** len(atom.parts[0])
+    return {"ne": 1, "ncon": 2, "ndep": 2, "geq": atom.param,
+            "count_eq": atom.param}.get(atom.kind, 0)
 
 
 def _subsets(items: Iterable, least: int = 0, most: int | None = None,
@@ -461,13 +471,11 @@ class Evaluator:
         """f's size bound at the model size (0 where no rule applies), per node."""
         sizes = self._sizes
         if f.uid not in sizes:
-            for g in reversed(list(_nodes(f))):  # children first
+            for g in _nodes(f):
                 k = 0
                 match g:
-                    case Atom(kind, parts, param):
-                        k = self.model.size ** len(parts[0]) if kind == "all" else {
-                            "ne": 1, "ncon": 2, "ndep": 2, "geq": param,
-                            "count_eq": param}.get(kind, 0)
+                    case Atom():
+                        k = witness_size(g, self.model.size)
                     case And(l, r) | TensorOr(l, r) | ClassicalOr(l, r):
                         pick = min if type(g) is ClassicalOr else max
                         k = pick(sizes[l.uid], sizes[r.uid])

@@ -438,38 +438,43 @@ def _weaken(f: Formula, weakening: str) -> Formula:
 
 def _children(f: Formula) -> list[Formula]:
     """f's child nodes, right to left."""
-    return [c for c in map(f.__dict__.get, reversed(f.__match_args__))
-            if isinstance(c, Formula)]
+    return [c for c in reversed(f.__dict__.values()) if isinstance(c, Formula)]
 
 
-def _nodes(f: Formula) -> Iterator[Formula]:
-    """Every node occurrence in f, parents first, left to right."""
-    todo = [f]
+def _nodes(f: Formula, stop=None) -> Iterator[Formula]:
+    """Each distinct node of f once, children before parents, left to
+    right, without recursing; stop(g), if given, is asked parents first,
+    once per node, and a true answer skips g's children."""
+    seen, done, todo = set(), set(), [f]
     while todo:
         g = todo.pop()
-        yield g
-        todo += _children(g)
+        uid = g.uid
+        if uid not in seen:  # first visit: its children go on top of it
+            seen.add(uid)
+            todo.append(g)
+            if stop is None or not stop(g):
+                todo += _children(g)
+        elif uid not in done:  # second visit, after its children
+            done.add(uid)
+            yield g
 
 
 def _map(f: Formula, leaf, build=None) -> Formula:
-    """Rebuild f without recursing.  leaf(g), asked parents first, left to
-    right, returns the node that stands for g whole, or None to rebuild g
-    by build(g, fields), g's constructor by default, its children's
-    stand-ins among the fields."""
+    """Rebuild f without recursing, once per distinct node: leaf(g), the
+    walk's stop (see :func:`_nodes`), returns the node that stands for g
+    whole, or None to rebuild g after its children by build(g, fields),
+    g's constructor by default, its children's stand-ins among the fields."""
     new: dict[Formula, Formula] = {}
-    order, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        stand = leaf(g)
-        if stand is None:
-            order.append(g)
-            todo += _children(g)
-        else:
-            new[g] = stand
-    for g in reversed(order):  # children before parents
-        fields = [new[x] if isinstance(x, Formula) else x
-                  for x in map(g.__dict__.get, g.__match_args__)]
-        new[g] = type(g)(*fields) if build is None else build(g, fields)
+
+    def stop(g: Formula) -> bool:
+        stand = new[g] = leaf(g)
+        return stand is not None
+
+    for g in _nodes(f, stop):
+        if new[g] is None:
+            fields = [new[x] if isinstance(x, Formula) else x
+                      for x in g.__dict__.values()]
+            new[g] = type(g)(*fields) if build is None else build(g, fields)
     return new[f]
 
 

@@ -6,10 +6,10 @@ extraction.
 
 All rewriters are pure and deterministic: generated variable names come
 from a fixed prefix sequence threaded through an avoid set seeded with the
-input's variables.  They walk and rebuild formulas with ``syntax._nodes``
-and ``syntax._map``, not by recursion, so a deep chain cannot exhaust the
-stack.  ``_negate_plain`` alone recurses: its output grows quadratically
-with the depth of what it negates.
+input's variables.  They walk formulas with ``syntax._nodes`` and
+``syntax._map``, which visit each distinct node once, children before
+parents, without recursing.  ``_negate_plain`` alone recurses: its output
+grows quadratically with the depth of what it negates.
 """
 
 from __future__ import annotations

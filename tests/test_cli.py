@@ -273,6 +273,19 @@ def test_bounds_check_gamma_override(capsys):
     code, out, _ = run(capsys, "bounds", "check", "count_eq(x, 1)",
                        "--max-model", "2", "--gamma", "count_eq=const:1")
     assert code == 0
+    code, out, _ = run(capsys, "bounds", "check", "all(x) | NE", "--gamma",
+                       "all=lin:1", "--max-model", "2")
+    assert code == 0
+    assert "nu(|M|=2) = 3" in out and "all hold" in out
+
+
+def test_bounds_check_prints_each_violation_as_a_strict_excess(capsys):
+    code, out, _ = run(capsys, "bounds", "check", "all(x)", "--gamma",
+                       "all=const:0", "--max-model", "2")
+    assert code == 1
+    assert out.splitlines()[2:4] == [
+        "|M|=1 |X|=1: witness 1 > nu 0 [VIOLATION]",
+        "|M|=2 |X|=2: witness 2 > nu 0 [VIOLATION]"]
 
 
 def test_bounds_hierarchy(capsys):

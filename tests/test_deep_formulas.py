@@ -2,9 +2,10 @@
 included, evaluate without recursing down the chain, a split of more than
 a thousand rows evaluates without recursing per row, long quantifier
 prefixes parse and print without recursing down the prefix, a long prefix
-of constancy-witnessed existentials evaluates quickly, and the command
-line answers anything deeper with exit code 2 and a one-line message,
-never a traceback read as "false"."""
+of constancy-witnessed existentials evaluates quickly, a subformula shared
+by many parents is walked once, and the command line answers anything
+deeper with exit code 2 and a one-line message, never a traceback read as
+"false"."""
 
 import random
 
@@ -339,3 +340,49 @@ def test_3000_deep_forall_nest_over_ne_evaluates():
     f = ts.parse(" ".join(f"forall v{i}" for i in range(3000)) + " (NE)")
     assert ts.evaluate(ts.Model(2), ts.Team(("x",), [(0,), (1,)]), f)
     assert not ts.evaluate(ts.Model(2), ts.Team(("x",)), f)
+
+
+def _shared_nest(leaf: ts.Formula, depth: int) -> ts.Formula:
+    """And(f, f) nested depth times over the leaf: depth + 1 distinct
+    nodes, 2**depth occurrences of the leaf."""
+    f = leaf
+    for _ in range(depth):
+        f = ts.And(f, f)
+    return f
+
+
+@pytest.mark.parametrize("name", ["nu_bound", "check_boundedness",
+                                  "minimal_satisfying_subteam", "flatten",
+                                  "neg_eliminate", "extract_brackets"])
+def test_shared_nest_is_walked_once_per_distinct_node(monkeypatch, name):
+    """Over a 16-level And(f, f) nest over NE, 17 distinct nodes and 65,536
+    occurrences of NE, each pass asks for a node's children at most 100
+    times, once per distinct node it walks, and still counts occurrences
+    where they matter: the nest's witness bound is 65,536."""
+    from teamsem import analysis, evaluator, syntax, transforms
+    f = _shared_nest(ts.NE, 16)
+    one_row = ts.Team((), [()])
+    passes = {
+        "nu_bound": lambda: ts.nu_bound(f, 2) == 65536,
+        "check_boundedness": lambda: [str(r) for r in ts.check_boundedness(f, 2)] == [
+            "|M|=1 |X|=1: witness 1 <= nu 65536 [ok]",
+            "|M|=2 |X|=1: witness 1 <= nu 65536 [ok]"],
+        "minimal_satisfying_subteam": lambda: ts.minimal_satisfying_subteam(
+            ts.Model(2), one_row, f) == one_row,
+        "flatten": lambda: ts.flatten(f) is _shared_nest(ts.TOP, 16),
+        "neg_eliminate": lambda: ts.neg_eliminate(f) is f,
+        "extract_brackets": lambda: ts.extract_brackets(f) == ([], f),
+    }
+    calls = 0
+    children = syntax._children
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return children(g)
+
+    for module in (syntax, evaluator, transforms, analysis):
+        if hasattr(module, "_children"):
+            monkeypatch.setattr(module, "_children", counting)
+    assert passes[name]()
+    assert 0 < calls <= 100, calls

@@ -663,6 +663,26 @@ def test_coherent_chains_against_naive_evaluator(monkeypatch):
     assert len(calls) > 100
 
 
+def test_coherent_split_rejects_a_row_that_no_side_holds_on(monkeypatch):
+    """forall v dep(x; v) fails on every row at |M| = 2, since the row's
+    extension takes both values of v, so the coherent split of two copies
+    of it stops at the first row: false on each nonempty team over x, true
+    on the empty one, as the oracle says."""
+    calls = _spy(monkeypatch, "_coherent_split")
+    side = ts.parse("forall v dep(x; v)")
+    f = ts.TensorOr(side, side)
+    m = ts.Model(2)
+    verdicts = {}
+    for t in ts.enumerate_teams(m, ("x",)):
+        verdict = ts.evaluate(m, t, f)
+        assert verdict == naive_eval(m, t, f)
+        verdicts[tuple(sorted(t.rows))] = verdict
+    assert verdicts == {(): True, ((0,),): False, ((1,),): False,
+                        ((0,), (1,)): False}
+    assert len(calls) == 4  # each verdict comes from the coherent split
+    assert not any(ts.evaluate(m, team(("x",), row), side) for row in [(0,), (1,)])
+
+
 def test_colouring_agrees_with_the_downward_split(monkeypatch):
     """Past the oracle's reach: random | chains of 2 to 4 coherent sides on
     teams of 8 to 20 rows over (x, y, z) at |M| = 3 or 4 get the same
@@ -1006,6 +1026,8 @@ def test_check_upward_closed():
     sig = ts.Signature({"R": 1})
     total = ts.DependencySpec("tot", 1, ts.parse("forall x R(x)", sig))
     assert ts.check_upward_closed(total, 3).holds
+    assert str(ts.check_upward_closed(total, 2)) == \
+        "upward closed on all domains up to size 2"
     ne_like = ts.DependencySpec("some", 1, ts.parse("exists x R(x)", sig))
     assert ts.check_upward_closed(ne_like, 3).holds
     constancy = ts.DependencySpec(
@@ -1014,6 +1036,8 @@ def test_check_upward_closed():
     assert not verdict.holds
     n, r, s = verdict.counterexample
     assert r < s  # proper growth breaks constancy
+    assert str(verdict) == ("not upward closed: domain size 2, R=[(0,)] "
+                            "satisfies but S=[(0,), (1,)] does not")
     with pytest.raises(ValueError):
         ts.check_upward_closed(ts.DependencySpec("z", 0, ts.TOP), 2)
     binary = ts.DependencySpec(

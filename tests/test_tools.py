@@ -1,6 +1,9 @@
-"""The call counter in tools/ still runs against the current program."""
+"""The call counter in tools/ still runs against the current program, and
+the pair runner leaves the trees it compares as it found them."""
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +41,26 @@ def test_counts_reads_zero_for_a_method_the_tree_lacks(tmp_path):
         "_eval": 0, "_kernel": 0, "_pick": 0, "_largest": 0, "_exists_sat": 0,
         "_exists": 0, "_coherent_split": 0, "_down_split": 0, "_generic_split": 0,
         "tarski_eval": 0, "failed": 0, "top": ["job", 0]}
+
+
+def test_pairs_keeps_bytecode_out_of_the_trees(tmp_path):
+    """The compile step writes under PYTHONPYCACHEPREFIX, not into the tree,
+    and the scripts run in that environment."""
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    tree = tmp_path / "tree"
+    for d in ("src", "tests", "perfbench"):
+        (tree / d).mkdir(parents=True)
+        (tree / d / "mod.py").write_text("X = 1\n")
+    (tree / "perfbench" / "worker.py").write_text(
+        "import json, os\n"
+        "print(json.dumps({'prefix': os.environ.get('PYTHONPYCACHEPREFIX')}))\n")
+    cache = tmp_path / "cache"
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache)}
+    pairs.compile_tree(tree, env)
+    assert not list(tree.rglob("__pycache__"))
+    assert len(list(cache.rglob("*.pyc"))) == 4
+    out = pairs.run_script(tree, "perfbench/worker.py", "w", 1, env=env)
+    assert out == {"prefix": str(cache)}
+    assert not list(tree.rglob("__pycache__"))

@@ -9,7 +9,10 @@ Each tree is a checkout of the repository.  First the tool byte-compiles
 compileall``, so that both start from fresh bytecode: with
 ``PYTHONDONTWRITEBYTECODE`` set, a tree whose ``__pycache__`` is stale or
 missing would compile its modules again on every start and inflate its
-``setup_s``.  Then, for every workload, the tool runs ``python3
+``setup_s``.  The bytecode goes to one temporary directory, set as
+``PYTHONPYCACHEPREFIX`` for every process the tool starts and removed when
+it exits, so both trees stay as they were found: no ``__pycache__`` is
+written into them.  Then, for every workload, the tool runs ``python3
 perfbench/run.py --workload W --seed N --seconds S`` in the parent tree
 and then in the change tree, ``--pairs`` times, with the order inside a
 pair swapped every other pair so that a drift of the host's speed does
@@ -51,18 +54,19 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 
 
 def run_script(tree: Path, script: str, workload: str, seed: int,
-               *extra: str) -> dict:
-    """Run one of the tree's benchmark scripts on a workload: the JSON
-    object on the last line of its output."""
+               *extra: str, env: dict) -> dict:
+    """Run one of the tree's benchmark scripts on a workload in the
+    environment env: the JSON object on the last line of its output."""
     proc = subprocess.run(
         [sys.executable, script, "--workload", workload, "--seed", str(seed),
-         *extra], cwd=tree, capture_output=True, text=True)
+         *extra], cwd=tree, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"error: {script} {workload} in {tree} exited "
@@ -70,22 +74,24 @@ def run_script(tree: Path, script: str, workload: str, seed: int,
     return json.loads(lines[-1])
 
 
-def compile_tree(tree: Path) -> None:
-    """Write fresh bytecode for the tree's sources, tests and harness."""
+def compile_tree(tree: Path, env: dict) -> None:
+    """Write fresh bytecode for the tree's sources, tests and harness under
+    env's ``PYTHONPYCACHEPREFIX``."""
     dirs = [d for d in ("src", "tests", "perfbench") if (tree / d).is_dir()]
     proc = subprocess.run([sys.executable, "-m", "compileall", "-q", *dirs],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise SystemExit(f"error: compileall in {tree} exited "
                          f"{proc.returncode}: {proc.stdout.strip()[-500:]}")
 
 
-def call_counts(tree: Path, workload: str, seed: int) -> dict:
-    """The tree's evaluator call counts on the workload, from counts.py."""
+def call_counts(tree: Path, workload: str, seed: int, env: dict) -> dict:
+    """The tree's evaluator call counts on the workload, from counts.py run
+    in the environment env."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).with_name("counts.py")), str(tree),
          "--seed", str(seed), "--workloads", workload],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise SystemExit(f"error: counts.py {workload} in {tree} exited "
                          f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
@@ -181,25 +187,27 @@ def main(argv=None) -> int:
         "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         "workloads": {},
     }
+    cache = tempfile.TemporaryDirectory(prefix="pairs-pycache-")  # removed at exit
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": cache.name}
     for tree in trees.values():
-        compile_tree(tree)
+        compile_tree(tree, env)
     clean = True
     for workload in args.workloads.split(","):
         digests = {side: run_script(trees[side], "perfbench/worker.py", workload,
-                                    args.seed)["verdict_digest"]
+                                    args.seed, env=env)["verdict_digest"]
                    for side in SIDES}
         same = digests["parent"] == digests["change"]
         clean &= same
         print(f"{workload} verdict_digest {'same' if same else 'DIFFERS'}: "
               f"{digests['parent'][:12]} {digests['change'][:12]}", flush=True)
-        counts = {side: call_counts(trees[side], workload, args.seed)
+        counts = {side: call_counts(trees[side], workload, args.seed, env)
                   for side in SIDES}
         print(f"{workload} calls parent {counts['parent']} change "
               f"{counts['change']}", flush=True)
         traced = {}
         for side in SIDES:
             out = run_script(trees[side], "perfbench/run.py", workload, args.seed,
-                             "--seconds", "1", "--trace", "1")
+                             "--seconds", "1", "--trace", "1", env=env)
             traced[side] = {"correct": bool(out["correct"]) and not out["failed"],
                             "harness_share": out["metrics"]["harness.share"]["value"]}
             clean &= traced[side]["correct"]
@@ -210,7 +218,8 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 out = run_script(trees[side], "perfbench/run.py", workload,
-                                 args.seed, "--seconds", str(args.seconds))
+                                 args.seed, "--seconds", str(args.seconds),
+                                 env=env)
                 runs[side].append(out)
                 print(f"{workload} pair {i + 1} {side}: wall_s "
                       f"{out['metrics']['wall_s']['value']:.4g} correct "
