@@ -125,16 +125,16 @@ def _cells(signature: Signature, max_model: int, variables: tuple[str, ...],
            team_filter: str, registry: Registry | None):
     """Every cell of a sweep, as (evaluator, team): one evaluator per model
     of the signature up to max_model, and the teams over the variables
-    that the filter keeps.  The caps are checked for max_model first."""
+    that the filter keeps.  The caps are checked for max_model on the
+    call, before the first cell is drawn."""
     if max_model < 1:
         raise AnalysisError(f"max_model must be >= 1, got {max_model}")
     _check_caps(signature, max_model, len(variables))
-    for size in range(1, max_model + 1):
-        for model in enumerate_models(signature, size):
-            ev = Evaluator(model, registry)
-            for team in enumerate_teams(model, variables):
-                if team_filter == "all" or not team.is_empty():
-                    yield ev, team
+    evaluators = (Evaluator(model, registry) for size in range(1, max_model + 1)
+                  for model in enumerate_models(signature, size))
+    return ((ev, team) for ev in evaluators
+            for team in enumerate_teams(ev.model, variables)
+            if team_filter == "all" or not team.is_empty())
 
 
 def minimal_satisfying_subteam(model: Model, team: Team, f: Formula,
@@ -182,12 +182,12 @@ def check_boundedness(f: Formula, max_model: int,
     registry = registry or EMPTY_REGISTRY
     if f.arities:
         raise AnalysisError("boundedness sweeps cover empty-signature models only")
+    cells = _cells(EMPTY_SIGNATURE, max_model, f.free_tuple, "all", registry)
     # rejects atoms outside the fragment before any sweep
     nus = {size: nu_bound(f, size, gamma, registry)
            for size in range(1, max_model + 1)}
     reports = []
-    for ev, team in _cells(EMPTY_SIGNATURE, max_model, f.free_tuple, "all",
-                           registry):
+    for ev, team in cells:
         if not ev.evaluate(team, f):
             continue
         # every candidate comes before the team in the enumeration, so the
@@ -231,6 +231,9 @@ def hierarchy_witness(wide_arity: int, narrow_arity: int,
         raise AnalysisError("need wide_arity > narrow_arity >= 1")
     if occurrences < 1:
         raise AnalysisError("occurrence count must be >= 1")
+    if wide_arity > _HIERARCHY_ROW_CAP:  # n >= 2, so n**wide_arity > wide_arity
+        raise AnalysisError(f"witness team of size 2**{wide_arity} or more "
+                            f"exceeds the cap of {_HIERARCHY_ROW_CAP}")
     n = next((n for n in range(1, _MAX_DOMAIN + 1)
               if n ** wide_arity > occurrences * n ** narrow_arity), None)
     if n is None:

@@ -4,7 +4,7 @@ Exit codes: 0 for true/equivalent/all-hold, 1 for false/counterexample/
 violation, 2 for any usage, parse, or evaluation error.  Formulas are
 single shell arguments; ``@path`` reads one from a file.  A transform takes
 exactly the arguments ``_TRANSFORMS`` lists for it, and model sizes
-(``--verify``, ``--max-model``) must be at least 1: anything else is a usage
+(``--verify``, ``--max-model``) run from 1 to 16: anything else is a usage
 error.
 """
 

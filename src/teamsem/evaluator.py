@@ -14,7 +14,8 @@ search would be hopeless, so it prunes using nine structural facts:
 
   * first-order formulas are flat: a team satisfies one iff each row does,
     so every first-order node is decided by restriction (a first-order
-    ``&`` chain is still walked on the explicit stack);
+    ``&`` chain is still decided in the loop of a tree of ``&``, ``||``
+    and ``~``);
   * a team satisfying a formula satisfies its first-order envelope (the
     formula with every team-level construct weakened to T), so the upper
     bound shrinks to the rows passing the envelope pointwise, and the
@@ -72,19 +73,19 @@ Inside an :class:`Evaluator` a team is an integer bit mask.  Per sorted
 variable tuple, the evaluator numbers the rows it meets on first sight, so
 a team over many variables costs its own rows, never all |M|**k.  By
 locality a node is evaluated on the team over its own free variables, so
-verdicts are memoized per (node uid, mask); a tree of ``&`` and ``||``,
-nested either way, is walked on an explicit stack.  Restricting by a
-first-order formula is an AND with the rows known to satisfy it, and only
-rows not yet tested go to ``tarski_eval`` (a sentence goes once per
-evaluator); projection, universal extension and X[a/v] are unions of
-per-row images.  Atoms read the set of value tuples a team takes on an
-argument tuple as a mask in the evaluator's universe of tuples of that
-arity, the union of per-row images (projections are also cached per mask,
-value masks are not): ``inc`` is a subset test of two masks, ``dep`` and
-``ind`` compare counts, and a custom atom is decided once per relation.
-:class:`Team` values appear only at the public methods, and candidate
-subteams are always tried in combination order over the sorted rows,
-whatever the numbering.
+verdicts are memoized per (node uid, mask); a tree of ``&``, ``||`` and
+``~``, nested any way, is decided in one loop over an explicit stack.
+Restricting by a first-order formula is an AND with the rows known to
+satisfy it, and only rows not yet tested go to ``tarski_eval`` (a sentence
+goes once per evaluator); projection, universal extension and X[a/v]
+are unions of per-row images.  Atoms read the set of value tuples a team
+takes on an argument tuple as a mask in the evaluator's universe of
+tuples of that arity, the union of per-row images (projections are also
+cached per mask, value masks are not): ``inc`` is a subset test of two
+masks, ``dep`` and ``ind`` compare counts, and a custom atom is decided
+once per relation.  :class:`Team` values appear only at the public
+methods, and candidate subteams are always tried in combination order
+over the sorted rows, whatever the numbering.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ _RESERVED_ATOM_NAMES = frozenset(_ATOM_SHAPES) | {"custom"}
 _NEGATES = {"ncon": "const", "ndep": "dep", "ninc": "inc", "nind": "ind",
             "count_neq": "count_eq", "cocount_neq": "cocount_eq"}
 
-#: the connectives whose trees ``Evaluator._eval`` walks without recursing
-_CHAINED = (And, ClassicalOr)
+#: the connectives whose trees ``Evaluator._eval`` decides without recursing
+_CHAINED = (And, ClassicalOr, ContraNeg)
 
 #: relation-space cap of :func:`check_upward_closed`
 _TUPLE_CAP = 9
@@ -587,40 +588,36 @@ class Evaluator:
         if type(f) not in _CHAINED:
             result = self._memo[key] = self._eval_raw(f, u, mask)
             return result
-        # a tree of & and ||, nested either way: walk down the left spine
-        # to an operand with a verdict, then fold back up, deciding right
-        # operands as needed, one memo entry per node; a node on the stack
-        # waits for its left operand, or for its right one if so marked
+        # a tree of &, || and ~: node g asks its operand i (~ its body; &
+        # and || the left, then the right unless the left decides g), whose
+        # verdict comes from the memo, from _eval_raw if the operand is
+        # outside the tree, or else from the operand's own questions while
+        # g waits on the stack; a verdict, negated under ~, answers g, and
+        # g's verdict the node below it, one memo entry per node
         memo = self._memo
-        stack = []  # (node, its team, waits for its right operand?)
+        stack = []  # the nodes below g, as (node, its team, operand index)
+        g, i = f, 0
         while True:
+            operand = g.right if i else g.body if type(g) is ContraNeg else g.left
+            sub_u, sub = self._project(u, mask, operand.free_tuple)
+            key = (operand.uid, sub)
+            result = memo.get(key)
+            if result is None:
+                if type(operand) in _CHAINED:
+                    stack.append((g, u, mask, i))
+                    g, u, mask, i = operand, sub_u, sub, 0
+                    continue
+                result = memo[key] = self._eval_raw(operand, sub_u, sub)
             while True:
-                stack.append((f, u, mask, False))
-                operand = f.left
-                if type(operand) not in _CHAINED:
-                    result = self._eval(operand, u, mask)
+                if type(g) is ContraNeg:
+                    result = not result
+                elif not i and result == (type(g) is And):  # not decided
+                    i = 1
                     break
-                u, mask = self._project(u, mask, operand.free_tuple)
-                result = memo.get((operand.uid, mask))
-                if result is not None:
-                    break
-                f = operand
-            while stack:
-                f, u, mask, right = stack.pop()
-                if not right and result == (type(f) is And):  # not decided
-                    operand = f.right
-                    if type(operand) not in _CHAINED:
-                        result = self._eval(operand, u, mask)
-                    else:
-                        sub_u, sub_mask = self._project(u, mask, operand.free_tuple)
-                        result = memo.get((operand.uid, sub_mask))
-                        if result is None:
-                            stack.append((f, u, mask, True))
-                            f, u, mask = operand, sub_u, sub_mask
-                            break
-                memo[f.uid, mask] = result
-            else:
-                return result
+                memo[g.uid, mask] = result
+                if not stack:
+                    return result
+                g, u, mask, i = stack.pop()
 
     def _eval_raw(self, f: Formula, u: _Universe, mask: int) -> bool:
         if f.first_order:  # flat: the team satisfies f iff each row does
@@ -633,8 +630,6 @@ class Evaluator:
                 return self._largest(f, u, mask) == mask
             case TensorOr():
                 return self._tensor_or(u, mask, f)
-            case ContraNeg(body):
-                return not self._eval(body, u, mask)
             case IntImpl(l, r):  # every subteam satisfying l satisfies r
                 if mask.bit_count() > _TEAM_ROW_CAP:
                     raise EvalError(f"-> on a team of {mask.bit_count()} rows "

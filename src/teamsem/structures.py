@@ -221,15 +221,21 @@ def all_assignment_rows(size: int, width: int) -> list[tuple[int, ...]]:
 
 
 #: caps on one size of a sweep: the relation tuples of :func:`enumerate_models`
-#: and the assignments of a team of :func:`enumerate_teams`
+#: and the assignments of a team of :func:`enumerate_teams`, the second also
+#: the model size, as the assignments to one variable
 _MODEL_TUPLE_CAP = 16
 _TEAM_ROW_CAP = 16
 
 
 def _check_caps(signature: Signature, size: int, width: int = 0):
-    """Raise :class:`EnumerationLimit` when the models of the signature of
-    the given size, or the teams over width variables on them, pass their
-    caps.  Both counts grow with the size, so a sweep checks its largest."""
+    """Raise :class:`EnumerationLimit` unless a sweep may reach the given
+    size: model sizes run from 1 to 16, and the models of the signature of
+    that size, and the teams over width variables on them, stay within
+    their caps.  Every count grows with the size, so a sweep checks its
+    largest."""
+    if size > _TEAM_ROW_CAP:
+        raise EnumerationLimit(
+            f"{size} domain elements exceed the cap of {_TEAM_ROW_CAP}")
     count = sum(size ** signature.arity(name) for name in signature.names)
     if count > _MODEL_TUPLE_CAP:
         raise EnumerationLimit(f"{count} relation tuples at size {size} exceed "

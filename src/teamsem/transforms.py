@@ -409,18 +409,10 @@ def extract_brackets(f: Formula) -> tuple[list[Formula], Formula]:
 
     A whole-team disjunction above a bracket has no such single-conjunction
     form (the disjuncts may demand different sentences); use
-    :func:`extract_brackets_dnf` for those.
+    :func:`extract_brackets_dnf` for those.  Each node's stand-in is its
+    own (sentences, core), the sentences distinct, in order of first
+    occurrence.
     """
-    sentences, core = _extract(f)
-    seen: list[Formula] = []
-    for s in sentences:
-        if s not in seen:
-            seen.append(s)
-    return seen, core
-
-
-def _extract(f: Formula) -> tuple[list[Formula], Formula]:
-    """(sentences, core) for f, which is each node's stand-in."""
     def leaf(g: Formula) -> tuple[list[Formula], Formula] | None:
         match g:
             case Bracket(body):
@@ -441,7 +433,8 @@ def _extract(f: Formula) -> tuple[list[Formula], Formula]:
             v, (s, c) = fields
             return s, type(g)(v, c)
         (sl, cl), (sr, cr) = fields
-        return sl + sr, _simp_and(cl, cr) if type(g) is And else TensorOr(cl, cr)
+        core = _simp_and(cl, cr) if type(g) is And else TensorOr(cl, cr)
+        return sl + [s for s in sr if s not in sl], core
 
     return _map(f, leaf, build)
 

@@ -277,6 +277,14 @@ def test_bounds_check_gamma_override(capsys):
                        "all=lin:1", "--max-model", "2")
     assert code == 0
     assert "nu(|M|=2) = 3" in out and "all hold" in out
+    code, out, _ = run(capsys, "bounds", "check", "all(x)", "--gamma", "all=n1",
+                       "--max-model", "2")
+    assert code == 0
+    assert "nu(|M|=2) = 2" in out and "all hold" in out
+    code, out, _ = run(capsys, "bounds", "check", "all(x)", "--gamma", "all=n0",
+                       "--max-model", "2")
+    assert code == 1
+    assert "|M|=2 |X|=2: witness 2 > nu 1 [VIOLATION]" in out
 
 
 def test_bounds_check_prints_each_violation_as_a_strict_excess(capsys):
@@ -299,6 +307,11 @@ def test_bounds_hierarchy(capsys):
     code, out, err = run(capsys, "bounds", "hierarchy", "5", "1", "1")
     assert (code, out) == (2, "")
     assert err == "error: witness team of size 32 exceeds the cap of 27\n"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "hierarchy", "100000", "1", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: witness team of size 2**100000 or more exceeds the cap of 27\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -324,16 +337,30 @@ def test_bad_size_or_extra_argument_is_usage_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("transform", "depdef", "x", "y", "--verify", "5"),
     ("bounds", "check", "geq(x y z, 2)", "--max-model", "3"),
-], ids=["models", "teams"])
+    ("equiv", "NE", "NE | NE", "--max-model", "17"),
+    ("bounds", "check", "NE", "--max-model", "17"),
+], ids=["models", "teams", "equiv-size", "bounds-size"])
 def test_sweep_past_a_cap_stops_before_it_starts(capsys, argv):
     """A sweep checks its caps for its largest size first: the 25 assignments
-    to (x, y) at size 5, or the 27 to (x, y, z) at size 3, exit 2 before any
-    smaller size is swept."""
+    to (x, y) at size 5, the 27 to (x, y, z) at size 3, or a model size of
+    17 where no relation or team caps it, exit 2 before any smaller size is
+    swept."""
     start = time.perf_counter()
     code, _, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2 and "exceed the cap of 16" in err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,last", [
+    (("equiv", "NE", "NE | NE", "--max-model", "16"),
+     "equivalent (models up to size 16, all teams)"),
+    (("bounds", "check", "NE", "--max-model", "16"),
+     "checked 16 satisfying team(s): all hold"),
+], ids=["equiv", "bounds"])
+def test_sweep_up_to_the_size_cap_runs(capsys, argv, last):
+    code, out, err = run(capsys, *argv)
+    assert (code, err, out.splitlines()[-1]) == (0, "", last)
 
 
 def test_countdef_bad_k_names_the_argument(capsys):

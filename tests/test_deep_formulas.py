@@ -1,11 +1,11 @@
-"""Deep formulas: long &, | and || chains, | chains of mixed sides
-included, evaluate without recursing down the chain, a split of more than
-a thousand rows evaluates without recursing per row, long quantifier
-prefixes parse and print without recursing down the prefix, a long prefix
-of constancy-witnessed existentials evaluates quickly, a subformula shared
-by many parents is walked once, and the command line answers anything
-deeper with exit code 2 and a one-line message, never a traceback read as
-"false"."""
+"""Deep formulas: long | chains, chains of mixed sides included, and trees
+of &, || and ~ nested any way evaluate without recursing down them, a
+split of more than a thousand rows evaluates without recursing per row,
+long quantifier prefixes parse and print without recursing down the
+prefix, a long prefix of constancy-witnessed existentials evaluates
+quickly, a subformula shared by many parents is walked once, and the
+command line answers anything deeper with exit code 2 and a one-line
+message, never a traceback read as "false"."""
 
 import random
 
@@ -326,6 +326,39 @@ def test_3000_deep_right_nested_conjunction_evaluates():
     assert not ts.evaluate(model, ts.Team(("x", "y"), [(0, 0), (0, 1)]), f)
 
 
+@pytest.mark.parametrize("depth", [3000, 3001])
+def test_3000_deep_contradictory_negation_evaluates(files, capsys, depth):
+    """~ is decided in the loop that decides & and ||, so a 3,000-deep
+    stack of them does not recurse: an even stack over NE holds exactly on
+    a nonempty team, an odd one exactly on the empty team."""
+    text = "~" * depth + "NE"
+    f = ts.parse(text)
+    even = depth % 2 == 0
+    model = ts.Model(3)
+    assert ts.evaluate(model, ts.Team(("x",), [(0,)]), f) is even
+    assert ts.evaluate(model, ts.Team(("x",)), f) is not even
+    (files / "one.team").write_text("vars x\n0\n")
+    (files / "empty.team").write_text("vars x\n")
+    for team, holds in (("one.team", even), ("empty.team", not even)):
+        code = main(["eval", text, "--model", str(files / "m3.model"),
+                     "--team", str(files / team)])
+        assert (code, capsys.readouterr()) == (
+            (0, ("true\n", "")) if holds else (1, ("false\n", "")))
+
+
+def test_1000_deep_nest_of_and_or_and_double_negation_evaluates():
+    """x = y & (x != y || ~~(...)), 1,000 levels over x = y, holds exactly
+    on the teams satisfying x = y."""
+    text = "x = y"
+    for _ in range(1000):
+        text = f"x = y & (x != y || ~~({text}))"
+    f = ts.parse(text)
+    model = ts.Model(2)
+    assert ts.evaluate(model, ts.Team(("x", "y"), [(0, 0), (1, 1)]), f)
+    assert ts.evaluate(model, ts.Team(("x", "y")), f)
+    assert not ts.evaluate(model, ts.Team(("x", "y"), [(0, 0), (0, 1)]), f)
+
+
 def test_3000_deep_exists_nest_over_ne_evaluates():
     """The greatest satisfying subteam of an upward-closed quantifier comes
     from its rule on the frame list, so a 3,000-deep nest does not recurse."""
@@ -386,3 +419,21 @@ def test_shared_nest_is_walked_once_per_distinct_node(monkeypatch, name):
             monkeypatch.setattr(module, "_children", counting)
     assert passes[name]()
     assert 0 < calls <= 100, calls
+
+
+def test_shared_bracket_nest_keeps_each_sentence_once():
+    """Bracket extraction joins only the sentences its right operand adds,
+    so a 22-level And(f, f) nest, with 4,194,304 bracket occurrences, never
+    holds a list longer than its one distinct sentence."""
+    import tracemalloc
+
+    f = _shared_nest(ts.parse("[exists z (z = z)] & NE"), 22)
+    tracemalloc.start()
+    try:
+        sentences, core = ts.extract_brackets(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sentences == [ts.parse("exists z (z = z)")]
+    assert core is _shared_nest(ts.NE, 22)
+    assert peak < 4 * 2 ** 20, peak

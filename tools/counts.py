@@ -6,22 +6,26 @@
 TREE is a checkout of the repository.  The tool imports the tree's own
 ``src/`` and ``perfbench/workloads.py``, builds each workload's job list
 from the seed, and runs every job once in this process, in order, with
-counting wrappers around ``Evaluator._eval``, ``Evaluator._kernel``,
-``Evaluator._pick`` and ``Evaluator._largest``, around the search routes
-``Evaluator._exists_sat``, ``_exists``, ``_coherent_split``,
-``_down_split`` and ``_generic_split``, and around the evaluator module's
-``tarski_eval``.  It prints one JSON object: workload -> {"_eval": calls,
-"_kernel": calls, "_pick": calls, "_largest": calls, one count per search
-route, "tarski_eval": calls, "failed": jobs that raised, "top": [label,
-calls] of the job with the most ``_eval`` calls}.  A method or function
-the tree's evaluator does not have counts 0, so older trees can be
-compared.
+counting wrappers around ``Evaluator._eval``, ``Evaluator._eval_raw``,
+``Evaluator._kernel``, ``Evaluator._pick`` and ``Evaluator._largest``,
+around the search routes ``Evaluator._exists_sat``, ``_exists``,
+``_coherent_split``, ``_down_split`` and ``_generic_split``, and around
+the evaluator module's ``tarski_eval``.  It prints one JSON object:
+workload -> {"_eval": calls, "_eval_raw": calls, "_kernel": calls,
+"_pick": calls, "_largest": calls, one count per search route,
+"tarski_eval": calls, "failed": jobs that raised, "top": [label, calls]
+of the job with the most ``_eval`` calls}.  A method or function the
+tree's evaluator does not have counts 0, so older trees can be compared.
 
-The first two counts are a machine-independent fingerprint of the
-searches: a change that keeps the candidates the evaluator tries, and
-their order, keeps both counts on every workload, whatever the host's
-speed.  ``_pick`` counts the projections and value-tuple maps the
-evaluator computes, its work below the atoms and the searches.
+``_eval`` counts the evaluations asked for from outside the loop that
+decides a tree of ``&``, ``||`` and ``~``, not the memo hits that loop
+reads itself; ``_eval_raw`` counts the verdicts computed by a rule other
+than that loop.  ``_eval_raw`` and ``_kernel`` are a machine-independent
+fingerprint of the searches: a change that keeps the candidates the
+evaluator tries, and their order, keeps both counts on every workload,
+whatever the host's speed.  ``_pick`` counts the projections and
+value-tuple maps the evaluator computes, its work below the atoms and the
+searches.
 ``_largest`` counts the greatest satisfying subteams the searches ask
 for, every flat side of a ``|`` chain and every union-closed quantifier
 among them, not the ones those computations need in turn.  The route
@@ -47,8 +51,8 @@ import sys
 import traceback
 from pathlib import Path
 
-COUNTED = ("_eval", "_kernel", "_pick", "_largest", "_exists_sat", "_exists",
-           "_coherent_split", "_down_split", "_generic_split")
+COUNTED = ("_eval", "_eval_raw", "_kernel", "_pick", "_largest", "_exists_sat",
+           "_exists", "_coherent_split", "_down_split", "_generic_split")
 #: counted functions of the evaluator module
 FUNCTIONS = ("tarski_eval",)
 

@@ -19,15 +19,17 @@ pair swapped every other pair so that a drift of the host's speed does
 not favour one side.  Before the pairs of a workload it runs one pass
 of ``python3 perfbench/worker.py --workload W --seed N`` in each tree and
 records both trees' ``verdict_digest``; under ``calls``, each tree's
-``Evaluator._eval``, ``_kernel``, ``_pick`` and ``_largest`` call counts,
-its calls of each search route (``_exists_sat``, ``_exists``,
-``_coherent_split``, ``_down_split`` and ``_generic_split``), its
-evaluator-level ``tarski_eval`` calls, and its job with the most ``_eval``
-calls, from the ``counts.py`` beside this file run on the tree
-at the same seed; and one short traced run, ``python3 perfbench/run.py
---workload W --seed N --seconds 1 --trace 1``, in each tree, whose
-``correct`` and
-``harness.share`` it records.  Each tree runs its own harness, and
+``Evaluator._eval``, ``_eval_raw``, ``_kernel``, ``_pick`` and
+``_largest`` call counts, its calls of each search route
+(``_exists_sat``, ``_exists``, ``_coherent_split``, ``_down_split`` and
+``_generic_split``), its evaluator-level ``tarski_eval`` calls, and its
+job with the most ``_eval`` calls, from the ``counts.py`` beside this
+file run on the tree at the same seed (``_eval`` does not count the memo
+hits that the loop deciding a tree of ``&``, ``||`` and ``~`` reads
+itself; ``_eval_raw`` and ``_kernel`` are the fingerprint of a change
+that keeps the searches); and one short traced run, ``python3
+perfbench/run.py --workload W --seed N --seconds 1 --trace 1``, in each
+tree, whose ``correct`` and ``harness.share`` it records.  Each tree runs its own harness, and
 ``counts.py`` its own workloads, in a process of their own; nothing under
 ``perfbench/`` is imported here.
 
