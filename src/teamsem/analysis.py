@@ -89,7 +89,7 @@ class GammaTable:
         if key in self.overrides:
             return bound_value(self.overrides[key], size)
         # constancy is not upward closed, but its witness size is 0
-        if not (atom.const_vars or upward_closed(atom, registry, size)):
+        if not (atom.kind == "const" or upward_closed(atom, registry, size)):
             raise AnalysisError(
                 f"custom atom {atom.name!r} has no bound override and no "
                 f"upward-closure claim that check_upward_closed confirms "
@@ -174,18 +174,19 @@ class BoundReport:
 
 def check_boundedness(f: Formula, max_model: int,
                       gamma: GammaTable | None = None,
-                      registry: Registry | None = None) -> list[BoundReport]:
+                      registry: Registry | None = None,
+                      nus: dict[int, int] | None = None) -> list[BoundReport]:
     """Sweep every empty-signature model up to max_model and every
     satisfying team over the formula's free variables, reporting whether a
-    witness subteam within the computed bound exists."""
+    witness subteam within each size's bound, put in nus if given, exists."""
     gamma = gamma or GammaTable()
     registry = registry or EMPTY_REGISTRY
     if f.arities:
         raise AnalysisError("boundedness sweeps cover empty-signature models only")
     cells = _cells(EMPTY_SIGNATURE, max_model, f.free_tuple, "all", registry)
     # rejects atoms outside the fragment before any sweep
-    nus = {size: nu_bound(f, size, gamma, registry)
-           for size in range(1, max_model + 1)}
+    nus = {} if nus is None else nus
+    nus.update((n, nu_bound(f, n, gamma, registry)) for n in range(1, max_model + 1))
     reports = []
     for ev, team in cells:
         if not ev.evaluate(team, f):

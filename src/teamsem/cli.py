@@ -303,9 +303,9 @@ def cmd_bounds_check(args) -> int:
     reg = _registry(args.dep)
     gamma = _gamma(args.gamma)
     f = parse(_read_formula_arg(args.formula), sig)
-    reports = analysis.check_boundedness(f, args.max_model, gamma, reg)
-    for size in range(1, args.max_model + 1):
-        nu = analysis.nu_bound(f, size, gamma, reg)
+    nus: dict[int, int] = {}
+    reports = analysis.check_boundedness(f, args.max_model, gamma, reg, nus)
+    for size, nu in nus.items():
         print(f"nu(|M|={size}) = {nu}")
     bad = [r for r in reports if not r.holds]
     for r in bad:

@@ -39,10 +39,10 @@ search would be hopeless, so it prunes using nine structural facts:
     complexity of quantifier-free dependence logic formulas", Studia Logica
     2013), so a ``|`` chain of such sides is decided by colouring the rows
     with the sides under pairwise conflicts;
-  * a body that forces ``const(v)`` (see ``Formula.const_vars``) needs one
-    value per witness: on a nonempty team X, ``exists v`` over it holds iff
-    the body holds on X[a/v] for some value a, so |M| candidates replace a
-    nonempty set of values per row;
+  * a body forcing ``dep(D; v)`` makes v a Skolem function of D (J.
+    Väänänen, *Dependence Logic*, 2007): ``exists v`` holds on a nonempty
+    X iff the body holds on X[F/v] for some F from X's D values to M, one
+    value per class of rows, not a set per row; ``const(v)`` is D = ();
   * a team satisfying a formula has at least as many rows as its size
     bound (``Evaluator._least``): an atom's :func:`witness_size`, the
     larger side's under ``&`` and ``|``, the smaller under ``||``, the
@@ -59,10 +59,10 @@ Every backtracking search runs on one driver, ``_depth_first``, which
 keeps one generator per level on a list, so a team of many rows does not
 recurse.  Each search is a step function that extends a partial witness
 by one piece: a row to a side of a downward ``|`` split, a part of a block
-per row for the existential, a part per side of a general split, or a side
-per row in the colouring of a coherent split, ``_colour``.  A step can end
-the whole search, as the colouring's final choices do, by setting a flag
-that the steps below it in the stack check when they resume.
+per row or a value per class of rows for the existential, a part per side
+of a general split, or a side per row in the colouring of a coherent split,
+``_colour``.  A step can end the whole search, as the colouring's final
+choices do, by setting a flag that the steps below it check when they resume.
 
 A custom atom counts as upward closed only once its claim passes
 :func:`check_upward_closed` on the domain sizes in use.  The test suite
@@ -981,41 +981,53 @@ class Evaluator:
 
     def _exists(self, u: _Universe, mask: int, v: str, body: Formula) -> bool:
         """Lax witness search: a satisfying Y inside the universal extension
-        must hit the extension block of every original row.  A body that
-        forces ``const(v)`` takes one value a for the whole of a nonempty
-        team, so its only candidates are the teams X[a/v].  The body is
-        neither first order (the ``exists`` would be flat) nor union closed
-        (its G decides the ``exists``).  Unless the full allowed extension
-        decides, each step of :func:`_depth_first` chooses a nonempty part
-        of the next row's block, rows in sorted order, and a partial witness
-        whose downward part already fails is dropped.  The state carries the
-        partial witness and its projection onto the downward part's
-        variables, to which each step adds the projection of the part it
-        chose, so no step projects the whole witness again.  A
-        downward-closed body is its own downward part, and one row per
-        block suffices for it."""
-        if mask and v in body.const_vars:
-            for a in self.model.domain:
-                wide, image = self._extend(u, v, a)
-                ya = _image(mask, image)
-                if (self._restrict(wide, ya, body.envelope) == ya
-                        and self._eval(body, wide, ya)):
-                    return True
-            return False
-        wide, image = self._extend(u, v)
-        allowed = self._restrict(wide, _image(mask, image), body.envelope)
-        blocks = sorted((u.row_of(bit), image[bit.bit_length() - 1] & allowed)
-                        for bit in _bits(mask))
-        if not all(block for _, block in blocks):
-            return False
-        if self._eval(body, wide, allowed):
-            return True
-        prune = body.downward_part
-        most = 1 if body.downward else None
+        must hit the extension block of every original row.  The body is
+        neither first order nor union closed.  If it forces ``dep(D; v)`` and
+        the team is nonempty, each step of :func:`_depth_first` gives the
+        rows of the next D value, in sorted order, one value a that the
+        envelope admits on all of them, extended by a alone; one class (D =
+        (), as for ``const(v)``) is tried in a loop here.  Else, unless the
+        full allowed extension decides, each step chooses a nonempty part of
+        the next row's block, rows in sorted order, one row for a downward
+        body.  A partial witness whose downward part fails is dropped; the
+        state carries it and its projection onto that part's variables."""
+        det = body.determiners.get(v) if mask else None
+        if det is not None:
+            if det:  # order: the rows of each D value, values sorted
+                at, classes = [u.vars.index(w) for w in det], {}
+                for bit in _bits(mask):
+                    key = tuple(map(u.row_of(bit).__getitem__, at))
+                    classes[key] = classes.get(key, 0) | bit
+                order = [classes[key] for key in sorted(classes)]
+            if not det or len(order) == 1:  # a nest adds no _depth_first frames
+                for a in self.model.domain:
+                    wide, image = self._extend(u, v, a)
+                    y = _image(mask, image)
+                    if (self._restrict(wide, y, body.envelope) == y
+                            and self._eval(body, wide, y)):
+                        return True
+                return False
+            wide = self._universe(tuple(sorted(u.vars + (v,))))
+        else:
+            wide, image = self._extend(u, v)
+            allowed = self._restrict(wide, _image(mask, image), body.envelope)
+            order = [image[bit.bit_length() - 1] & allowed
+                     for bit in sorted(_bits(mask), key=u.row_of)]
+            if not all(order):
+                return False
+            if self._eval(body, wide, allowed):
+                return True
+        prune, most = body.downward_part, 1 if body.downward else None
+
+        def parts(i: int) -> Iterator[int]:  # the parts step i may add
+            if det is None:
+                return wide.submasks(order[i], 1, most)
+            ys = (_image(order[i], self._extend(u, v, a)[1]) for a in self.model.domain)
+            return (y for y in ys if self._restrict(wide, y, body.envelope) == y)
 
         def choose(i: int, state: tuple[int, int]) -> Iterator[tuple[int, int]]:
             acc, seen = state  # the partial witness, its projection for prune
-            for chosen in wide.submasks(blocks[i][1], 1, most):
+            for chosen in parts(i):
                 if prune is TOP:
                     yield acc | chosen, 0
                     continue
@@ -1023,7 +1035,7 @@ class Evaluator:
                 if self._eval(prune, pu, seen | part):
                     yield acc | chosen, seen | part
 
-        return _depth_first((0, 0), len(blocks), choose,
+        return _depth_first((0, 0), len(order), choose,
                             lambda state: self._eval(body, wide, state[0]))
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from functools import reduce
 from itertools import count
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 from weakref import ref
 
@@ -140,10 +141,10 @@ class Formula:
                       each of its subteams of at most two rows does:
                       first-order formulas, ``dep``, ``const``, and ``&``
                       and ``forall`` over these
-    ``const_vars``    the variables v on which it forces ``const(v)``: those
-                      of a ``const`` atom, the union over ``&``, and the
-                      body's minus the bound variable under ``exists`` and
-                      ``forall`` (an extension keeps the other columns)
+    ``determiners``   v -> the least sorted D it forces ``dep(D; v)`` on, read
+                      only: () for ``const``'s variables, the first group for
+                      ``dep``'s others, the least under ``&``, the body's but
+                      v and each D holding v under ``exists v``, ``forall v``
     ``up_builtin``    satisfaction transfers to envelope-satisfying
                       superteams, given that every custom atom named in
                       ``custom_names`` is upward closed
@@ -154,7 +155,7 @@ class Formula:
 
     # the fields live in __dict__, the stored properties in slots
     __slots__ = ("_hash", "uid", "free_vars", "free_tuple", "first_order",
-                 "arities", "downward", "coherent", "const_vars",
+                 "arities", "downward", "coherent", "determiners",
                  "up_builtin", "union_builtin", "custom_names", "_envelope",
                  "_downward_part", "__dict__", "__weakref__")
     __match_args__: tuple[str, ...] = ()
@@ -355,8 +356,9 @@ class Atom(Formula):
 
 #: the stored properties that _derive computes, in its order
 _DERIVED = ("free_vars", "first_order", "arities", "downward", "coherent",
-            "const_vars", "up_builtin", "union_builtin", "custom_names")
+            "determiners", "up_builtin", "union_builtin", "custom_names")
 _EMPTY: frozenset = frozenset()
+_NO_DET = MappingProxyType({})  # the determiners of a node forcing no dep(D; v)
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -368,9 +370,9 @@ def _derive(f: Formula) -> tuple:
     match f:
         case PositiveLiteral(rel, args) | NegativeLiteral(rel, args):
             return (frozenset(args), True, frozenset({(rel, len(args))}), True,
-                    True, _EMPTY, True, True, ())
+                    True, _NO_DET, True, True, ())
         case Equal(a, b) | NotEqual(a, b):
-            return frozenset((a, b)), True, _EMPTY, True, True, _EMPTY, True, True, ()
+            return frozenset((a, b)), True, _EMPTY, True, True, _NO_DET, True, True, ()
         case And(l, r) | TensorOr(l, r):
             fo = l.first_order and r.first_order
             up = l.up_builtin and r.up_builtin
@@ -379,35 +381,39 @@ def _derive(f: Formula) -> tuple:
                 n for n in r.custom_names if n not in l.custom_names)
             conj = isinstance(f, And)
             coherent = fo or (conj and l.coherent and r.coherent)
-            const = _union(l.const_vars, r.const_vars) if conj else _EMPTY
+            dets = l.determiners if conj else _NO_DET
+            if conj and r.determiners:  # per v the least D, fewest variables first
+                dets = MappingProxyType(dict(sorted([*dets.items(), *r.determiners.items()],
+                                        key=lambda p: (len(p[1]), p[1]), reverse=True)))
             return (_union(l.free_vars, r.free_vars), fo,
                     _union(l.arities, r.arities), l.downward and r.downward,
-                    coherent, const, up, union, names if union else ())
+                    coherent, dets, up, union, names if union else ())
         case ClassicalOr(l, r) | IntImpl(l, r):
             down = isinstance(f, IntImpl) or (l.downward and r.downward)
             return (_union(l.free_vars, r.free_vars), False,
-                    _union(l.arities, r.arities), down, False, _EMPTY, False,
+                    _union(l.arities, r.arities), down, False, _NO_DET, False,
                     False, ())
         case Exists(v, body) | Forall(v, body):
             coherent = body.first_order or (isinstance(f, Forall) and body.coherent)
-            const = body.const_vars
-            if v in const:
-                const = const - {v}
+            dets = body.determiners and MappingProxyType(
+                {w: d for w, d in body.determiners.items() if w != v and v not in d})
             return (body.free_vars - {v}, body.first_order, body.arities,
-                    body.downward, coherent, const, body.up_builtin,
+                    body.downward, coherent, dets, body.up_builtin,
                     body.union_builtin, body.custom_names)
         case ContraNeg(body) | Possibly(body):
             up = isinstance(f, Possibly)
-            return (body.free_vars, False, body.arities, False, False, _EMPTY,
+            return (body.free_vars, False, body.arities, False, False, _NO_DET,
                     up, up, ())
         case Bracket(body):
-            return _EMPTY, False, body.arities, True, False, _EMPTY, True, True, ()
+            return _EMPTY, False, body.arities, True, False, _NO_DET, True, True, ()
         case Atom(kind, parts, _, name):
             custom = kind == "custom"
             down = kind in _DOWNWARD_KINDS
-            const = frozenset(parts[0]) if kind == "const" else _EMPTY
+            d = tuple(sorted(set(parts[0]))) if kind == "dep" else ()
+            dets = _NO_DET if not down else MappingProxyType(
+                {y: d for y in parts[-1] if y not in d})
             return (frozenset(v for part in parts for v in part), False, _EMPTY,
-                    down, down, const, custom or kind in _UPWARD_KINDS,
+                    down, down, dets, custom or kind in _UPWARD_KINDS,
                     custom or kind in _UPWARD_KINDS or kind == "inc",
                     (name,) if custom else ())
     raise TypeError(f"not a formula: {f!r}")

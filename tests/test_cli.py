@@ -263,6 +263,25 @@ def test_bounds_check(capsys):
     assert "all hold" in out
 
 
+def test_bounds_check_computes_each_bound_once(monkeypatch, capsys):
+    """The command prints the bounds that the sweep computed: one
+    nu_bound call per model size."""
+    from teamsem import analysis
+
+    sizes = []
+    nu_bound = analysis.nu_bound
+
+    def spy(f, n, *rest):
+        sizes.append(n)
+        return nu_bound(f, n, *rest)
+
+    monkeypatch.setattr(analysis, "nu_bound", spy)
+    code, out, _ = run(capsys, "bounds", "check", "geq(x, 2) & NE",
+                       "--max-model", "4")
+    assert code == 0 and sizes == [1, 2, 3, 4]
+    assert out.splitlines()[:4] == [f"nu(|M|={n}) = 3" for n in (1, 2, 3, 4)]
+
+
 def test_bounds_check_missing_gamma(capsys):
     code, _, err = run(capsys, "bounds", "check", "D:up(x)", "--max-model", "2",
                        "--dep", "up=1:exists x R(x)")

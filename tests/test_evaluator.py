@@ -927,28 +927,59 @@ CONST_WITNESSES = [
 ]
 
 
-def test_const_witnesses_against_naive_evaluator(monkeypatch):
-    """An existential over a body that forces const(p) tries one value of
-    p per witness.  Random teams over (x, y) of at most 4 rows, the empty
-    team included, at |M| <= 3 with random P and R agree with the
-    oracle."""
-    rule = []
-    exists = ts.Evaluator._exists
+#: (formula, whether its outer ``exists p`` body forces dep(D; p) for some
+#: nonempty D)
+DEP_WITNESSES = [
+    ("exists p (dep(x; p) & inc(y; p))", True),
+    ("exists p (dep(x; p) & p != y)", True),
+    ("exists p (dep(y; p) & R(p, x) & (x != p | NE))", True),
+    ("exists p (dep(x y; p) & inc(x; p) & P(p))", True),
+    ("exists p (dep(x; p) & dep(p; y))", True),
+    ("exists p (dep(y x; p) & dep(x; p) & ncon(p))", True),
+    ("exists p forall q (dep(x; p) & (R(p, q) | q != y))", True),
+    ("exists p exists q (dep(x; p q) & p != q & inc(y; q))", True),
+    ("exists p (dep(x; p) & exists q (dep(p; q) & q != x & inc(q; y)))", True),
+    ("exists p (exists x dep(x; p) & inc(y; p))", False),
+    ("exists p ((dep(x; p) | P(p)) & inc(y; p))", False),
+    ("exists p (dep(x; p) || inc(p; y))", False),
+    ("exists p (~dep(x; p) & p != y)", False),
+    ("exists p (dep(x; p) -> inc(y; p))", False),
+    ("exists p (dep(p; x) & inc(y; p))", False),
+]
 
-    def spy(self, u, mask, v, body):
-        if mask and v in body.const_vars:
+
+def _check_witnesses(monkeypatch, table, routed, rounds: int, seed: int) -> int:
+    """Random teams over (x, y) of at most 4 rows, the empty team included,
+    at |M| <= 3 with random P and R: every formula of the table agrees with
+    the oracle on at least 20 of them, and the empty team comes up at least
+    20 times.  routed(D) says whether an outer ``exists p`` body that
+    determines p by D belongs to the table's route, which the table's flag
+    gives; while such a formula is evaluated, p is extended one value at a
+    time, never by every value.  Returns how many nonempty ``_exists``
+    calls the route took for p."""
+    rule, wide = [], []
+    exists, extend = ts.Evaluator._exists, ts.Evaluator._extend
+
+    def exists_spy(self, u, mask, v, body):
+        if mask and v in body.determiners:
             rule.append(v)
         return exists(self, u, mask, v, body)
 
-    monkeypatch.setattr(ts.Evaluator, "_exists", spy)
+    def extend_spy(self, u, v, value=None):
+        if value is None:
+            wide.append(v)
+        return extend(self, u, v, value)
+
+    monkeypatch.setattr(ts.Evaluator, "_exists", exists_spy)
+    monkeypatch.setattr(ts.Evaluator, "_extend", extend_spy)
     sig = ts.Signature({"R": 2, "P": 1})
-    formulas = [(ts.parse(text, sig), takes) for text, takes in CONST_WITNESSES]
+    formulas = [(ts.parse(text, sig), takes) for text, takes in table]
     for f, takes in formulas:
-        assert (f.var in f.body.const_vars) is takes, str(f)
-    rng = random.Random(1991)
+        assert routed(f.body.determiners.get(f.var)) is takes, str(f)
+    rng = random.Random(seed)
     checked = dict.fromkeys(formulas, 0)
     empty = 0
-    for _ in range(900):
+    for _ in range(rounds):
         f, takes = rng.choice(formulas)
         size = rng.choice((1, 2, 3, 3))
         m = ts.Model(size, {
@@ -961,13 +992,29 @@ def test_const_witnesses_against_naive_evaluator(monkeypatch):
         if _naive_cost(f, len(chosen), size) > 2 * 10 ** 6:
             continue
         t = ts.Team(("x", "y"), chosen)
+        wide.clear()
         assert ts.evaluate(m, t, f) == naive_eval(m, t, f), \
             (str(f), size, sorted(m.interp["P"]), sorted(m.interp["R"]),
              sorted(t.rows))
+        assert not (takes and chosen and "p" in wide), str(f)
         checked[f, takes] += 1
         empty += not chosen
     assert min(checked.values()) >= 20 and empty >= 20
-    assert rule.count("p") > 200
+    return rule.count("p")
+
+
+def test_const_witnesses_against_naive_evaluator(monkeypatch):
+    """An existential over a body that forces const(p) tries one value of
+    p per witness."""
+    assert _check_witnesses(monkeypatch, CONST_WITNESSES, lambda d: d == (),
+                            900, 1991) > 200
+
+
+def test_dep_witnesses_against_naive_evaluator(monkeypatch):
+    """An existential over a body that forces dep(D; p) tries one value of
+    p per class of rows that agree on D."""
+    assert _check_witnesses(monkeypatch, DEP_WITNESSES, lambda d: bool(d),
+                            1200, 1992) > 300
 
 
 # ---------------------------------------------------------------------------

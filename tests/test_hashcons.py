@@ -165,15 +165,26 @@ def ref_coherent(f) -> bool:
     return False
 
 
-def ref_const(f) -> frozenset:
+def ref_forced(f) -> set:
+    """Every (v, D) such that f forces dep(D; v), D a sorted tuple."""
     match f:
         case Atom("const", parts):
-            return frozenset(parts[0])
+            return {(x, ()) for x in parts[0]}
+        case Atom("dep", (xs, ys)):
+            return {(y, tuple(sorted(set(xs)))) for y in ys if y not in xs}
         case And(l, r):
-            return ref_const(l) | ref_const(r)
+            return ref_forced(l) | ref_forced(r)
         case Exists(v, body) | Forall(v, body):
-            return ref_const(body) - {v}
-    return frozenset()
+            return {(w, d) for w, d in ref_forced(body) if w != v and v not in d}
+    return set()
+
+
+def ref_determiners(f) -> dict:
+    """v -> the least D, fewest variables first, of ref_forced."""
+    out = {}
+    for v, d in sorted(ref_forced(f), key=lambda pair: (len(pair[1]), pair[1])):
+        out.setdefault(v, d)
+    return out
 
 
 def ref_up(f, registry) -> bool:
@@ -319,8 +330,9 @@ def test_stored_properties_match_references():
             assert node.downward is ref_down(node), label
             assert node.coherent is ref_coherent(node), label
             assert not node.coherent or node.downward, label
-            assert node.const_vars == ref_const(node), label
-            assert node.const_vars <= node.free_vars, label
+            assert node.determiners == ref_determiners(node), label
+            for v, d in node.determiners.items():
+                assert v not in d and {v, *d} <= node.free_vars, label
             assert node.envelope is ref_envelope(node), label
             assert node.downward_part is ref_downward_part(node), label
             assert node.envelope.first_order and node.downward_part.downward, label
@@ -374,7 +386,30 @@ def test_coherent_means_two_coherent():
     ("dep(x; y) & const(x)", {"x"}),
 ])
 def test_const_vars_examples(text, const_vars):
-    assert ts.parse(text, SIG).const_vars == const_vars
+    """The variables a formula forces constant are those it determines by
+    the empty tuple."""
+    dets = ts.parse(text, SIG).determiners
+    assert {v for v, d in dets.items() if d == ()} == const_vars
+
+
+@pytest.mark.parametrize("text, determiners", [
+    ("dep(x; y z)", {"y": ("x",), "z": ("x",)}),
+    ("dep(x; x)", {}),
+    ("dep(y x x; z x)", {"z": ("x", "y")}),
+    ("dep(x y; z) & dep(w; z) & dep(y; x)", {"z": ("w",), "x": ("y",)}),
+    ("dep(x; y) & const(y)", {"y": ()}),
+    ("exists x dep(x; y)", {}),
+    ("exists y dep(x; y z)", {"z": ("x",)}),
+    ("forall w dep(x; y)", {"y": ("x",)}),
+    ("forall w (dep(x w; y) & dep(x; z))", {"z": ("x",)}),
+    ("dep(x; y) | dep(x; y)", {}),
+    ("dep(x; y) || dep(x; y)", {}),
+    ("~dep(x; y)", {}),
+    ("dep(x; y) -> dep(x; y)", {}),
+    ("<>dep(x; y) & ndep(x; z) & inc(x; y)", {}),
+])
+def test_determiners_examples(text, determiners):
+    assert ts.parse(text, SIG).determiners == determiners
 
 
 def _model(f, size: int) -> ts.Model:
@@ -390,19 +425,32 @@ def _model(f, size: int) -> ts.Model:
 
 
 def test_const_vars_are_forced():
-    """Whenever v is in f.const_vars, f fails on every team over its free
-    variables at |M| <= 2 on which v takes two values."""
-    checked = 0
-    forced = {node for f in corpus() for node in nodes(f) if node.const_vars}
+    """Whenever f.determiners maps v to D, f fails on every team over its
+    free variables at |M| <= 2 on which v is not a function of D: two rows
+    agree on D and not on v.  With D = () that is v taking two values."""
+    checked = dict.fromkeys(("const", "dep"), 0)
+    extra = [ts.parse(text, SIG) for text in (
+        "dep(x; y z) & R(x, y)", "exists w (dep(x w; y) & w = x)",
+        "forall w (dep(y x; z) & P(w))")]
+    forced = {node for f in corpus() + extra for node in nodes(f) if node.determiners}
     for node in forced:
         model = _model(node, 2)
         ev = ts.Evaluator(model, REGISTRIES[0])
-        idx = [node.free_tuple.index(v) for v in node.const_vars]
+        rows = list(product(range(2), repeat=len(node.free_tuple)))
+        at = {}  # v -> (D, row -> (its D values, its v value))
+        for v, d in node.determiners.items():
+            cols, col = [node.free_tuple.index(w) for w in d], node.free_tuple.index(v)
+            at[v] = d, {row: (tuple(row[i] for i in cols), row[col]) for row in rows}
         for t in all_teams(model, node.free_tuple):
-            if any(len({row[i] for row in t.rows}) > 1 for i in idx):
-                assert not ev.evaluate(t, node), (ts.pretty(node), sorted(t.rows))
-                checked += 1
-    assert checked > 1000
+            broken = []
+            for v, (d, pair) in at.items():
+                graph = {pair[row] for row in t.rows}
+                if len(graph) > len(dict(graph)):  # a D value with two v values
+                    broken.append(v)
+                    checked["dep" if d else "const"] += 1
+            if broken:
+                assert not ev.evaluate(t, node), (ts.pretty(node), broken, sorted(t.rows))
+    assert min(checked.values()) > 1000, checked
 
 
 def test_union_closed_nodes_are_closed_under_unions():

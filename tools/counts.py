@@ -13,9 +13,10 @@ around the search routes ``Evaluator._exists_sat``, ``_exists``,
 the evaluator module's ``tarski_eval``.  It prints one JSON object:
 workload -> {"_eval": calls, "_eval_raw": calls, "_kernel": calls,
 "_pick": calls, "_largest": calls, one count per search route,
-"tarski_eval": calls, "failed": jobs that raised, "top": [label, calls]
-of the job with the most ``_eval`` calls}.  A method or function the
-tree's evaluator does not have counts 0, so older trees can be compared.
+"_exists_determined": calls, "tarski_eval": calls, "failed": jobs that
+raised, "top": [label, calls] of the job with the most ``_eval`` calls}.  A
+method, function or formula property the tree does not have counts 0, so
+older trees can be compared.
 
 ``_eval`` counts the evaluations asked for from outside the loop that
 decides a tree of ``&``, ``||`` and ``~``, not the memo hits that loop
@@ -32,9 +33,14 @@ among them, not the ones those computations need in turn.  The route
 counts show which searches a workload reaches: the bounded subteam search
 (``_exists_sat``: a single side of a ``|`` chain that is not union closed,
 ``<>``, and the first side of a general split), the existential's witness
-search (``_exists``, for a body that is not union closed), and the three
-split solvers of ``|`` chains with two or more such sides.  A route that
-reads 0 on every workload is guarded by the tests alone.
+search (``_exists``, for a body that is not union closed: one value per
+class of rows that agree on D if the body forces ``dep(D; v)``, else a
+nonempty set of values per row), and the three split solvers of ``|``
+chains with two or more such sides.  A route that reads 0 on every
+workload is guarded by the tests alone.  ``_exists_determined`` counts the
+``_exists`` calls on a nonempty team whose body forces ``dep(D; v)`` for
+the bound variable v, read from the body's ``Formula.determiners`` as the
+tests' spy reads it; ``const(v)`` makes one class.
 ``tarski_eval`` counts the calls made from the evaluator module (rows and
 sentences it restricts by, custom atoms it decides, upward-closure
 checks), not the function's calls on its own subformulas.  A job that
@@ -62,7 +68,7 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
     import workloads
     from teamsem import evaluator
 
-    calls = dict.fromkeys(COUNTED + FUNCTIONS, 0)
+    calls = dict.fromkeys(COUNTED + ("_exists_determined",) + FUNCTIONS, 0)
 
     def counted(name, method):
         def wrapper(*args, **kwargs):
@@ -74,6 +80,14 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
         for name in members:
             if hasattr(owner, name):
                 setattr(owner, name, counted(name, getattr(owner, name)))
+    if hasattr(evaluator.Evaluator, "_exists"):
+        exists = evaluator.Evaluator._exists
+
+        def determined(self, u, mask, v, body, *rest):
+            if mask and v in getattr(body, "determiners", ()):
+                calls["_exists_determined"] += 1
+            return exists(self, u, mask, v, body, *rest)
+        evaluator.Evaluator._exists = determined
     out = {}
     for workload in names:
         jobs = workloads.WORKLOADS[workload](random.Random(seed))

@@ -22,7 +22,9 @@ records both trees' ``verdict_digest``; under ``calls``, each tree's
 ``Evaluator._eval``, ``_eval_raw``, ``_kernel``, ``_pick`` and
 ``_largest`` call counts, its calls of each search route
 (``_exists_sat``, ``_exists``, ``_coherent_split``, ``_down_split`` and
-``_generic_split``), its evaluator-level ``tarski_eval`` calls, and its
+``_generic_split``), its ``_exists`` calls whose body forces
+``dep(D; v)`` for the bound variable v and so search functions of D
+(``_exists_determined``), its evaluator-level ``tarski_eval`` calls, and its
 job with the most ``_eval`` calls, from the ``counts.py`` beside this
 file run on the tree at the same seed (``_eval`` does not count the memo
 hits that the loop deciding a tree of ``&``, ``||`` and ``~`` reads
