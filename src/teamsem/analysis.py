@@ -19,6 +19,7 @@ from typing import Iterable
 from .evaluator import (EMPTY_REGISTRY, Evaluator, Registry, evaluate,
                         upward_closed, witness_size)
 from .structures import (
+    _TEAM_ROW_CAP,
     Model,
     Team,
     _check_caps,
@@ -139,7 +140,7 @@ def _cells(signature: Signature, max_model: int, variables: tuple[str, ...],
 
 def minimal_satisfying_subteam(model: Model, team: Team, f: Formula,
                                registry: Registry | None = None,
-                               cap: int = 16) -> Team | None:
+                               cap: int = _TEAM_ROW_CAP) -> Team | None:
     """A minimum-cardinality subteam satisfying f, or None when none does
     (ties broken by enumeration order over sorted rows)."""
     if len(team) > cap:

@@ -8,8 +8,8 @@ read properties of the team's projections.
 
 The four lax rules (``|``, the existential, ``<>`` and ``->``) all ask
 whether some team Y between a forced lower bound and an upper bound
-satisfies a body.  ``_exists_sat`` is that bounded search and
-``_subteams`` the one candidate stream of all searches.  Done literally the
+satisfies a body.  ``_exists_sat`` is that bounded search, and every
+search draws such Y from one stream, ``_satisfying``.  Done literally the
 search would be hopeless, so it prunes using nine structural facts:
 
   * first-order formulas are flat: a team satisfies one iff each row does,
@@ -61,8 +61,10 @@ recurse.  Each search is a step function that extends a partial witness
 by one piece: a row to a side of a downward ``|`` split, a part of a block
 per row or a value per class of rows for the existential, a part per side
 of a general split, or a side per row in the colouring of a coherent split,
-``_colour``.  A step can end the whole search, as the colouring's final
-choices do, by setting a flag that the steps below it check when they resume.
+``_colour``.  Each search lists its options before it starts, and fails at
+once if a row or class has none.  A step can end the whole search, as the
+colouring's final choices do, by setting a flag that the steps below it
+check when they resume.
 
 A custom atom counts as upward closed only once its claim passes
 :func:`check_upward_closed` on the domain sizes in use.  The test suite
@@ -311,6 +313,15 @@ def _depth_first(root, depth: int, step, done) -> bool:
     return False
 
 
+def _first_copy(options: int, used: int, twins: list[int]) -> int:
+    """The options (bit i for side i) less every unused copy in a mask of
+    twins but the first: empty parts for copies of one formula are alike."""
+    for twin in twins:
+        fresh = options & twin & ~used
+        options ^= fresh & (fresh - 1)
+    return options
+
+
 def _colour(rows: int, allowed: dict[int, int], conflict: dict[int, list[int]],
             links: dict[int, int], twins: list[int]) -> bool:
     """Whether each of the rows (a mask) can take one of its allowed sides
@@ -318,11 +329,11 @@ def _colour(rows: int, allowed: dict[int, int], conflict: dict[int, list[int]],
     it.  A backtracking search in DSATUR order (Brélaz 1979: the row with
     the fewest sides left next, then the one with the most conflicts) with
     forward checking: giving a row a side takes that side from the rows in
-    conflict with it there.  Sides in one mask of twins are the same
-    formula, so of those that no coloured row has taken, only the first is
-    tried.  A choice made while every uncoloured row keeps all its allowed
-    sides is final: the coloured rows no longer constrain the rest, so if
-    the rest has no colouring neither has the whole.  With two sides this
+    conflict with it there.  Of the copies in one mask of twins, only the
+    first that no coloured row has taken is tried (:func:`_first_copy`).  A
+    choice made while every uncoloured row keeps all its allowed sides is
+    final: the coloured rows no longer constrain the rest, so if the rest
+    has no colouring neither has the whole.  With two sides this
     makes the search polynomial, as 2-SAT is.  Each step of
     :func:`_depth_first` colours one row; its state is the mask of the
     sides given so far, and a final choice that runs out of sides sets the
@@ -335,12 +346,8 @@ def _colour(rows: int, allowed: dict[int, int], conflict: dict[int, list[int]],
         final = all(uncoloured[row] == allowed[row] for row in uncoloured)
         row = min(uncoloured, key=lambda r: (uncoloured[r].bit_count(),
                                              -links[r].bit_count()))
-        options = uncoloured[row]
-        for twin in twins:
-            fresh = options & twin & ~used
-            options ^= fresh & (fresh - 1)
         mark = len(trail)
-        for side in _bits(options):
+        for side in _bits(_first_copy(uncoloured[row], used, twins)):
             trail.append((row, uncoloured.pop(row)))
             for other in _bits(conflict[row][side.bit_length() - 1]):
                 sides = uncoloured.get(other, 0)
@@ -432,21 +439,19 @@ class Evaluator:
         return self._eval(f, *self._team(team, f))
 
     def satisfying_subteams(self, team: Team, f: Formula) -> frozenset[Team]:
-        """All subteams of the given team that satisfy f, among the
-        candidates of :meth:`_subteams`, which skips only subteams that fail."""
-        u, mask = self._team(team, f)
-        return frozenset(team.with_rows(u.rows_of(sub))
-                         for sub in self._subteams(f, u, self._top(f, u, mask))
-                         if self._eval(f, u, sub))
+        """All subteams of the given team that satisfy f."""
+        return frozenset(self._satisfying_teams(team, f))
 
     def first_satisfying_subteam(self, team: Team, f: Formula) -> Team | None:
         """The first subteam satisfying f, smaller sizes first and in
-        combination order over the sorted rows within a size, or None.  The
-        candidates of :meth:`_subteams` skip only subteams that fail."""
+        combination order over the sorted rows within a size, or None."""
+        return next(self._satisfying_teams(team, f), None)
+
+    def _satisfying_teams(self, team: Team, f: Formula) -> Iterator[Team]:
+        """The subteams satisfying f, as :meth:`_satisfying` yields them."""
         u, mask = self._team(team, f)
-        return next((team.with_rows(u.rows_of(sub))
-                     for sub in self._subteams(f, u, self._top(f, u, mask))
-                     if self._eval(f, u, sub)), None)
+        for sub in self._satisfying(f, u, self._top(f, u, mask)):
+            yield team.with_rows(u.rows_of(sub))
 
     def _top(self, f: Formula, u: _Universe, upper: int) -> int | None:
         """The rows of upper that a subteam satisfying f can hold: f's
@@ -455,18 +460,19 @@ class Evaluator:
         closed = union_closed(f, self.registry, self.model.size)
         return self._largest(f, u, top) if closed else top
 
-    def _subteams(self, f: Formula, u: _Universe, top: int | None, lower: int = 0,
-                  least: int = 0, most: int | None = None) -> Iterator[int]:
-        """The teams Y with lower <= Y <= top (see :meth:`_top`) that may
+    def _satisfying(self, f: Formula, u: _Universe, top: int | None, lower: int = 0,
+                    least: int = 0, most: int | None = None) -> Iterator[int]:
+        """The teams Y with lower <= Y <= top (see :meth:`_top`) that
         satisfy f, in the order of :meth:`_Universe.submasks` over the rows
         added to lower, from least, or f's size bound less |lower|, to most
         of them; none if lower fails f's downward part, as every Y would."""
         if top is None or lower & ~top or lower and f.downward_part is not TOP \
                 and not self._eval(f.downward_part, u, lower):
-            return iter(())
-        extra = u.submasks(top & ~lower,
-                           max(least, self._least(f) - lower.bit_count()), most)
-        return map(lower.__or__, extra)
+            return
+        for extra in u.submasks(top & ~lower,
+                                max(least, self._least(f) - lower.bit_count()), most):
+            if self._eval(f, u, lower | extra):
+                yield lower | extra
 
     def _least(self, f: Formula) -> int:
         """f's size bound at the model size (0 where no rule applies), per node."""
@@ -635,8 +641,7 @@ class Evaluator:
                     raise EvalError(f"-> on a team of {mask.bit_count()} rows "
                                     f"exceeds the cap of {_TEAM_ROW_CAP}")
                 return all(self._eval(r, u, sub)
-                           for sub in self._subteams(l, u, self._top(l, u, mask))
-                           if self._eval(l, u, sub))
+                           for sub in self._satisfying(l, u, self._top(l, u, mask)))
             case Possibly(body):
                 return self._exists_sat(body, u, mask, 0, nonempty=True)
             case Exists(v, body):
@@ -728,7 +733,7 @@ class Evaluator:
         plan = self._plans.get(f.uid)
         if plan is None:
             plan = self._plans[f.uid] = self._split_plan(f)
-        flat, rest, how = plan
+        flat, rest, how, twins = plan
         admitted, reach = [], 0
         for side in flat + rest:
             part = self._restrict(u, mask, side.envelope)
@@ -749,9 +754,9 @@ class Evaluator:
         if len(rest) == 1:
             return self._exists_sat(rest[0], u, admitted[0], todo)
         if how == "coherent":
-            return self._coherent_split(u, todo, rest)
+            return self._coherent_split(u, todo, rest, twins)
         if how == "downward":
-            return self._down_split(u, todo, rest, admitted)
+            return self._down_split(u, todo, rest, twins)
         for side, part in zip(rest, admitted):
             if not self._eval(side, u, part):
                 return self._generic_split(u, todo, rest, admitted)
@@ -760,8 +765,8 @@ class Evaluator:
     def _split_plan(self, f: TensorOr) -> tuple:
         """The sides of the ``|`` chain at f (a first-order ``|`` is one
         flat side), left to right: the flat ones, union closed at the model
-        size; the rest; and how the rest split: "coherent", "downward" (if
-        each is so) or "split".  Made once per node."""
+        size; the rest; how the rest split: "coherent", "downward" (if each
+        is so) or "split"; and the rest's twins.  Made once per node."""
         flat, rest, todo = [], [], [f]
         while todo:
             g = todo.pop()
@@ -773,30 +778,37 @@ class Evaluator:
                 rest.append(g)
         how = ("coherent" if all(side.coherent for side in rest) else
                "downward" if all(side.downward for side in rest) else "split")
-        return tuple(flat), tuple(rest), how
+        same = {side: sum(1 << i for i, g in enumerate(rest) if g == side)
+                for side in rest}  # side -> the mask of its copies
+        return tuple(flat), tuple(rest), how, [m for m in same.values() if m & (m - 1)]
 
-    def _coherent_split(self, u: _Universe, mask: int,
-                        sides: tuple[Formula, ...]) -> bool:
+    def _options(self, u: _Universe, mask: int,
+                 sides: tuple[Formula, ...]) -> dict[int, int] | None:
+        """Each row of the team -> the sides that hold on that row alone
+        (bit i for side i), or None if some row has none."""
+        options = {}
+        for row in _bits(mask):
+            options[row] = sum(1 << i for i, side in enumerate(sides)
+                               if self._eval(side, u, row))
+            if not options[row]:
+                return None
+        return options
+
+    def _coherent_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
+                        twins: list[int]) -> bool:
         """Every side coherent: a part satisfies its side iff each of its
         rows and pairs of rows does, and a partition suffices, so the split
-        gives each row one side (side i as bit i) such that no two rows
-        that fail a side together both get it.  Rows in conflict with no
-        other row take any side they pass alone; each connected group of
-        the others is coloured on its own by :func:`_colour`."""
-        rows = _bits(mask)
-        allowed = {}
-        for row in rows:
-            ok = 0
-            for i, side in enumerate(sides):
-                if self._eval(side, u, row):
-                    ok |= 1 << i
-            if not ok:
-                return False
-            allowed[row] = ok
+        gives each row one of its :meth:`_options` (side i as bit i) such
+        that no two rows that fail a side together both get it.  Rows in
+        conflict with no other row take any option; :func:`_colour` colours
+        each connected group of the others on its own."""
+        allowed = self._options(u, mask, sides)
+        if allowed is None:
+            return False
         #: row -> per side, the rows it fails that side with
-        conflict = {row: [0] * len(sides) for row in rows}
-        links = dict.fromkeys(rows, 0)  # row -> the rows it conflicts with
-        for a, b in combinations(rows, 2):
+        conflict = {row: [0] * len(sides) for row in allowed}
+        links = dict.fromkeys(allowed, 0)  # row -> the rows it conflicts with
+        for a, b in combinations(allowed, 2):
             both = allowed[a] & allowed[b]
             for i, side in enumerate(sides):
                 if both >> i & 1 and not self._eval(side, u, a | b):
@@ -804,10 +816,6 @@ class Evaluator:
                     conflict[b][i] |= a
                     links[a] |= b
                     links[b] |= a
-        same: dict[Formula, int] = {}  # side -> the mask of its copies
-        for i, side in enumerate(sides):
-            same[side] = same.get(side, 0) | 1 << i
-        twins = [m for m in same.values() if m & (m - 1)]
         todo = mask
         while todo:
             group = reach = todo & -todo
@@ -824,47 +832,41 @@ class Evaluator:
         return True
 
     def _down_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
-                    admitted: list[int]) -> bool:
+                    twins: list[int]) -> bool:
         """Every side downward closed but not every one coherent: a side is
         an ``exists``, a ``->``, a ``||``, a bracket, or a ``&`` or
         ``forall`` over one of these or over a ``|``.  A partition
-        suffices: give the rows, in sorted order, one at a time to a side
-        whose envelope admits them (side j admitted[j]), and reject as soon
-        as a side fails on its partial team.  Copies of one formula are
-        interchangeable, so they fill in order: a copy takes its first row
-        only after the copy before it has one.  Each step of
-        :func:`_depth_first` places one row in the shared list of parts."""
-        if not all(self._eval(side, u, 0) for side in sides):
+        suffices: give the rows, in sorted order, one at a time to one of
+        their :meth:`_options`, and reject as soon as a side fails on its
+        partial team.  Of the copies in twins (see :meth:`_split_plan`)
+        that hold no row yet, only the first is tried.  Each step of
+        :func:`_depth_first` places one row in the shared list of parts;
+        its state is the mask of the sides holding a row."""
+        options = self._options(u, mask, sides)
+        if options is None or not all(self._eval(side, u, 0) for side in sides):
             return False
-        last = {}  # side -> the index of its last copy so far
-        slots = []  # (index, side, rows it admits, index of its previous copy)
-        for j, side in enumerate(sides):
-            slots.append((j, side, admitted[j], last.get(side, -1)))
-            last[side] = j
-        order = sorted(_bits(mask), key=u.row_of)
+        order = sorted(options, key=u.row_of)
+        parts = [0] * len(sides)
 
-        def place(i: int, parts: list[int]) -> Iterator[list[int]]:
+        def place(i: int, used: int) -> Iterator[int]:
             bit = order[i]
-            for j, side, admits, prev in slots:
+            for side in _bits(_first_copy(options[bit], used, twins)):
+                j = side.bit_length() - 1
                 part = parts[j]
-                if not bit & admits or not part and prev >= 0 and not parts[prev]:
-                    continue
-                if self._eval(side, u, part | bit):
+                if self._eval(sides[j], u, part | bit):
                     parts[j] = part | bit
-                    yield parts
+                    yield used | side
                     parts[j] = part
 
-        return _depth_first([0] * len(sides), len(order), place,
-                            lambda parts: True)
+        return _depth_first(0, len(order), place, lambda used: True)
 
     def _generic_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
                        admitted: list[int]) -> bool:
         """Two or more sides cover the team, side j within admitted[j]: the
-        last side takes each part it holds on among its candidates
-        (:meth:`_subteams`) that contain the rows no earlier side admits;
-        the earlier sides cover the rest alike, the first by
-        :meth:`_exists_sat`.  Each step of :func:`_depth_first` gives one
-        side, last first, its part."""
+        last side takes each part it holds on (:meth:`_satisfying`) that
+        contains the rows no earlier side admits; the earlier sides cover
+        the rest alike, the first by :meth:`_exists_sat`.  Each step of
+        :func:`_depth_first` gives one side, last first, its part."""
         before = [0]  # j -> the rows sides 0 to j - 1 admit
         for part in admitted:
             before.append(before[-1] | part)
@@ -874,9 +876,8 @@ class Evaluator:
             """What sides 0 to j - 1 must cover after side j = last - level
             takes a part."""
             j = last - level
-            for part in self._subteams(sides[j], u, admitted[j], need & ~before[j]):
-                if self._eval(sides[j], u, part):
-                    yield need & ~part
+            for part in self._satisfying(sides[j], u, admitted[j], need & ~before[j]):
+                yield need & ~part
 
         return _depth_first(
             mask, last, parts,
@@ -887,7 +888,7 @@ class Evaluator:
         """Is there a team Y with lower <= Y <= upper satisfying f, and
         with Y nonempty when asked?  Y lies inside f's top (see
         :meth:`_top`); a downward-closed f is decided by the smallest
-        candidates of :meth:`_subteams`, any other f holds if it holds on
+        candidates of :meth:`_satisfying`, any other f holds if it holds on
         its top, which a union-closed f, holding on its G, always does, and
         else the candidates are tried in turn."""
         top = self._top(f, u, upper)
@@ -897,8 +898,7 @@ class Evaluator:
             return True
         least = 1 if nonempty and not lower else 0
         most = least if f.downward else None  # the smallest candidates decide
-        return any(self._eval(f, u, sub)
-                   for sub in self._subteams(f, u, top, lower, least, most))
+        return next(self._satisfying(f, u, top, lower, least, most), None) is not None
 
     # -- greatest satisfying subteams
 
@@ -983,14 +983,14 @@ class Evaluator:
         """Lax witness search: a satisfying Y inside the universal extension
         must hit the extension block of every original row.  The body is
         neither first order nor union closed.  If it forces ``dep(D; v)`` and
-        the team is nonempty, each step of :func:`_depth_first` gives the
-        rows of the next D value, in sorted order, one value a that the
-        envelope admits on all of them, extended by a alone; one class (D =
-        (), as for ``const(v)``) is tried in a loop here.  Else, unless the
-        full allowed extension decides, each step chooses a nonempty part of
-        the next row's block, rows in sorted order, one row for a downward
-        body.  A partial witness whose downward part fails is dropped; the
-        state carries it and its projection onto that part's variables."""
+        the team is nonempty, each step of :func:`_depth_first` extends the
+        rows of the next D value, in sorted order, by one value that the
+        envelope admits on all of them; one class, as for ``const(v)``, is
+        tried here.  Else, unless the full allowed extension decides, each
+        step chooses a nonempty part of the next row's allowed block, rows
+        in sorted order, one row for a downward body.  A class or row with
+        no option fails at once; a partial witness is dropped once the
+        downward part fails on its projection, which the state carries."""
         det = body.determiners.get(v) if mask else None
         if det is not None:
             if det:  # order: the rows of each D value, values sorted
@@ -1008,26 +1008,25 @@ class Evaluator:
                         return True
                 return False
             wide = self._universe(tuple(sorted(u.vars + (v,))))
+            images = [[_image(rows, self._extend(u, v, a)[1]) for a in self.model.domain]
+                      for rows in order]
+            options = [[y for y in ys if self._restrict(wide, y, body.envelope) == y]
+                       for ys in images]
         else:
             wide, image = self._extend(u, v)
             allowed = self._restrict(wide, _image(mask, image), body.envelope)
-            order = [image[bit.bit_length() - 1] & allowed
-                     for bit in sorted(_bits(mask), key=u.row_of)]
-            if not all(order):
-                return False
-            if self._eval(body, wide, allowed):
-                return True
+            options = [image[bit.bit_length() - 1] & allowed  # blocks
+                       for bit in sorted(_bits(mask), key=u.row_of)]
+        if not all(options):
+            return False
+        if det is None and self._eval(body, wide, allowed):
+            return True
         prune, most = body.downward_part, 1 if body.downward else None
-
-        def parts(i: int) -> Iterator[int]:  # the parts step i may add
-            if det is None:
-                return wide.submasks(order[i], 1, most)
-            ys = (_image(order[i], self._extend(u, v, a)[1]) for a in self.model.domain)
-            return (y for y in ys if self._restrict(wide, y, body.envelope) == y)
 
         def choose(i: int, state: tuple[int, int]) -> Iterator[tuple[int, int]]:
             acc, seen = state  # the partial witness, its projection for prune
-            for chosen in parts(i):
+            for chosen in (wide.submasks(options[i], 1, most) if det is None
+                           else options[i]):
                 if prune is TOP:
                     yield acc | chosen, 0
                     continue
@@ -1035,7 +1034,7 @@ class Evaluator:
                 if self._eval(prune, pu, seen | part):
                     yield acc | chosen, seen | part
 
-        return _depth_first((0, 0), len(order), choose,
+        return _depth_first((0, 0), len(options), choose,
                             lambda state: self._eval(body, wide, state[0]))
 
 

@@ -1,8 +1,8 @@
 """The bounded subteam search of the lax rules on formulas that are not
 union closed, against the literal oracle: ``Evaluator._exists_sat`` finds a
 team Y between random forced rows and an upper bound (nonempty when asked)
-iff some such Y satisfies the formula, and every such Y is among the
-candidates of ``Evaluator._subteams``.  Seeded formulas over ``dep``,
+iff some such Y satisfies the formula, and ``Evaluator._satisfying``
+yields exactly the Y that do.  Seeded formulas over ``dep``,
 ``const``, ``count_eq``, ``inc``, ``NE`` and literals, with ``&``, ``|``
 and ``exists``, on teams over (x, y) of at most 5 rows at |M| <= 3, at most
 4 rows at |M| = 2 under a quantifier.  tests/test_union_closed.py checks
@@ -60,9 +60,9 @@ def test_bounded_search_against_naive_evaluator():
         up, low = u.mask(upper), u.mask(lower)
         between = [s for s in _subteams(t.with_rows(upper))
                    if set(lower) <= s.rows and naive_eval(m, s, f)]
-        candidates = {frozenset(u.rows_of(sub))
-                      for sub in ev._subteams(f, u, ev._top(f, u, up), low)}
-        assert {s.rows for s in between} <= candidates, \
+        stream = {frozenset(u.rows_of(sub))
+                  for sub in ev._satisfying(f, u, ev._top(f, u, up), low)}
+        assert {s.rows for s in between} == stream, \
             (str(f), size, sorted(m.interp["P"]), upper, lower)
         for nonempty in (False, True):
             want = any(s.rows or not nonempty for s in between)

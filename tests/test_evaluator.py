@@ -5,6 +5,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import teamsem as ts
 from corpus import FO_CORPUS, all_teams
@@ -693,8 +694,8 @@ def test_colouring_agrees_with_the_downward_split(monkeypatch):
     plan, forced = ts.Evaluator._split_plan, []
 
     def downward(self, f):
-        flat, rest, how = plan(self, f)
-        return flat, rest, "downward" if forced and how == "coherent" else how
+        flat, rest, how, twins = plan(self, f)
+        return flat, rest, "downward" if forced and how == "coherent" else how, twins
 
     monkeypatch.setattr(ts.Evaluator, "_split_plan", downward)
     rng = random.Random(1998)
@@ -831,6 +832,76 @@ def test_closed_chains_against_naive_evaluator(monkeypatch, pool):
     assert calls and not nested
     assert (len(splits) > 50) is (pool is DOWNWARD_SIDES)
     assert bool(generic) is (pool is MIXED_SIDES)
+
+
+def _dead_ends():
+    """(route, model, team, formula): a class or a row that no option
+    admits, met last by the search of its route."""
+    sig = ts.Signature({"R": 2})
+    seven = ts.Model(8, {"R": {(x, z) for x in range(8) for z in range(8) if x != 6}},
+                     sig)
+    pairs = [r for r in product(range(5), repeat=2) if r[0] != r[1]][:14]
+    yield ("_exists", seven, ts.Team(("x",), [(x,) for x in range(7)]),
+           ts.parse("exists z (dep(x; z) & R(x, z) & NE)", sig))
+    yield ("_down_split", ts.Model(5), ts.Team(("x", "y"), pairs + [(4, 4)]),
+           ts.parse("(x = y -> x != y) | (x = y -> x != y)"))
+
+
+@pytest.mark.parametrize("route, m, t, f", _dead_ends(),
+                         ids=["dep_witness", "down_split"])
+def test_a_row_or_class_without_options_fails_the_search_at_once(
+        monkeypatch, route, m, t, f):
+    """No value of z has R(6, z), so the class x = 6 of the dependence
+    witness search has no option; the row (4, 4) fails both sides of the
+    downward split alone.  Either search fails before it starts, not after
+    trying every choice for the rows before (8**6 partial functions, or
+    2**13 placements)."""
+    searched = _spy(monkeypatch, route)
+    raw = _spy(monkeypatch, "_eval_raw")
+    assert not ts.evaluate(m, t, f)
+    assert len(searched) == 1 and len(raw) <= 20
+
+
+#: sides that neither flatness nor G decides: a chain of coherent ones goes
+#: to the colouring, one with a downward side that is not coherent to the
+#: downward split
+LAW_SIDES = {
+    "coherent": ["dep(x; y)", "dep(y; x)", "const(x)", "const(y)",
+                 "dep(x; y) & P(y)", "const(x) & x != y"],
+    "downward": ["dep(x; y) || const(y)", "x != y -> const(y)", "const(x) || const(y)",
+                 "P(x) -> const(y)"],
+}
+
+
+@pytest.mark.parametrize("kind", ["coherent", "downward"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(data=st.data())
+def test_shuffled_sides_keep_the_verdict(kind, data):
+    """Copies of one side are interchangeable, so the copy rule that both
+    split solvers apply must not depend on where the copies sit: a | chain
+    of 2 to 4 sides drawn from two formulas, the first of the kind's list
+    and the other a coherent side or of the kind's list, on up to 9 rows
+    over (x, y) at |M| <= 3, gets one verdict whatever the order of its
+    sides, and on up to 5 rows the oracle's."""
+    sig = ts.Signature({"R": 2, "P": 1})
+    first = data.draw(st.sampled_from(LAW_SIDES[kind]))
+    other = data.draw(st.sampled_from(LAW_SIDES[kind] + LAW_SIDES["coherent"])
+                      .filter(lambda text: text != first))
+    sides = [ts.parse(text, sig) for text in [first] + data.draw(
+        st.lists(st.sampled_from([first, other]), min_size=1, max_size=3))]
+    shuffled = data.draw(st.permutations(sides))
+    size = data.draw(st.sampled_from((2, 3, 3)))
+    cells = list(product(range(size), repeat=2))
+    m = ts.Model(size, {"P": data.draw(st.sets(st.sampled_from([(i,) for i in range(size)]))),
+                        "R": data.draw(st.sets(st.sampled_from(cells)))}, sig)
+    rows = data.draw(st.permutations(cells))[:data.draw(st.integers(size, len(cells)))]
+    t = ts.Team(("x", "y"), rows)
+    f, g = ts.syntax.or_all(sides), ts.syntax.or_all(shuffled)
+    assert ts.Evaluator(m)._split_plan(f)[2] == kind
+    want = ts.evaluate(m, t, f)
+    assert ts.evaluate(m, t, g) == want
+    if len(t) <= 5:
+        assert naive_eval(m, t, f) == want
 
 
 def _planted_dep_split(rng, k: int, want: bool) -> ts.Team:
