@@ -61,10 +61,9 @@ recurse.  Each search is a step function that extends a partial witness
 by one piece: a row to a side of a downward ``|`` split, a part of a block
 per row or a value per class of rows for the existential, a part per side
 of a general split, or a side per row in the colouring of a coherent split,
-``_colour``.  Each search lists its options before it starts, and fails at
-once if a row or class has none.  A step can end the whole search, as the
-colouring's final choices do, by setting a flag that the steps below it
-check when they resume.
+``_colour``; a row or class with no option fails it at once.  A step
+can end the whole search, as the colouring's final choices do, by
+setting a flag that the steps below it check when they resume.
 
 A custom atom counts as upward closed only once its claim passes
 :func:`check_upward_closed` on the domain sizes in use.  The test suite
@@ -985,12 +984,13 @@ class Evaluator:
         neither first order nor union closed.  If it forces ``dep(D; v)`` and
         the team is nonempty, each step of :func:`_depth_first` extends the
         rows of the next D value, in sorted order, by one value that the
-        envelope admits on all of them; one class, as for ``const(v)``, is
-        tried here.  Else, unless the full allowed extension decides, each
-        step chooses a nonempty part of the next row's allowed block, rows
-        in sorted order, one row for a downward body.  A class or row with
-        no option fails at once; a partial witness is dropped once the
-        downward part fails on its projection, which the state carries."""
+        envelope admits on all of them, values drawn as needed, since each
+        widens the universe by all of u's rows; one class, as for
+        ``const(v)``, is tried here.  Else, unless the full allowed extension
+        decides, each step chooses a nonempty part of the next row's allowed
+        block, rows in sorted order, one row for a downward body.  A class or
+        row with no option fails at once; a partial witness is dropped once
+        the downward part fails on its projection, which the state carries."""
         det = body.determiners.get(v) if mask else None
         if det is not None:
             if det:  # order: the rows of each D value, values sorted
@@ -1008,25 +1008,27 @@ class Evaluator:
                         return True
                 return False
             wide = self._universe(tuple(sorted(u.vars + (v,))))
-            images = [[_image(rows, self._extend(u, v, a)[1]) for a in self.model.domain]
-                      for rows in order]
-            options = [[y for y in ys if self._restrict(wide, y, body.envelope) == y]
-                       for ys in images]
         else:
             wide, image = self._extend(u, v)
             allowed = self._restrict(wide, _image(mask, image), body.envelope)
-            options = [image[bit.bit_length() - 1] & allowed  # blocks
-                       for bit in sorted(_bits(mask), key=u.row_of)]
-        if not all(options):
+            order = [image[bit.bit_length() - 1] & allowed  # blocks
+                     for bit in sorted(_bits(mask), key=u.row_of)]
+        prune, most = body.downward_part, 1 if body.downward else None
+
+        def parts(i: int) -> Iterator[int]:  # the options of step i, lazily
+            if det is None:
+                return wide.submasks(order[i], 1, most)
+            ys = (_image(order[i], self._extend(u, v, a)[1]) for a in self.model.domain)
+            return (y for y in ys if self._restrict(wide, y, body.envelope) == y)
+
+        if not all(next(parts(i), 0) for i in range(len(order))):
             return False
         if det is None and self._eval(body, wide, allowed):
             return True
-        prune, most = body.downward_part, 1 if body.downward else None
 
         def choose(i: int, state: tuple[int, int]) -> Iterator[tuple[int, int]]:
             acc, seen = state  # the partial witness, its projection for prune
-            for chosen in (wide.submasks(options[i], 1, most) if det is None
-                           else options[i]):
+            for chosen in parts(i):
                 if prune is TOP:
                     yield acc | chosen, 0
                     continue
@@ -1034,7 +1036,7 @@ class Evaluator:
                 if self._eval(prune, pu, seen | part):
                     yield acc | chosen, seen | part
 
-        return _depth_first((0, 0), len(options), choose,
+        return _depth_first((0, 0), len(order), choose,
                             lambda state: self._eval(body, wide, state[0]))
 
 

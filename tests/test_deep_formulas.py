@@ -3,10 +3,11 @@ of &, || and ~ nested any way evaluate without recursing down them, a
 split of more than a thousand rows evaluates without recursing per row,
 long quantifier prefixes parse and print without recursing down the
 prefix, a long prefix of constancy-witnessed existentials evaluates
-quickly, an existential over dep(x; z) on 60 rows searches functions of x,
-a subformula shared by many parents is walked once, and the
-command line answers anything deeper with exit code 2 and a one-line
-message, never a traceback read as "false"."""
+quickly, a prefix of dependence-witnessed ones keeps its teams small, an
+existential over dep(x; z) on 60 rows searches functions of x, a
+subformula shared by many parents is walked once, and the command line
+answers anything deeper with exit code 2 and a one-line message, never a
+traceback read as "false"."""
 
 import random
 from itertools import product
@@ -151,6 +152,23 @@ def test_300_deep_const_prefix_is_quick():
     start = time.perf_counter()
     assert ts.evaluate(ts.Model(3), ts.Team(("x",), [(0,), (1,), (2,)]), f)
     assert time.perf_counter() - start < 5
+
+
+def test_deep_dependence_prefix_keeps_three_rows():
+    """Each exists p_i over a body that forces dep(x; p_i) on the three
+    classes of x extends them by the first value each admits, so the nested
+    teams keep their three rows.  Extending every value before the search
+    grows the team at level i to 3**(i + 1) rows."""
+    import time
+
+    n = 10
+    text = (" ".join(f"exists p{i}" for i in range(n)) + " ("
+            + " & ".join(f"dep(x; p{i})" for i in range(n)) + " & x = x)")
+    ev = ts.Evaluator(ts.Model(3))
+    start = time.perf_counter()
+    assert ev.evaluate(ts.Team(("x",), [(0,), (1,), (2,)]), ts.parse(text))
+    assert time.perf_counter() - start < 5
+    assert max(len(u.rows) for u in ev._universes.values()) == 3
 
 
 def _planted_exdep_team(rng, n: int, nrows: int, xs: int) -> ts.Team:

@@ -10,15 +10,13 @@ counting wrappers around ``Evaluator._eval``, ``Evaluator._eval_raw``,
 ``Evaluator._kernel``, ``Evaluator._pick`` and ``Evaluator._largest``,
 around the search routes ``Evaluator._exists_sat``, ``_exists``,
 ``_coherent_split``, ``_down_split`` and ``_generic_split``, and around
-the evaluator module's ``tarski_eval``, and around the module's search
-driver ``_depth_first`` and the step function each search hands it.  It
-prints one JSON object: workload -> {"_eval": calls, "_eval_raw": calls,
-"_kernel": calls, "_pick": calls, "_largest": calls, one count per search
-route, "_exists_determined": calls, "tarski_eval": calls,
-"_search_states": states, "failed": jobs that raised, "top": [label,
-calls] of the job with the most ``_eval`` calls}.  A method, function or
-formula property the tree does not have counts 0, so older trees can be
-compared.
+the evaluator module's ``tarski_eval``.  It prints one JSON object:
+workload -> {"_eval": calls, "_eval_raw": calls, "_kernel": calls,
+"_pick": calls, "_largest": calls, one count per search route,
+"_exists_determined": calls, "tarski_eval": calls, "failed": jobs that
+raised, "top": [label, calls] of the job with the most ``_eval`` calls}.  A
+method, function or formula property the tree does not have counts 0, so
+older trees can be compared.
 
 ``_eval`` counts the evaluations asked for from outside the loop that
 decides a tree of ``&``, ``||`` and ``~``, not the memo hits that loop
@@ -45,12 +43,9 @@ the bound variable v, read from the body's ``Formula.determiners`` as the
 tests' spy reads it; ``const(v)`` makes one class.
 ``tarski_eval`` counts the calls made from the evaluator module (rows and
 sentences it restricts by, custom atoms it decides, upward-closure
-checks), not the function's calls on its own subformulas.
-``_search_states`` counts the states that the steps of every
-``_depth_first`` search yield: the partial witnesses, placements and
-colourings the backtracking searches try, a measure of search effort that
-does not depend on the host's speed.  A job that raises is counted up to
-the point where it raised, and its exception is printed on stderr.
+checks), not the function's calls on its own subformulas.  A job that
+raises is counted up to the point where it raised, and its exception is
+printed on stderr.
 """
 
 from __future__ import annotations
@@ -73,8 +68,7 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
     import workloads
     from teamsem import evaluator
 
-    calls = dict.fromkeys(
-        COUNTED + ("_exists_determined",) + FUNCTIONS + ("_search_states",), 0)
+    calls = dict.fromkeys(COUNTED + ("_exists_determined",) + FUNCTIONS, 0)
 
     def counted(name, method):
         def wrapper(*args, **kwargs):
@@ -94,16 +88,6 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
                 calls["_exists_determined"] += 1
             return exists(self, u, mask, v, body, *rest)
         evaluator.Evaluator._exists = determined
-    if hasattr(evaluator, "_depth_first"):
-        depth_first = evaluator._depth_first
-
-        def searched(root, depth, step, done):
-            def counted_step(level, state):
-                for new in step(level, state):
-                    calls["_search_states"] += 1
-                    yield new
-            return depth_first(root, depth, counted_step, done)
-        evaluator._depth_first = searched
     out = {}
     for workload in names:
         jobs = workloads.WORKLOADS[workload](random.Random(seed))

@@ -24,10 +24,8 @@ records both trees' ``verdict_digest``; under ``calls``, each tree's
 (``_exists_sat``, ``_exists``, ``_coherent_split``, ``_down_split`` and
 ``_generic_split``), its ``_exists`` calls whose body forces
 ``dep(D; v)`` for the bound variable v and so search functions of D
-(``_exists_determined``), its evaluator-level ``tarski_eval`` calls, the
-states that the steps of its ``_depth_first`` searches yield
-(``_search_states``, a machine-independent measure of search effort), and
-its job with the most ``_eval`` calls, from the ``counts.py`` beside this
+(``_exists_determined``), its evaluator-level ``tarski_eval`` calls, and its
+job with the most ``_eval`` calls, from the ``counts.py`` beside this
 file run on the tree at the same seed (``_eval`` does not count the memo
 hits that the loop deciding a tree of ``&``, ``||`` and ``~`` reads
 itself; ``_eval_raw`` and ``_kernel`` are the fingerprint of a change
