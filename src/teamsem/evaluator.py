@@ -38,7 +38,11 @@ search would be hopeless, so it prunes using nine structural facts:
     most two rows does (J. Kontinen, "Coherence and computational
     complexity of quantifier-free dependence logic formulas", Studia Logica
     2013), so a ``|`` chain of such sides is decided by colouring the rows
-    with the sides under pairwise conflicts;
+    with the sides under pairwise conflicts, read once per distinct side
+    from per-side value classes: none for a first-order part, the union
+    under ``&``, and under ``dep(D; W)`` the rows that agree on D but not
+    on D and W (``const(W)`` is D = ()); only a ``forall`` over a body that
+    is not first order is evaluated pair by pair;
   * a body forcing ``dep(D; v)`` makes v a Skolem function of D (J.
     Väänänen, *Dependence Logic*, 2007): ``exists v`` holds on a nonempty
     X iff the body holds on X[F/v] for some F from X's D values to M, one
@@ -312,6 +316,12 @@ def _depth_first(root, depth: int, step, done) -> bool:
     return False
 
 
+def _twins(copies: dict[Formula, int]) -> list[int]:
+    """The masks of copies (see :meth:`Evaluator._split_plan`) of the sides
+    that have more than one."""
+    return [same for same in copies.values() if same & (same - 1)]
+
+
 def _first_copy(options: int, used: int, twins: list[int]) -> int:
     """The options (bit i for side i) less every unused copy in a mask of
     twins but the first: empty parts for copies of one formula are alike."""
@@ -515,20 +525,31 @@ class Evaluator:
         hard_check a tenth of its time.  Value masks are not cached per mask:
         the atom memo already catches a repeated (atom, mask) pair."""
         hit = table.get(cols)
+        done = None if hit is None else hit[3]
+        out = None if done is None else done.get(mask)
+        if out is not None:
+            return hit[0], out
+        target, _, image, done = self._map(u, table, cols, target)
+        out = _image(mask, image)
+        if done is not None:
+            done[mask] = out
+        return target, out
+
+    def _map(self, u: _Universe, table: dict, cols: tuple[str, ...],
+             target: tuple[str, ...] | int) -> tuple:
+        """table[cols], made on first use: (the universe keyed target, the
+        places of cols in u's rows, bit -> the row's bit there for every
+        row of u, the images per mask if table is u.proj, else None)."""
+        hit = table.get(cols)
         if hit is None:
             hit = table[cols] = (self._universe(target),
                                  [u.vars.index(v) for v in cols], [],
                                  {} if table is u.proj else None)
-        target, idx, image, done = hit  # image: bit -> the row's bit there
-        out = None if done is None else done.get(mask)
-        if out is None:
-            if len(image) < len(u.rows):
-                image += [target.mask((tuple(row[i] for i in idx),))
-                          for row in u.rows[len(image):]]
-            out = _image(mask, image)
-            if done is not None:
-                done[mask] = out
-        return target, out
+        target, idx, image, _ = hit
+        if len(image) < len(u.rows):
+            image += [target.mask((tuple(row[i] for i in idx),))
+                      for row in u.rows[len(image):]]
+        return hit
 
     def _project(self, u: _Universe, mask: int,
                  variables: tuple[str, ...]) -> tuple[_Universe, int]:
@@ -732,7 +753,7 @@ class Evaluator:
         plan = self._plans.get(f.uid)
         if plan is None:
             plan = self._plans[f.uid] = self._split_plan(f)
-        flat, rest, how, twins = plan
+        flat, rest, how, copies = plan
         admitted, reach = [], 0
         for side in flat + rest:
             part = self._restrict(u, mask, side.envelope)
@@ -753,9 +774,9 @@ class Evaluator:
         if len(rest) == 1:
             return self._exists_sat(rest[0], u, admitted[0], todo)
         if how == "coherent":
-            return self._coherent_split(u, todo, rest, twins)
+            return self._coherent_split(u, todo, rest, copies)
         if how == "downward":
-            return self._down_split(u, todo, rest, twins)
+            return self._down_split(u, todo, rest, copies)
         for side, part in zip(rest, admitted):
             if not self._eval(side, u, part):
                 return self._generic_split(u, todo, rest, admitted)
@@ -765,7 +786,8 @@ class Evaluator:
         """The sides of the ``|`` chain at f (a first-order ``|`` is one
         flat side), left to right: the flat ones, union closed at the model
         size; the rest; how the rest split: "coherent", "downward" (if each
-        is so) or "split"; and the rest's twins.  Made once per node."""
+        is so) or "split"; and each distinct side of the rest -> the mask
+        of its copies there (bit i for side i).  Made once per node."""
         flat, rest, todo = [], [], [f]
         while todo:
             g = todo.pop()
@@ -777,45 +799,56 @@ class Evaluator:
                 rest.append(g)
         how = ("coherent" if all(side.coherent for side in rest) else
                "downward" if all(side.downward for side in rest) else "split")
-        same = {side: sum(1 << i for i, g in enumerate(rest) if g == side)
-                for side in rest}  # side -> the mask of its copies
-        return tuple(flat), tuple(rest), how, [m for m in same.values() if m & (m - 1)]
+        copies: dict[Formula, int] = {}
+        for i, side in enumerate(rest):
+            copies[side] = copies.get(side, 0) | 1 << i
+        return tuple(flat), tuple(rest), how, copies
 
     def _options(self, u: _Universe, mask: int,
-                 sides: tuple[Formula, ...]) -> dict[int, int] | None:
+                 copies: dict[Formula, int]) -> dict[int, int] | None:
         """Each row of the team -> the sides that hold on that row alone
-        (bit i for side i), or None if some row has none."""
+        (bit i for side i), each distinct side asked once per row for all
+        its copies (see :meth:`_split_plan`), or None if some row has none."""
         options = {}
         for row in _bits(mask):
-            options[row] = sum(1 << i for i, side in enumerate(sides)
-                               if self._eval(side, u, row))
-            if not options[row]:
+            held = 0
+            for side, same in copies.items():
+                if self._eval(side, u, row):
+                    held |= same
+            if not held:
                 return None
+            options[row] = held
         return options
 
     def _coherent_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
-                        twins: list[int]) -> bool:
+                        copies: dict[Formula, int]) -> bool:
         """Every side coherent: a part satisfies its side iff each of its
         rows and pairs of rows does, and a partition suffices, so the split
         gives each row one of its :meth:`_options` (side i as bit i) such
-        that no two rows that fail a side together both get it.  Rows in
+        that no two rows that fail a side together both get it.  Those
+        conflicts come once per distinct side, from :meth:`_conflicts` on
+        the rows that hold it alone, and its copies share them.  Rows in
         conflict with no other row take any option; :func:`_colour` colours
         each connected group of the others on its own."""
-        allowed = self._options(u, mask, sides)
+        allowed = self._options(u, mask, copies)
         if allowed is None:
             return False
+        if not mask & (mask - 1):  # no two rows to conflict
+            return True
         #: row -> per side, the rows it fails that side with
         conflict = {row: [0] * len(sides) for row in allowed}
         links = dict.fromkeys(allowed, 0)  # row -> the rows it conflicts with
-        for a, b in combinations(allowed, 2):
-            both = allowed[a] & allowed[b]
-            for i, side in enumerate(sides):
-                if both >> i & 1 and not self._eval(side, u, a | b):
-                    conflict[a][i] |= b
-                    conflict[b][i] |= a
-                    links[a] |= b
-                    links[b] |= a
-        todo = mask
+        for side, same in copies.items():
+            rows = [row for row in allowed if allowed[row] & same]
+            if len(rows) < 2:
+                continue
+            places = [bit.bit_length() - 1 for bit in _bits(same)]
+            for row, clash in zip(rows, self._conflicts(side, u, rows)):
+                if clash:
+                    links[row] |= clash
+                    for i in places:
+                        conflict[row][i] = clash
+        twins, todo = _twins(copies), mask
         while todo:
             group = reach = todo & -todo
             while reach:
@@ -830,22 +863,60 @@ class Evaluator:
                 return False
         return True
 
+    def _conflicts(self, f: Formula, u: _Universe, rows: list[int]) -> list[int]:
+        """Per row of rows (bits of u, each holding the coherent f alone),
+        the rows among them it fails f with, read from f's structure: a
+        first-order part gives none, since each row holds it; ``&`` joins
+        its parts' conflicts; ``dep(D; W)``, with ``const(W)`` as D = (),
+        gives the rows that agree on D but not on D and W.  An atom groups
+        the rows by the bits of two maps (:meth:`_map`) that evaluating it
+        on each row alone has filled: the rows' projections onto its
+        variables, and their D values there.  Any other part, a ``forall``
+        over a body that is not first order, is evaluated on each pair of
+        rows."""
+        out, todo = [0] * len(rows), [f]
+        while todo:
+            g = todo.pop()
+            if type(g) is Atom:  # dep(D; W), or const(W) as D = ()
+                sub_u, subs = u, rows  # the rows over g's variables
+                if g.free_tuple != u.vars:
+                    sub_u, _, onto, _ = self._map(u, u.proj, g.free_tuple,
+                                                  g.free_tuple)
+                    subs = [onto[row.bit_length() - 1] for row in rows]
+                dom = g.parts[0] if g.kind == "dep" else ()
+                image = self._map(sub_u, sub_u.vals, dom, len(dom))[2]
+                keys = [image[sub.bit_length() - 1] for sub in subs]  # D values
+                group, same = {}, {}  # a D value, a row over g's variables -> rows
+                for row, key, sub in zip(rows, keys, subs):
+                    group[key] = group.get(key, 0) | row
+                    same[sub] = same.get(sub, 0) | row
+                for j, (key, sub) in enumerate(zip(keys, subs)):
+                    out[j] |= group[key] & ~same[sub]
+            elif type(g) is And:
+                todo += (g.left, g.right)
+            elif not g.first_order:
+                for (i, a), (j, b) in combinations(enumerate(rows), 2):
+                    if not self._eval(g, u, a | b):
+                        out[i] |= b
+                        out[j] |= a
+        return out
+
     def _down_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
-                    twins: list[int]) -> bool:
+                    copies: dict[Formula, int]) -> bool:
         """Every side downward closed but not every one coherent: a side is
         an ``exists``, a ``->``, a ``||``, a bracket, or a ``&`` or
         ``forall`` over one of these or over a ``|``.  A partition
         suffices: give the rows, in sorted order, one at a time to one of
         their :meth:`_options`, and reject as soon as a side fails on its
-        partial team.  Of the copies in twins (see :meth:`_split_plan`)
+        partial team.  Of the copies of a side (see :meth:`_split_plan`)
         that hold no row yet, only the first is tried.  Each step of
         :func:`_depth_first` places one row in the shared list of parts;
         its state is the mask of the sides holding a row."""
-        options = self._options(u, mask, sides)
+        options = self._options(u, mask, copies)
         if options is None or not all(self._eval(side, u, 0) for side in sides):
             return False
         order = sorted(options, key=u.row_of)
-        parts = [0] * len(sides)
+        parts, twins = [0] * len(sides), _twins(copies)
 
         def place(i: int, used: int) -> Iterator[int]:
             bit = order[i]

@@ -721,6 +721,77 @@ def test_colouring_agrees_with_the_downward_split(monkeypatch):
     assert True in verdicts and False in verdicts
 
 
+@pytest.mark.parametrize("text", [
+    "dep(x; x)", "dep(x y; x z)", "const(x y)", "dep(x; y) & x != z & P(y)",
+    "dep(x; z) & dep(y; z)", "forall w (dep(x w; y) & !R(w, z))"])
+def test_conflict_tables_match_the_pairwise_verdicts(text):
+    """The conflict table of a coherent side, read from its structure,
+    lists for each row that holds the side alone exactly the rows it fails
+    the side with, as a separate evaluator finds pair by pair: repeated and
+    overlapping groups of dep, const, & with first-order conjuncts, two dep
+    atoms, and a forall that is evaluated pair by pair, on random teams
+    over (x, y, z) at |M| <= 4."""
+    from teamsem.evaluator import _bits
+
+    rng = random.Random(text)
+    sig = ts.Signature({"R": 2, "P": 1})
+    side = ts.parse(text, sig)
+    clashes = 0
+    for _ in range(40):
+        size = rng.randrange(1, 5)
+        m = ts.Model(size, {
+            "P": {(i,) for i in range(size) if rng.random() < 0.5},
+            "R": {(i, j) for i in range(size) for j in range(size)
+                  if rng.random() < 0.7},
+        }, sig)
+        rows = list(product(range(size), repeat=3))
+        t = ts.Team(("x", "y", "z"), rng.sample(rows, min(len(rows), rng.randrange(2, 13))))
+        ev, ref = ts.Evaluator(m), ts.Evaluator(m)
+        u, mask = ev._team(t, side)
+        ref_u, _ = ref._team(t, side)  # numbers the rows alike
+        alone = [row for row in _bits(mask) if ref._eval(side, ref_u, row)]
+        table = ev._conflicts(side, u, alone)
+        for a, clash in zip(alone, table):
+            assert clash == sum(b for b in alone
+                                if not ref._eval(side, ref_u, a | b)), (sorted(t.rows), a)
+            clashes += clash != 0
+    assert bool(clashes) is (text != "dep(x; x)")  # which holds on every team
+
+
+def test_coherent_split_asks_each_row_once_per_distinct_side(monkeypatch):
+    """Three copies of dep(x y; z) on a planted team whose keys (x, y) take
+    1, 2 and 3 values of z: the coherent split asks the atom's kernel at
+    most once per row, for the row alone, and reads every pair's conflict
+    from the value classes, so it holds, and fails once a key takes 4."""
+    side = ts.parse("dep(x y; z)")
+    f = ts.TensorOr(ts.TensorOr(side, side), side)
+    keys = [(0, 0), (0, 1), (1, 2), (2, 3), (3, 0), (3, 3)]
+    rows = [key + (z,) for i, key in enumerate(keys) for z in range(1 + i % 3)]
+    inside, kernels = [], []
+    split, kernel = ts.Evaluator._coherent_split, ts.Evaluator._kernel
+
+    def coherent_split(self, *args):
+        inside.append(True)
+        try:
+            return split(self, *args)
+        finally:
+            inside.pop()
+
+    def counted(self, *args):
+        if inside:
+            kernels.append(args)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(ts.Evaluator, "_coherent_split", coherent_split)
+    monkeypatch.setattr(ts.Evaluator, "_kernel", counted)
+    m = ts.Model(4)
+    assert ts.evaluate(m, ts.Team(("x", "y", "z"), rows), f)
+    assert 0 < len(kernels) <= len(rows)
+    kernels.clear()
+    assert not ts.evaluate(m, ts.Team(("x", "y", "z"), rows + [(3, 3, 3)]), f)
+    assert 0 < len(kernels) <= len(rows) + 1
+
+
 def test_colouring_fails_at_a_final_dead_end():
     """A row whose first choice is final and runs out of sides fails the
     split: three values of y for one x cannot go to two copies of

@@ -7,29 +7,35 @@ TREE is a checkout of the repository.  The tool imports the tree's own
 ``src/`` and ``perfbench/workloads.py``, builds each workload's job list
 from the seed, and runs every job once in this process, in order, with
 counting wrappers around ``Evaluator._eval``, ``Evaluator._eval_raw``,
-``Evaluator._kernel``, ``Evaluator._pick`` and ``Evaluator._largest``,
-around the search routes ``Evaluator._exists_sat``, ``_exists``,
-``_coherent_split``, ``_down_split`` and ``_generic_split``, and around
-the evaluator module's ``tarski_eval``.  It prints one JSON object:
-workload -> {"_eval": calls, "_eval_raw": calls, "_kernel": calls,
-"_pick": calls, "_largest": calls, one count per search route,
-"_exists_determined": calls, "tarski_eval": calls, "failed": jobs that
-raised, "top": [label, calls] of the job with the most ``_eval`` calls}.  A
-method, function or formula property the tree does not have counts 0, so
-older trees can be compared.
+``Evaluator._kernel``, ``Evaluator._pick``, ``Evaluator._largest`` and
+``Evaluator._conflicts``, around the search routes
+``Evaluator._exists_sat``, ``_exists``, ``_coherent_split``,
+``_down_split`` and ``_generic_split``, and around the evaluator module's
+``tarski_eval``.  It prints one JSON object: workload -> {"_eval": calls,
+"_eval_raw": calls, "_kernel": calls, "_pick": calls, "_largest": calls,
+"_conflicts": calls, one count per search route, "_exists_determined":
+calls, "tarski_eval": calls, "failed": jobs that raised, "top": [label,
+calls] of the job with the most ``_eval`` calls}.  A method, function or
+formula property the tree does not have counts 0, so older trees can be
+compared.
 
 ``_eval`` counts the evaluations asked for from outside the loop that
 decides a tree of ``&``, ``||`` and ``~``, not the memo hits that loop
 reads itself; ``_eval_raw`` counts the verdicts computed by a rule other
 than that loop.  ``_eval_raw`` and ``_kernel`` are a machine-independent
 fingerprint of the searches: a change that keeps the candidates the
-evaluator tries, and their order, keeps both counts on every workload,
-whatever the host's speed.  ``_pick`` counts the projections and
-value-tuple maps the evaluator computes, its work below the atoms and the
-searches.
+evaluator tries, their order, and the evaluations that decide them keeps
+both counts on every workload, whatever the host's speed.  Reading the
+coherent split's pair conflicts from value classes (``_conflicts``) kept
+the colouring search but dropped the evaluation of each pair of rows, so
+both counts fell on ``hard_check`` and ``model_sweep`` by design.
+``_pick`` counts the projections and value-tuple maps the evaluator
+computes, its work below the atoms and the searches.
 ``_largest`` counts the greatest satisfying subteams the searches ask
 for, every flat side of a ``|`` chain and every union-closed quantifier
-among them, not the ones those computations need in turn.  The route
+among them, not the ones those computations need in turn.
+``_conflicts`` counts the conflict tables of the coherent split, one per
+distinct side of a split of two or more rows.  The route
 counts show which searches a workload reaches: the bounded subteam search
 (``_exists_sat``: a single side of a ``|`` chain that is not union closed,
 ``<>``, and the first side of a general split), the existential's witness
@@ -57,8 +63,9 @@ import sys
 import traceback
 from pathlib import Path
 
-COUNTED = ("_eval", "_eval_raw", "_kernel", "_pick", "_largest", "_exists_sat",
-           "_exists", "_coherent_split", "_down_split", "_generic_split")
+COUNTED = ("_eval", "_eval_raw", "_kernel", "_pick", "_largest", "_conflicts",
+           "_exists_sat", "_exists", "_coherent_split", "_down_split",
+           "_generic_split")
 #: counted functions of the evaluator module
 FUNCTIONS = ("tarski_eval",)
 
