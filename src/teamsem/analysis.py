@@ -7,7 +7,9 @@ verifies them empirically by exhaustive sweeps, extracts minimal witnesses,
 and builds the totality-arity separation witness.  The ``equivalent``
 sweep doubles as the correctness oracle for every rewriter.  Both sweeps
 run over one driver, ``_cells``, which checks the model and team caps for
-the largest size before the first cell.
+the largest size before the first cell and decides each cell from its
+subset-rank mask.  ``cli._sweep`` keeps a loop of its own, because the
+benchmark counts its coverage on the names ``cli`` enumerates with.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .structures import (
     Model,
     Team,
     _check_caps,
+    all_assignment_rows,
     enumerate_models,
     enumerate_teams,
     model_to_text,
@@ -124,18 +127,26 @@ def nu_bound(f: Formula, n: int, gamma: GammaTable | None = None,
 
 def _cells(signature: Signature, max_model: int, variables: tuple[str, ...],
            team_filter: str, registry: Registry | None):
-    """Every cell of a sweep, as (evaluator, team): one evaluator per model
-    of the signature up to max_model, and the teams over the variables
-    that the filter keeps.  The caps are checked for max_model on the
-    call, before the first cell is drawn."""
+    """Every cell of a sweep, as (evaluator, universe, mask, team): one fresh
+    evaluator per model up to max_model, which numbers the rows over the
+    sorted variables in the order whose subsets ``enumerate_teams`` yields
+    by rank, so the k-th team is mask k; and the teams the filter keeps,
+    still built because the benchmark counts coverage on this module's
+    ``enumerate_teams``.  The caps are checked for max_model on the call."""
     if max_model < 1:
         raise AnalysisError(f"max_model must be >= 1, got {max_model}")
     _check_caps(signature, max_model, len(variables))
-    evaluators = (Evaluator(model, registry) for size in range(1, max_model + 1)
-                  for model in enumerate_models(signature, size))
-    return ((ev, team) for ev in evaluators
-            for team in enumerate_teams(ev.model, variables)
-            if team_filter == "all" or not team.is_empty())
+
+    def cells():
+        for size in range(1, max_model + 1):
+            for model in enumerate_models(signature, size):
+                ev = Evaluator(model, registry)
+                u = ev._universe(variables)
+                u.mask(all_assignment_rows(size, len(variables)))
+                for mask, team in enumerate(enumerate_teams(model, variables)):
+                    if team_filter == "all" or mask:
+                        yield ev, u, mask, team
+    return cells()
 
 
 def minimal_satisfying_subteam(model: Model, team: Team, f: Formula,
@@ -148,11 +159,11 @@ def minimal_satisfying_subteam(model: Model, team: Team, f: Formula,
     return _first_witness(Evaluator(model, registry), team, f)
 
 
-def _first_witness(ev: Evaluator, team: Team, f: Formula) -> Team | None:
+def _first_witness(ev: Evaluator, team: Team, f: Formula, cell=None) -> Team | None:
     """ev's first satisfying subteam (see
-    :meth:`Evaluator.first_satisfying_subteam`), re-validated with fresh
-    state, or None."""
-    witness = ev.first_satisfying_subteam(team, f)
+    :meth:`Evaluator.first_satisfying_subteam`) of the team, or of its
+    (universe, mask) cell, re-validated with fresh state, or None."""
+    witness = next(ev._satisfying_teams(team, f, cell), None)
     if witness is not None and not evaluate(ev.model, witness, f, ev.registry):
         raise AnalysisError("unstable evaluation result")
     return witness
@@ -189,12 +200,12 @@ def check_boundedness(f: Formula, max_model: int,
     nus = {} if nus is None else nus
     nus.update((n, nu_bound(f, n, gamma, registry)) for n in range(1, max_model + 1))
     reports = []
-    for ev, team in cells:
-        if not ev.evaluate(team, f):
+    for ev, u, mask, team in cells:
+        if not ev._eval(f, u, mask):
             continue
         # every candidate comes before the team in the enumeration, so the
         # sweep's memo already holds its verdict
-        witness = _first_witness(ev, team, f)
+        witness = _first_witness(ev, team, f, (u, mask))
         wsize = len(witness) if witness is not None else len(team)
         nu = nus[ev.model.size]
         reports.append(BoundReport(f, ev.model.size, len(team), nu, wsize,
@@ -295,9 +306,9 @@ def equivalent(f: Formula, g: Formula, variables: Iterable[str],
         extra = h.free_vars - set(variables)
         if extra:
             raise AnalysisError(f"free variables {sorted(extra)} not swept")
-    for ev, team in _cells(signature, max_model, variables, team_filter,
-                           registry):
-        if ev.evaluate(team, f) != ev.evaluate(team, g):
+    for ev, u, mask, team in _cells(signature, max_model, variables,
+                                    team_filter, registry):
+        if ev._eval(f, u, mask) != ev._eval(g, u, mask):
             # revalidate with fresh state before reporting
             a = evaluate(ev.model, team, f, registry)
             if a == evaluate(ev.model, team, g, registry):

@@ -456,9 +456,11 @@ class Evaluator:
         combination order over the sorted rows within a size, or None."""
         return next(self._satisfying_teams(team, f), None)
 
-    def _satisfying_teams(self, team: Team, f: Formula) -> Iterator[Team]:
-        """The subteams satisfying f, as :meth:`_satisfying` yields them."""
-        u, mask = self._team(team, f)
+    def _satisfying_teams(self, team: Team, f: Formula,
+                          cell: tuple[_Universe, int] | None = None) -> Iterator[Team]:
+        """The subteams satisfying f, as :meth:`_satisfying` yields them, of
+        the team, or of its (universe, mask) cell if given."""
+        u, mask = cell or self._team(team, f)
         for sub in self._satisfying(f, u, self._top(f, u, mask)):
             yield team.with_rows(u.rows_of(sub))
 

@@ -568,9 +568,10 @@ _BINARY = {IntImpl: (1, " -> "), ClassicalOr: (2, " || "), TensorOr: (3, " | "),
 _INFIX = {sep.strip(): (cls, level) for cls, (level, sep) in _BINARY.items()}
 
 
+#: one token with the whitespace before it; a character that starts no token
+#: begins BAD, which takes the rest of the text and so ends the matches
 _TOKEN_RE = re.compile(
-    r"""(?P<WS>\s+)
-      | (?P<CUSTOM>D:[a-z][a-zA-Z0-9_]*)
+    r"""\s*(?:(?P<CUSTOM>D:[a-z][a-zA-Z0-9_]*)
       | (?P<RELNAME>[A-Z][a-zA-Z0-9_]*)
       | (?P<IDENT>[a-z][a-zA-Z0-9_]*)
       | (?P<NUMBER>\d+)
@@ -579,22 +580,21 @@ _TOKEN_RE = re.compile(
       | (?P<NEQ>!=)
       | (?P<DIAMOND><>)
       | (?P<SYM>[&|~()\[\];,=!])
+      | (?P<BAD>\S(?s:.*)))
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "WS":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
+    """(kind, text, position) per token, then EOF at the end.  The matches
+    end where the trailing whitespace starts: inside it, each start would
+    scan to the end of the text and fail, which is quadratic."""
+    tokens = [(kind := m.lastgroup, m[kind], m.start(kind))
+              for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip()))]
+    if tokens and tokens[-1][0] == "BAD":
+        _, bad, pos = tokens[-1]
+        raise ParseError(f"unexpected character {bad[0]!r}", pos)
     tokens.append(("EOF", "", len(text)))
     return tokens
 

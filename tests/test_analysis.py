@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import teamsem as ts
-from teamsem.analysis import GammaTable
+from teamsem.analysis import BoundReport, EquivReport, GammaTable, _cells, nu_bound
 from teamsem.syntax import Atom
 
 
@@ -177,6 +177,95 @@ def test_sizes_below_one_are_errors():
                           max_model=size)
         with pytest.raises(ts.AnalysisError):
             ts.check_boundedness(ts.parse("all(x)"), size)
+
+
+R2 = ts.Signature({"R": 2})
+BOTH = ("all", "nonempty")
+#: (signature, max_model, variables, left, right, the team filters under
+#: which the pair is planted not equivalent, so that the first
+#: counterexample is compared too)
+SWEEP_CASES = [
+    (R2, 2, ("x", "y"), "R(x, y) | R(y, x)", "R(y, x) | R(x, y)", ()),
+    (R2, 2, ("x", "y"), "R(x, y)", "R(y, x)", BOTH),
+    (R2, 2, ("x", "y"), "dep(x; y)", "forall z (R(x, z) -> const(y))", BOTH),
+    (ts.EMPTY_SIGNATURE, 3, ("x",), "const(x)", "NE", BOTH),
+    (ts.EMPTY_SIGNATURE, 3, ("x", "y"), "all(x)", "forall w all(x w)", ()),
+    (ts.EMPTY_SIGNATURE, 3, ("x", "y"), "dep(x; y)", "dep(y; x)", BOTH),
+    (ts.EMPTY_SIGNATURE, 3, (), "NE", "exists x NE", ()),
+    (ts.EMPTY_SIGNATURE, 3, (), "NE", "T", ("all",)),
+]
+
+
+def literal_equivalent(f, g, variables, sig, max_model, team_filter):
+    """equivalent's report from a literal loop over every model and team,
+    with a fresh evaluate per cell."""
+    for size in range(1, max_model + 1):
+        for model in ts.enumerate_models(sig, size):
+            for t in ts.enumerate_teams(model, variables):
+                if team_filter == "nonempty" and t.is_empty():
+                    continue
+                left = ts.evaluate(model, t, f)
+                if left != ts.evaluate(model, t, g):
+                    return EquivReport(False, max_model, team_filter, model, t, left)
+    return EquivReport(True, max_model, team_filter)
+
+
+def literal_boundedness(f, max_model):
+    """check_boundedness's reports from a literal loop, with a fresh
+    evaluate and a fresh witness search per cell."""
+    reports = []
+    for size in range(1, max_model + 1):
+        nu = nu_bound(f, size)
+        for model in ts.enumerate_models(ts.EMPTY_SIGNATURE, size):
+            for t in ts.enumerate_teams(model, f.free_tuple):
+                if ts.evaluate(model, t, f):
+                    w = ts.minimal_satisfying_subteam(model, t, f)
+                    wsize = len(t) if w is None else len(w)
+                    reports.append(BoundReport(f, size, len(t), nu, wsize,
+                                               w is not None and wsize <= nu))
+    return reports
+
+
+@pytest.mark.parametrize("team_filter", ["all", "nonempty"])
+@pytest.mark.parametrize("sig, max_model, variables, left, right, planted",
+                         SWEEP_CASES)
+def test_equivalent_matches_the_literal_sweep(sig, max_model, variables, left,
+                                              right, planted, team_filter):
+    """The mask-decided sweep gives the literal loop's report: the verdict,
+    and for a planted pair the first counterexample's model, team and left
+    value."""
+    f, g = ts.parse(left, sig), ts.parse(right, sig)
+    got = ts.equivalent(f, g, variables, sig, max_model, team_filter)
+    assert got == literal_equivalent(f, g, variables, sig, max_model, team_filter)
+    assert got.equivalent is (team_filter not in planted)
+
+
+@pytest.mark.parametrize("text, max_model", [
+    ("all(x) | all(y)", 2), ("NE | NE", 3), ("const(x) & all(x)", 3),
+    ("exists x all(x)", 3), ("NE", 3)])
+def test_check_boundedness_matches_the_literal_sweep(text, max_model):
+    """The mask-decided sweep and witness draw give the literal loop's
+    reports, the last two over an empty variable tuple."""
+    f = ts.parse(text)
+    reports = ts.check_boundedness(f, max_model)
+    assert reports and reports == literal_boundedness(f, max_model)
+
+
+@pytest.mark.parametrize("team_filter", ["all", "nonempty"])
+def test_the_kth_team_of_a_sweep_is_mask_k(team_filter):
+    """Each model's evaluator numbers the rows over the variables in
+    all_assignment_rows order before the first cell, so the k-th team
+    enumerate_teams yields is mask k, the mask the evaluator gives it."""
+    masks = {}
+    for ev, u, mask, t in _cells(ts.Signature({"P": 1}), 2, ("x", "y"),
+                                 team_filter, None):
+        assert u.rows == list(product(range(ev.model.size), repeat=2))
+        assert ev._team(t, ts.TOP) == (u, mask)
+        masks.setdefault(ev, []).append(mask)
+    assert len(masks) == 2 + 4
+    first = 0 if team_filter == "all" else 1
+    for ev, got in masks.items():
+        assert got == list(range(first, 1 << ev.model.size ** 2))
 
 
 def test_witness_searches_reuse_the_sweep_evaluator(monkeypatch):

@@ -20,6 +20,7 @@ from teamsem.syntax import (
     Possibly,
     PositiveLiteral,
     TensorOr,
+    _tokenize,
     fresh_tuple,
 )
 
@@ -100,6 +101,74 @@ def test_parse_errors_carry_position():
         ts.parse("P(x, y)", SIG)  # arity mismatch
     with pytest.raises(ts.ParseError):
         ts.parse("R(x y", SIG)
+
+
+def error_at(text):
+    with pytest.raises(ts.ParseError) as e:
+        ts.parse(text, SIG)
+    return str(e.value), e.value.position
+
+
+def test_tokenizer_errors_and_whitespace():
+    """A stray character is named where it stands, whitespace of any kind
+    around tokens is skipped, and the end of input sits at len(text)."""
+    assert error_at("x = y $") == ("unexpected character '$' (at position 6)", 6)
+    for lone in "-<>":
+        assert error_at(lone) == (f"unexpected character {lone!r} (at position 0)", 0)
+    for text in ("\tx = y", "x\n=\ty", "x = y  \n\t", "\n x\t=\n y \t"):
+        assert ts.parse(text) == Equal("x", "y"), repr(text)
+    for text in ("", " ", "\t\n  "):
+        assert error_at(text) == (
+            f"unexpected 'end of input' (at position {len(text)})", len(text))
+
+
+#: token texts, whitespace and characters that start no token, joined at
+#: random by the tokenizer law
+TOKEN_TEXTS = ["x", "y2", "abc", "R", "Pq_1", "D:tot", "12", "0", "->", "||", "!=",
+               "<>", "&", "|", "~", "(", ")", "[", "]", ";", ",", "=", "!"]
+SPACES = [" ", "  ", "\t", "\n", "\r\n", "\u3000"]
+STRAYS = ["$", "-", "<", ">", ":", ".", "#", "\u00e9"]
+
+
+def starts_token(text):
+    """Whether a token starts at text[0], read from the token table rather
+    than the tokenizer's pattern."""
+    c = text[0]
+    return (c.isascii() and (c.isalnum() or c in "&|~()[];,=!")
+            or text.startswith(("->", "<>")))
+
+
+def test_tokens_cover_the_text_law():
+    """Either every token's text sits at its position with only whitespace
+    between, before and after the tokens, or a ParseError names the first
+    character at which no token starts.  Skipped where hypothesis is not
+    installed."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=400)
+    @hypothesis.given(st.lists(st.sampled_from(TOKEN_TEXTS + SPACES + STRAYS),
+                               max_size=12))
+    def law(parts):
+        text = "".join(parts)
+        try:
+            tokens = _tokenize(text)
+        except ts.ParseError as e:
+            pos = e.position
+            assert not text[pos].isspace() and not starts_token(text[pos:])
+            assert str(e) == f"unexpected character {text[pos]!r} (at position {pos})"
+            _tokenize(text[:pos])  # all before it is tokens and whitespace
+            return
+        assert tokens[-1] == ("EOF", "", len(text))
+        end = 0
+        for kind, value, pos in tokens[:-1]:
+            assert value and text[pos:pos + len(value)] == value, (text, kind)
+            assert text[end:pos].isspace() or end == pos, (text, pos)
+            end = pos + len(value)
+        assert text[end:].isspace() or end == len(text)
+
+    law()
 
 
 def test_bracket_requires_sentence():

@@ -7,13 +7,13 @@ TREE is a checkout of the repository.  The tool imports the tree's own
 ``src/`` and ``perfbench/workloads.py``, builds each workload's job list
 from the seed, and runs every job once in this process, in order, with
 counting wrappers around ``Evaluator._eval``, ``Evaluator._eval_raw``,
-``Evaluator._kernel``, ``Evaluator._pick``, ``Evaluator._largest`` and
-``Evaluator._conflicts``, around the search routes
+``Evaluator._kernel``, ``Evaluator._pick``, ``Evaluator._largest``,
+``Evaluator._conflicts`` and ``Evaluator._team``, around the search routes
 ``Evaluator._exists_sat``, ``_exists``, ``_coherent_split``,
 ``_down_split`` and ``_generic_split``, and around the evaluator module's
 ``tarski_eval``.  It prints one JSON object: workload -> {"_eval": calls,
 "_eval_raw": calls, "_kernel": calls, "_pick": calls, "_largest": calls,
-"_conflicts": calls, one count per search route, "_exists_determined":
+"_conflicts": calls, "_team": calls, one count per search route, "_exists_determined":
 calls, "tarski_eval": calls, "failed": jobs that raised, "top": [label,
 calls] of the job with the most ``_eval`` calls}.  A method, function or
 formula property the tree does not have counts 0, so older trees can be
@@ -35,7 +35,10 @@ computes, its work below the atoms and the searches.
 for, every flat side of a ``|`` chain and every union-closed quantifier
 among them, not the ones those computations need in turn.
 ``_conflicts`` counts the conflict tables of the coherent split, one per
-distinct side of a split of two or more rows.  The route
+distinct side of a split of two or more rows.  ``_team`` counts the
+conversions of a ``Team`` to a mask, one per ``Team`` that enters the
+evaluator; the ``equivalent`` and ``check_boundedness`` sweeps decide
+their cells from masks and convert none.  The route
 counts show which searches a workload reaches: the bounded subteam search
 (``_exists_sat``: a single side of a ``|`` chain that is not union closed,
 ``<>``, and the first side of a general split), the existential's witness
@@ -64,7 +67,7 @@ import traceback
 from pathlib import Path
 
 COUNTED = ("_eval", "_eval_raw", "_kernel", "_pick", "_largest", "_conflicts",
-           "_exists_sat", "_exists", "_coherent_split", "_down_split",
+           "_team", "_exists_sat", "_exists", "_coherent_split", "_down_split",
            "_generic_split")
 #: counted functions of the evaluator module
 FUNCTIONS = ("tarski_eval",)

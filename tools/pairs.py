@@ -20,7 +20,8 @@ not favour one side.  Before the pairs of a workload it runs one pass
 of ``python3 perfbench/worker.py --workload W --seed N`` in each tree and
 records both trees' ``verdict_digest``; under ``calls``, each tree's
 ``Evaluator._eval``, ``_eval_raw``, ``_kernel``, ``_pick``, ``_largest``
-and ``_conflicts`` call counts, its calls of each search route
+and ``_conflicts`` call counts, its ``Team``-to-mask conversions
+(``_team``), its calls of each search route
 (``_exists_sat``, ``_exists``, ``_coherent_split``, ``_down_split`` and
 ``_generic_split``), its ``_exists`` calls whose body forces
 ``dep(D; v)`` for the bound variable v and so search functions of D
