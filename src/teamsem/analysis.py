@@ -8,8 +8,14 @@ and builds the totality-arity separation witness.  The ``equivalent``
 sweep doubles as the correctness oracle for every rewriter.  Both sweeps
 run over one driver, ``_cells``, which checks the model and team caps for
 the largest size before the first cell and decides each cell from its
-subset-rank mask.  ``cli._sweep`` keeps a loop of its own, because the
-benchmark counts its coverage on the names ``cli`` enumerates with.
+subset-rank mask.  ``equivalent`` decides one cell per orbit of a model's
+automorphisms, on models of at most ``_ORBIT_SIZE_CAP`` elements: the
+language has no constants, so renaming a team's values by an automorphism
+keeps every verdict.  ``check_boundedness`` decides every cell, one fresh
+witness re-check each.  ``cli._sweep`` keeps a loop of its own that
+decides every cell: the benchmark counts its coverage on the names ``cli``
+enumerates with, and ``model_sweep``'s harness share, which grows as the
+sweep gets faster, is close to its limit.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ from .structures import (
     _TEAM_ROW_CAP,
     Model,
     Team,
+    _automorphisms,
     _check_caps,
+    _permuted_masks,
     all_assignment_rows,
     enumerate_models,
     enumerate_teams,
@@ -58,6 +66,9 @@ Bound = tuple[str, int]
 
 #: largest domain size :func:`hierarchy_witness` tries
 _MAX_DOMAIN = 8
+
+#: largest model whose automorphisms (of 4! = 24 permutations) sweeps use
+_ORBIT_SIZE_CAP = 4
 
 #: most rows of the full team :func:`hierarchy_witness` searches: 3**3,
 #: which the size bound of ``all`` decides with one candidate
@@ -126,13 +137,17 @@ def nu_bound(f: Formula, n: int, gamma: GammaTable | None = None,
 
 
 def _cells(signature: Signature, max_model: int, variables: tuple[str, ...],
-           team_filter: str, registry: Registry | None):
+           team_filter: str, registry: Registry | None, orbits: bool = False):
     """Every cell of a sweep, as (evaluator, universe, mask, team): one fresh
     evaluator per model up to max_model, which numbers the rows over the
     sorted variables in the order whose subsets ``enumerate_teams`` yields
     by rank, so the k-th team is mask k; and the teams the filter keeps,
     still built because the benchmark counts coverage on this module's
-    ``enumerate_teams``.  The caps are checked for max_model on the call."""
+    ``enumerate_teams``.  With ``orbits``, of a model of at most
+    ``_ORBIT_SIZE_CAP`` elements only the cells whose mask no automorphism
+    (:func:`structures._automorphisms`, applied to the mask by its byte
+    maps) sends to a smaller mask: the least of each orbit, which comes
+    first in the sweep.  The caps are checked for max_model on the call."""
     if max_model < 1:
         raise AnalysisError(f"max_model must be >= 1, got {max_model}")
     _check_caps(signature, max_model, len(variables))
@@ -143,9 +158,17 @@ def _cells(signature: Signature, max_model: int, variables: tuple[str, ...],
                 ev = Evaluator(model, registry)
                 u = ev._universe(variables)
                 u.mask(all_assignment_rows(size, len(variables)))
+                tables = ()  # the automorphisms but the identity, as mask maps
+                if orbits and size <= _ORBIT_SIZE_CAP:
+                    maps = _permuted_masks(size, len(variables))[1]
+                    tables = [maps[i] for i in _automorphisms(model)[1:]]
                 for mask, team in enumerate(enumerate_teams(model, variables)):
                     if team_filter == "all" or mask:
-                        yield ev, u, mask, team
+                        for low, high in tables:
+                            if low[mask & 255] | high[mask >> 8] < mask:
+                                break
+                        else:
+                            yield ev, u, mask, team
     return cells()
 
 
@@ -298,7 +321,11 @@ def equivalent(f: Formula, g: Formula, variables: Iterable[str],
                registry: Registry | None = None) -> EquivReport:
     """Exhaustively compare two formulas over all models of the signature up
     to max_model and all teams over the given variables; the first
-    disagreement (re-checked from scratch) becomes the counterexample."""
+    disagreement (re-checked from scratch) becomes the counterexample.  Of
+    each orbit of teams under a model's automorphisms only the least mask
+    is decided: the verdicts agree across an orbit, so it disagrees iff its
+    least mask does, and that mask comes first, so the counterexample, or
+    an ``EvalError``, is the one deciding every team would meet."""
     if team_filter not in ("all", "nonempty"):
         raise AnalysisError("team_filter must be 'all' or 'nonempty'")
     variables = tuple(sorted(set(variables)))
@@ -307,7 +334,7 @@ def equivalent(f: Formula, g: Formula, variables: Iterable[str],
         if extra:
             raise AnalysisError(f"free variables {sorted(extra)} not swept")
     for ev, u, mask, team in _cells(signature, max_model, variables,
-                                    team_filter, registry):
+                                    team_filter, registry, orbits=True):
         if ev._eval(f, u, mask) != ev._eval(g, u, mask):
             # revalidate with fresh state before reporting
             a = evaluate(ev.model, team, f, registry)

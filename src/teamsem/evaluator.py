@@ -806,35 +806,27 @@ class Evaluator:
             copies[side] = copies.get(side, 0) | 1 << i
         return tuple(flat), tuple(rest), how, copies
 
-    def _options(self, u: _Universe, mask: int,
-                 copies: dict[Formula, int]) -> dict[int, int] | None:
-        """Each row of the team -> the sides that hold on that row alone
-        (bit i for side i), each distinct side asked once per row for all
-        its copies (see :meth:`_split_plan`), or None if some row has none."""
-        options = {}
+    def _coherent_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
+                        copies: dict[Formula, int]) -> bool:
+        """Every side coherent: a part satisfies its side iff each of its
+        rows and pairs of rows does, and a partition suffices, so the split
+        gives each row one of the sides that hold on it alone (side i as
+        bit i; each distinct side, see :meth:`_split_plan`, is asked once
+        for all its copies) such that no two rows that fail a side together
+        both get it.  Those conflicts come once per distinct side, from
+        :meth:`_conflicts` on the rows that hold it alone, and its copies
+        share them.  Rows in conflict with no other row take any allowed
+        side; :func:`_colour` colours each connected group of the others on
+        its own."""
+        allowed = {}  # row -> the sides that hold on it alone
         for row in _bits(mask):
             held = 0
             for side, same in copies.items():
                 if self._eval(side, u, row):
                     held |= same
             if not held:
-                return None
-            options[row] = held
-        return options
-
-    def _coherent_split(self, u: _Universe, mask: int, sides: tuple[Formula, ...],
-                        copies: dict[Formula, int]) -> bool:
-        """Every side coherent: a part satisfies its side iff each of its
-        rows and pairs of rows does, and a partition suffices, so the split
-        gives each row one of its :meth:`_options` (side i as bit i) such
-        that no two rows that fail a side together both get it.  Those
-        conflicts come once per distinct side, from :meth:`_conflicts` on
-        the rows that hold it alone, and its copies share them.  Rows in
-        conflict with no other row take any option; :func:`_colour` colours
-        each connected group of the others on its own."""
-        allowed = self._options(u, mask, copies)
-        if allowed is None:
-            return False
+                return False
+            allowed[row] = held
         if not mask & (mask - 1):  # no two rows to conflict
             return True
         #: row -> per side, the rows it fails that side with
@@ -908,24 +900,27 @@ class Evaluator:
         """Every side downward closed but not every one coherent: a side is
         an ``exists``, a ``->``, a ``||``, a bracket, or a ``&`` or
         ``forall`` over one of these or over a ``|``.  A partition
-        suffices: give the rows, in sorted order, one at a time to one of
-        their :meth:`_options`, and reject as soon as a side fails on its
-        partial team.  Of the copies of a side (see :meth:`_split_plan`)
-        that hold no row yet, only the first is tried.  Each step of
+        suffices: give the rows, in sorted order, one at a time to a side
+        that holds on the row alone and on its partial team with the row,
+        and reject as soon as none does.  A first pass asks each row's
+        distinct sides (see :meth:`_split_plan`) until one holds, so a row
+        that fails every side fails the split before the search; a row's
+        other sides are asked when the search tries them.  Of the copies of
+        a side that hold no row yet, only the first is tried.  Each step of
         :func:`_depth_first` places one row in the shared list of parts;
         its state is the mask of the sides holding a row."""
-        options = self._options(u, mask, copies)
-        if options is None or not all(self._eval(side, u, 0) for side in sides):
+        order = sorted(_bits(mask), key=u.row_of)
+        if not (all(any(self._eval(side, u, bit) for side in copies) for bit in order)
+                and all(self._eval(side, u, 0) for side in copies)):
             return False
-        order = sorted(options, key=u.row_of)
-        parts, twins = [0] * len(sides), _twins(copies)
+        parts, twins, every = [0] * len(sides), _twins(copies), (1 << len(sides)) - 1
 
         def place(i: int, used: int) -> Iterator[int]:
             bit = order[i]
-            for side in _bits(_first_copy(options[bit], used, twins)):
+            for side in _bits(_first_copy(every, used, twins)):
                 j = side.bit_length() - 1
                 part = parts[j]
-                if self._eval(sides[j], u, part | bit):
+                if self._eval(sides[j], u, bit) and self._eval(sides[j], u, part | bit):
                     parts[j] = part | bit
                     yield used | side
                     parts[j] = part

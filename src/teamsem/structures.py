@@ -8,7 +8,9 @@ are reproducible.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 from typing import Iterable, Iterator, Mapping
 
 from .syntax import (
@@ -260,6 +262,36 @@ def enumerate_teams(model: Model, variables: Iterable[str]) -> Iterator[Team]:
     _check_caps(EMPTY_SIGNATURE, model.size, len(vs))
     for rows in _by_rank(all_assignment_rows(model.size, len(vs))):
         yield Team(vs, rows)
+
+
+@lru_cache(maxsize=None)
+def _permuted_masks(size: int, width: int) -> tuple[dict, list]:
+    """The bit of each row of ``all_assignment_rows(size, width)``, at most
+    16 rows, and each permutation of the domain, in ``permutations`` order
+    (identity first), as a map of the masks over those rows: the images of
+    a mask's low and high byte, ``low[mask & 255] | high[mask >> 8]``."""
+    rows = all_assignment_rows(size, width)
+    index = {row: bit for bit, row in enumerate(rows)}
+    maps = []
+    for perm in permutations(range(size)):
+        image = [1 << index[tuple(perm[v] for v in row)] for row in rows]
+        maps.append(tuple([sum(bit for i, bit in enumerate(part) if byte >> i & 1)
+                           for byte in range(1 << len(part))]
+                          for part in (image[:8], image[8:])))
+    return index, maps
+
+
+def _automorphisms(model: Model) -> list[int]:
+    """The places in ``permutations(range(model.size))``, identity first, of
+    the permutations that map every relation onto itself: the mask of its
+    tuples (see :func:`_permuted_masks`), at most 16 of them, is its own
+    image."""
+    keep = range(factorial(model.size))
+    for name in model.signature.names:
+        index, maps = _permuted_masks(model.size, model.signature.arity(name))
+        mask = sum(1 << index[t] for t in model.interp[name])
+        keep = [i for i in keep if maps[i][0][mask & 255] | maps[i][1][mask >> 8] == mask]
+    return list(keep)
 
 
 def _canonical_interp(model: Model) -> tuple:

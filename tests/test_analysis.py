@@ -180,7 +180,13 @@ def test_sizes_below_one_are_errors():
 
 
 R2 = ts.Signature({"R": 2})
+P1 = ts.Signature({"P": 1})
 BOTH = ("all", "nonempty")
+#: a unary notion as ``teamsem transform compile-unary`` takes it: the
+#: team's values are one element or the whole domain
+TARGET = ts.UnaryDepDescription.parse("eq:1 | co_eq:0")
+SWEEP_REGISTRY = ts.EMPTY_REGISTRY.register(ts.DependencySpec(
+    "target", 1, ts.unary_description_sentence(TARGET)))
 #: (signature, max_model, variables, left, right, the team filters under
 #: which the pair is planted not equivalent, so that the first
 #: counterexample is compared too)
@@ -193,6 +199,26 @@ SWEEP_CASES = [
     (ts.EMPTY_SIGNATURE, 3, ("x", "y"), "dep(x; y)", "dep(y; x)", BOTH),
     (ts.EMPTY_SIGNATURE, 3, (), "NE", "exists x NE", ()),
     (ts.EMPTY_SIGNATURE, 3, (), "NE", "T", ("all",)),
+    # models with automorphisms besides the identity, so that equivalent
+    # decides one cell per orbit: P:1 at |M| = 3, 24 permutations of the
+    # empty model at |M| = 4, a custom atom, brackets over R:2; the planted
+    # pairs' first counterexamples come after skipped cells of their model
+    (P1, 3, ("x", "y"), "P(x) | dep(x; y)", "dep(x; y) | P(x)", ()),
+    (P1, 3, ("x", "y"), "geq(x, 3) & P(y)", "geq(x, 3) & P(x)", BOTH),
+    (P1, 3, ("x", "y"), "dep(x; y) | P(x) | P(y)", "dep(x; y) | (P(x) || P(y))", BOTH),
+    (ts.EMPTY_SIGNATURE, 4, ("x",), "geq(x, 2)", "ncon(x)", ()),
+    (ts.EMPTY_SIGNATURE, 4, ("x",), "count_eq(x, 2) & cocount_eq(x, 2)", "x != x & NE",
+     BOTH),
+    (ts.EMPTY_SIGNATURE, 4, ("v",), "D:target(v)", ts.pretty(ts.compile_unary_dependency(
+        TARGET, "v")), ()),
+    (ts.EMPTY_SIGNATURE, 4, ("v",), "D:target(v)", "count_eq(v, 1)", BOTH),
+    (R2, 2, ("x", "y"), "[exists z R(z, z)] & dep(x; y)",
+     "dep(x; y) & [exists w R(w, w)]", ()),
+    (R2, 2, ("x", "y"), "[forall z exists w R(z, w)] || dep(x; y)",
+     "[exists w forall z R(z, w)] || dep(x; y)", BOTH),
+    # first told apart on {(1, 0)} where R = {(0, 1)}: swapping 0 and 1
+    # maps it to the smaller {(0, 1)}, but that swap moves R
+    (R2, 2, ("x", "y"), "R(y, x)", "R(x, y) & R(y, x)", BOTH),
 ]
 
 
@@ -204,8 +230,8 @@ def literal_equivalent(f, g, variables, sig, max_model, team_filter):
             for t in ts.enumerate_teams(model, variables):
                 if team_filter == "nonempty" and t.is_empty():
                     continue
-                left = ts.evaluate(model, t, f)
-                if left != ts.evaluate(model, t, g):
+                left = ts.evaluate(model, t, f, SWEEP_REGISTRY)
+                if left != ts.evaluate(model, t, g, SWEEP_REGISTRY):
                     return EquivReport(False, max_model, team_filter, model, t, left)
     return EquivReport(True, max_model, team_filter)
 
@@ -231,11 +257,11 @@ def literal_boundedness(f, max_model):
                          SWEEP_CASES)
 def test_equivalent_matches_the_literal_sweep(sig, max_model, variables, left,
                                               right, planted, team_filter):
-    """The mask-decided sweep gives the literal loop's report: the verdict,
-    and for a planted pair the first counterexample's model, team and left
-    value."""
+    """The sweep, which decides one mask-decided cell per automorphism
+    orbit, gives the literal loop's report: the verdict, and for a planted
+    pair the first counterexample's model, team and left value."""
     f, g = ts.parse(left, sig), ts.parse(right, sig)
-    got = ts.equivalent(f, g, variables, sig, max_model, team_filter)
+    got = ts.equivalent(f, g, variables, sig, max_model, team_filter, SWEEP_REGISTRY)
     assert got == literal_equivalent(f, g, variables, sig, max_model, team_filter)
     assert got.equivalent is (team_filter not in planted)
 

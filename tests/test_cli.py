@@ -160,6 +160,13 @@ def test_transform_depdef_verify(capsys):
     assert code == 0 and "verified" in out
 
 
+def test_transform_depdef_verify_4(capsys):
+    """65,536 teams over (x, y) at |M| = 4 fall into 3,044 orbits of the
+    domain's 24 permutations; the sweep decides one team per orbit."""
+    code, out, _ = run(capsys, "transform", "depdef", "x", "y", "--verify", "4")
+    assert code == 0 and "verified (all teams, |M|<=4)" in out
+
+
 def test_transform_nedef_verify(capsys):
     code, out, _ = run(capsys, "transform", "nedef", "--verify", "3")
     assert code == 0 and out.splitlines()[0] == "forall q all(q)"

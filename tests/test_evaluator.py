@@ -932,6 +932,24 @@ def test_a_row_or_class_without_options_fails_the_search_at_once(
     assert len(searched) == 1 and len(raw) <= 20
 
 
+def test_down_split_asks_a_row_s_other_sides_only_when_it_tries_them(monkeypatch):
+    """On a true chain of three distinct downward sides whose first side
+    holds on the whole team, the search gives every row to the first side,
+    so the other two are asked only on the empty team: each row is asked of
+    the first side alone, in the pass that refutes a row no side holds,
+    and with its partial team."""
+    n = 40
+    first, *others = (ts.parse(text) for text in (
+        "dep(x; y) || const(y)", "const(x) || const(y)", "x = y -> const(y)"))
+    t = ts.Team(("x", "y"), [(a, a % 2) for a in range(n)])
+    splits = _spy(monkeypatch, "_down_split")
+    raw = _spy(monkeypatch, "_eval_raw")
+    assert ts.evaluate(ts.Model(n), t, ts.syntax.or_all([first, *others]))
+    assert len(splits) == 1
+    assert not [f for f, u, mask in raw if f in others and mask]
+    assert len(raw) <= 2 * n + 10
+
+
 def _planted_dep_split(rng, k: int, want: bool) -> ts.Team:
     """18 to 20 rows over (x, y, z) at |M| = 4 on which the k-fold split of
     dep(x y; z) holds exactly when want: it holds iff no key (x, y) takes

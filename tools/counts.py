@@ -10,12 +10,14 @@ counting wrappers around ``Evaluator._eval``, ``Evaluator._eval_raw``,
 ``Evaluator._kernel``, ``Evaluator._pick``, ``Evaluator._largest``,
 ``Evaluator._conflicts`` and ``Evaluator._team``, around the search routes
 ``Evaluator._exists_sat``, ``_exists``, ``_coherent_split``,
-``_down_split`` and ``_generic_split``, and around the evaluator module's
-``tarski_eval``.  It prints one JSON object: workload -> {"_eval": calls,
-"_eval_raw": calls, "_kernel": calls, "_pick": calls, "_largest": calls,
-"_conflicts": calls, "_team": calls, one count per search route, "_exists_determined":
-calls, "tarski_eval": calls, "failed": jobs that raised, "top": [label,
-calls] of the job with the most ``_eval`` calls}.  A method, function or
+``_down_split`` and ``_generic_split``, around the evaluator module's
+``tarski_eval``, and around its ``_depth_first`` and the step function
+each search passes it.  It prints one JSON object: workload -> {"_eval":
+calls, "_eval_raw": calls, "_kernel": calls, "_pick": calls, "_largest":
+calls, "_conflicts": calls, "_team": calls, one count per search route,
+"_exists_determined": calls, "_search_states": states, "tarski_eval":
+calls, "failed": jobs that raised, "top": [label, calls] of the job with
+the most ``_eval`` calls}.  A method, function or
 formula property the tree does not have counts 0, so older trees can be
 compared.
 
@@ -49,7 +51,10 @@ chains with two or more such sides.  A route that reads 0 on every
 workload is guarded by the tests alone.  ``_exists_determined`` counts the
 ``_exists`` calls on a nonempty team whose body forces ``dep(D; v)`` for
 the bound variable v, read from the body's ``Formula.determiners`` as the
-tests' spy reads it; ``const(v)`` makes one class.
+tests' spy reads it; ``const(v)`` makes one class.  ``_search_states``
+counts the states that the steps of ``_depth_first`` yield, the nodes of
+every split, colouring and dependence witness search below their roots:
+a measure of search effort that does not depend on the host's speed.
 ``tarski_eval`` counts the calls made from the evaluator module (rows and
 sentences it restricts by, custom atoms it decides, upward-closure
 checks), not the function's calls on its own subformulas.  A job that
@@ -78,7 +83,8 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
     import workloads
     from teamsem import evaluator
 
-    calls = dict.fromkeys(COUNTED + ("_exists_determined",) + FUNCTIONS, 0)
+    calls = dict.fromkeys(COUNTED + ("_exists_determined", "_search_states")
+                          + FUNCTIONS, 0)
 
     def counted(name, method):
         def wrapper(*args, **kwargs):
@@ -98,6 +104,16 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
                 calls["_exists_determined"] += 1
             return exists(self, u, mask, v, body, *rest)
         evaluator.Evaluator._exists = determined
+    if hasattr(evaluator, "_depth_first"):
+        depth_first = evaluator._depth_first
+
+        def searched(root, depth, step, done):
+            def counted_step(level, state):
+                for found in step(level, state):
+                    calls["_search_states"] += 1
+                    yield found
+            return depth_first(root, depth, counted_step, done)
+        evaluator._depth_first = searched
     out = {}
     for workload in names:
         jobs = workloads.WORKLOADS[workload](random.Random(seed))

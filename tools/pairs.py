@@ -25,7 +25,8 @@ and ``_conflicts`` call counts, its ``Team``-to-mask conversions
 (``_exists_sat``, ``_exists``, ``_coherent_split``, ``_down_split`` and
 ``_generic_split``), its ``_exists`` calls whose body forces
 ``dep(D; v)`` for the bound variable v and so search functions of D
-(``_exists_determined``), its evaluator-level ``tarski_eval`` calls, and its
+(``_exists_determined``), the states its ``_depth_first`` searches step
+to (``_search_states``), its evaluator-level ``tarski_eval`` calls, and its
 job with the most ``_eval`` calls, from the ``counts.py`` beside this
 file run on the tree at the same seed (``_eval`` does not count the memo
 hits that the loop deciding a tree of ``&``, ``||`` and ``~`` reads
