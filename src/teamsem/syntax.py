@@ -11,8 +11,9 @@ encloses a first-order sentence whose truth is read off the model alone.
 
 Formulas are interned (hash-consed): build them only through their
 constructors, which return the one live node for each structure, so ``==``
-is identity and each node's hash and structural properties are computed
-once, when it is first built (see :class:`Formula`).
+and the hash are identity.  Each node's structural properties are computed
+once, by its class's rule when it is first built, and its weakenings when
+they are first read (see :class:`Formula`).
 
 Variables match ``[a-z][a-zA-Z0-9_]*`` and relations ``[A-Z][a-zA-Z0-9_]*``.
 Dependency atoms group their arguments with ``;``: ``dep(x y; w)``,
@@ -24,7 +25,7 @@ registered at evaluation time.
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import partial, reduce
 from itertools import count
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -119,6 +120,9 @@ _DOWNWARD_KINDS = frozenset({"const", "dep"})
 _TABLE: dict[tuple, ref] = {}
 _UIDS = count()
 _setattr = object.__setattr__
+#: the stored properties: uid, then what a class's rule computes, in its order
+_STORED = ("uid", "free_vars", "free_tuple", "first_order", "arities", "downward",
+           "coherent", "determiners", "up_builtin", "union_builtin", "custom_names")
 
 
 class Formula:
@@ -126,11 +130,11 @@ class Formula:
 
     Nodes must be built through their constructors, which look the fields
     up in a weak-value table: structurally equal constructions return the
-    same object, so ``==`` is identity.  Fields are validated before a new
-    node enters the table.  Every node stores, computed once from its
-    fields and its children's stored values:
+    same object, so ``==`` is identity and the hash is the node's identity.
+    Fields are validated before a new node enters the table.  Every node
+    stores, computed once by its class's rule in ``_RULES`` from its fields
+    and its children's stored values:
 
-    ``_hash``         the hash, from the class name and the fields' hashes
     ``uid``           a small integer, unique among all nodes ever built
     ``free_vars``     the free variables
     ``free_tuple``    the free variables, sorted
@@ -150,46 +154,32 @@ class Formula:
                       ``custom_names`` is upward closed
     ``union_builtin`` unions of satisfying teams satisfy it, given the same:
                       ``inc`` and ``up_builtin`` nodes under &, |, quantifiers
-    ``envelope``, ``downward_part``  the weakenings the search prunes with
+    ``envelope``, ``downward_part``  the weakenings the search prunes with,
+                      made on their first read
     """
 
     # the fields live in __dict__, the stored properties in slots
-    __slots__ = ("_hash", "uid", "free_vars", "free_tuple", "first_order",
-                 "arities", "downward", "coherent", "determiners",
-                 "up_builtin", "union_builtin", "custom_names", "_envelope",
-                 "_downward_part", "__dict__", "__weakref__")
+    __slots__ = (*_STORED, "_envelope", "_downward_part", "__dict__", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *args):
+        key = (cls, *args)
+        node = entry() if (entry := _TABLE.get(key)) is not None else None
+        if node is not None:
+            return node
         fields = cls.__match_args__
         if len(args) != len(fields):
             raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
-        key = (cls, *args)
-        entry = _TABLE.get(key)
-        node = entry() if entry is not None else None
-        if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(fields, args):
-                _setattr(node, name, value)
-            node._validate()
-            _setattr(node, "_hash", hash((cls.__name__, *args)))
-            _setattr(node, "uid", next(_UIDS))
-            for name, value in zip(_DERIVED, _derive(node)):
-                _setattr(node, name, value)
-            _setattr(node, "free_tuple", tuple(sorted(node.free_vars)))
-            # never store the node itself: refcounting cannot free a cycle
-            if not node.first_order:
-                _setattr(node, "_envelope", _weaken(node, "envelope"))
-            if not node.downward:
-                _setattr(node, "_downward_part", _weaken(node, "downward_part"))
-            _TABLE[key] = ref(node, lambda r: _TABLE.get(key) is r and _TABLE.pop(key))
+        node = object.__new__(cls)
+        node.__dict__.update(zip(fields, args))
+        node._validate()
+        for store, value in zip(_STORES, (next(_UIDS), *_RULES[cls](*args))):
+            store(node, value)
+        _TABLE[key] = ref(node, lambda r: _TABLE.get(key) is r and _TABLE.pop(key))
         return node
 
     def _validate(self):
         pass
-
-    def __hash__(self):
-        return self._hash
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -211,7 +201,10 @@ class Formula:
         """First-order upper bound: every row of a satisfying team satisfies
         it.  The formula itself when first-order; otherwise team-level
         constructs weaken to T at their (monotone) positions."""
-        return self if self.first_order else self._envelope
+        try:
+            return self if self.first_order else self._envelope
+        except AttributeError:
+            return _weakening(self, "envelope")
 
     @property
     def downward_part(self) -> Formula:
@@ -219,7 +212,10 @@ class Formula:
         subteams.  Subtrees that are not downward closed collapse to T; what
         survives (first-order parts, constancy, functional dependence)
         drives the early rejection of partial witnesses."""
-        return self if self.downward else self._downward_part
+        try:
+            return self if self.downward else self._downward_part
+        except AttributeError:
+            return _weakening(self, "downward_part")
 
 
 class PositiveLiteral(Formula):
@@ -354,9 +350,7 @@ class Atom(Formula):
             raise ValueError(f"{self.kind} takes a single variable")
 
 
-#: the stored properties that _derive computes, in its order
-_DERIVED = ("free_vars", "first_order", "arities", "downward", "coherent",
-            "determiners", "up_builtin", "union_builtin", "custom_names")
+_STORES = tuple(getattr(Formula, name).__set__ for name in _STORED)  # slot setters
 _EMPTY: frozenset = frozenset()
 _NO_DET = MappingProxyType({})  # the determiners of a node forcing no dep(D; v)
 
@@ -366,57 +360,70 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
     return a if b <= a else b if a <= b else a | b
 
 
-def _derive(f: Formula) -> tuple:
-    match f:
-        case PositiveLiteral(rel, args) | NegativeLiteral(rel, args):
-            return (frozenset(args), True, frozenset({(rel, len(args))}), True,
-                    True, _NO_DET, True, True, ())
-        case Equal(a, b) | NotEqual(a, b):
-            return frozenset((a, b)), True, _EMPTY, True, True, _NO_DET, True, True, ()
-        case And(l, r) | TensorOr(l, r):
-            fo = l.first_order and r.first_order
-            up = l.up_builtin and r.up_builtin
-            union = l.union_builtin and r.union_builtin
-            names = l.custom_names + tuple(
-                n for n in r.custom_names if n not in l.custom_names)
-            conj = isinstance(f, And)
-            coherent = fo or (conj and l.coherent and r.coherent)
-            dets = l.determiners if conj else _NO_DET
-            if conj and r.determiners:  # per v the least D, fewest variables first
-                dets = MappingProxyType(dict(sorted([*dets.items(), *r.determiners.items()],
-                                        key=lambda p: (len(p[1]), p[1]), reverse=True)))
-            return (_union(l.free_vars, r.free_vars), fo,
-                    _union(l.arities, r.arities), l.downward and r.downward,
-                    coherent, dets, up, union, names if union else ())
-        case ClassicalOr(l, r) | IntImpl(l, r):
-            down = isinstance(f, IntImpl) or (l.downward and r.downward)
-            return (_union(l.free_vars, r.free_vars), False,
-                    _union(l.arities, r.arities), down, False, _NO_DET, False,
-                    False, ())
-        case Exists(v, body) | Forall(v, body):
-            coherent = body.first_order or (isinstance(f, Forall) and body.coherent)
-            dets = body.determiners and MappingProxyType(
-                {w: d for w, d in body.determiners.items() if w != v and v not in d})
-            return (body.free_vars - {v}, body.first_order, body.arities,
-                    body.downward, coherent, dets, body.up_builtin,
-                    body.union_builtin, body.custom_names)
-        case ContraNeg(body) | Possibly(body):
-            up = isinstance(f, Possibly)
-            return (body.free_vars, False, body.arities, False, False, _NO_DET,
-                    up, up, ())
-        case Bracket(body):
-            return _EMPTY, False, body.arities, True, False, _NO_DET, True, True, ()
-        case Atom(kind, parts, _, name):
-            custom = kind == "custom"
-            down = kind in _DOWNWARD_KINDS
-            d = tuple(sorted(set(parts[0]))) if kind == "dep" else ()
-            dets = _NO_DET if not down else MappingProxyType(
-                {y: d for y in parts[-1] if y not in d})
-            return (frozenset(v for part in parts for v in part), False, _EMPTY,
-                    down, down, dets, custom or kind in _UPWARD_KINDS,
-                    custom or kind in _UPWARD_KINDS or kind == "inc",
-                    (name,) if custom else ())
-    raise TypeError(f"not a formula: {f!r}")
+def _joined(l: Formula, r: Formula) -> tuple[frozenset, tuple[str, ...]]:
+    """l's and r's free variables together, as a set and sorted, sharing a
+    child's when the union is that child's set."""
+    a, b = l.free_vars, r.free_vars
+    return ((a, l.free_tuple) if b <= a else (b, r.free_tuple) if a <= b
+            else (a | b, tuple(sorted(a | b))))
+
+
+def _literal(free: frozenset, arities: frozenset) -> tuple:
+    return free, tuple(sorted(free)), True, arities, True, True, _NO_DET, True, True, ()
+
+
+def _splitting(conj: bool, l: Formula, r: Formula) -> tuple:
+    """The rule of ``&`` (conj) or ``|``."""
+    fo, union = l.first_order and r.first_order, l.union_builtin and r.union_builtin
+    names = (() if not union else l.custom_names if not r.custom_names else l.custom_names
+             + tuple(n for n in r.custom_names if n not in l.custom_names))
+    dets = l.determiners if conj else _NO_DET
+    if conj and r.determiners:  # per v the least D, fewest variables first
+        dets = MappingProxyType(dict(sorted([*dets.items(), *r.determiners.items()],
+                                            key=lambda p: (len(p[1]), p[1]), reverse=True)))
+    return (*_joined(l, r), fo, _union(l.arities, r.arities), l.downward and r.downward,
+            fo or (conj and l.coherent and r.coherent), dets,
+            l.up_builtin and r.up_builtin, union, names)
+
+
+def _quantifier(universal: bool, v: str, body: Formula) -> tuple:
+    """The rule of ``forall`` (universal) or ``exists``."""
+    free, fo, dets = body.free_vars - {v}, body.first_order, body.determiners
+    if dets:
+        dets = MappingProxyType({w: d for w, d in dets.items() if w != v and v not in d})
+    return (free, tuple(sorted(free)), fo, body.arities, body.downward,
+            fo or (universal and body.coherent), dets, body.up_builtin,
+            body.union_builtin, body.custom_names)
+
+
+def _atom(kind: str, parts: tuple[tuple[str, ...], ...], param, name) -> tuple:
+    custom, down = kind == "custom", kind in _DOWNWARD_KINDS
+    d = tuple(sorted(set(parts[0]))) if kind == "dep" else ()
+    dets = MappingProxyType({y: d for y in parts[-1] if y not in d}) if down else _NO_DET
+    free = frozenset(v for part in parts for v in part)
+    up = custom or kind in _UPWARD_KINDS
+    return (free, tuple(sorted(free)), False, _EMPTY, down, down, dets, up,
+            up or kind == "inc", (name,) if custom else ())
+
+
+#: class -> the rule that computes a new node's _STORED values after uid
+_RULES = {
+    PositiveLiteral: lambda rel, args: _literal(frozenset(args), frozenset({(rel, len(args))})),
+    Equal: lambda a, b: _literal(frozenset((a, b)), _EMPTY),
+    And: partial(_splitting, True), TensorOr: partial(_splitting, False),
+    ClassicalOr: lambda l, r: (*_joined(l, r), False, _union(l.arities, r.arities),
+                               l.downward and r.downward, False, _NO_DET, False, False, ()),
+    IntImpl: lambda l, r: (*_joined(l, r), False, _union(l.arities, r.arities), True,
+                           False, _NO_DET, False, False, ()),
+    Exists: partial(_quantifier, False), Forall: partial(_quantifier, True),
+    ContraNeg: lambda b: (b.free_vars, b.free_tuple, False, b.arities, False, False,
+                          _NO_DET, False, False, ()),
+    Possibly: lambda b: (b.free_vars, b.free_tuple, False, b.arities, False, False,
+                         _NO_DET, True, True, ()),
+    Bracket: lambda b: (_EMPTY, (), False, b.arities, True, False, _NO_DET, True, True, ()),
+    Atom: _atom,
+}
+_RULES[NegativeLiteral], _RULES[NotEqual] = _RULES[PositiveLiteral], _RULES[Equal]
 
 
 def _simp_and(l: Formula, r: Formula) -> Formula:
@@ -424,22 +431,32 @@ def _simp_and(l: Formula, r: Formula) -> Formula:
     return r if l is TOP else l if r is TOP else And(l, r)
 
 
-def _weaken(f: Formula, weakening: str) -> Formula:
-    """The weakening ("envelope" or "downward_part") of a node that is not
-    its own: built from its children's, with T for every other construct.
-    In the first-order envelope ``||`` becomes ``|``."""
-    match f:
-        case And(l, r):
-            return _simp_and(getattr(l, weakening), getattr(r, weakening))
-        case TensorOr(l, r) | ClassicalOr(l, r):
-            l, r = getattr(l, weakening), getattr(r, weakening)
-            if TOP in (l, r):
-                return TOP
-            return (TensorOr if weakening == "envelope" else type(f))(l, r)
-        case Exists(v, body) | Forall(v, body):
-            b = getattr(body, weakening)
-            return TOP if b is TOP else type(f)(v, b)
-    return TOP
+#: the constructs weakened from their children's weakenings; any other
+#: construct that is not its own weakening weakens to T
+_WEAKENED_BY_PARTS = (And, TensorOr, ClassicalOr, Exists, Forall)
+
+
+def _weakening(f: Formula, weakening: str) -> Formula:
+    """f's weakening ("envelope" or "downward_part"), made on its first
+    read and stored on f and on each node below it that it needs, children
+    first, without recursing.  In the first-order envelope ``||`` becomes
+    ``|``."""
+    slot, own = "_" + weakening, "first_order" if weakening == "envelope" else "downward"
+
+    def known(g: Formula) -> Formula | None:
+        if getattr(g, own):  # never stored: refcounting cannot free a cycle
+            return g
+        if type(g) not in _WEAKENED_BY_PARTS:
+            _setattr(g, slot, TOP)
+        return getattr(g, slot, None)
+
+    def build(g: Formula, parts: list) -> Formula:
+        cls = type(g)
+        _setattr(g, slot, _simp_and(*parts) if cls is And else TOP if TOP in parts else
+                 (TensorOr if cls is ClassicalOr and own == "first_order" else cls)(*parts))
+        return getattr(g, slot)
+
+    return _map(f, known, build)
 
 
 def _children(f: Formula) -> list[Formula]:
@@ -566,6 +583,8 @@ _BINARY = {IntImpl: (1, " -> "), ClassicalOr: (2, " || "), TensorOr: (3, " | "),
            And: (4, " & ")}
 #: operator token -> (class, binding level)
 _INFIX = {sep.strip(): (cls, level) for cls, (level, sep) in _BINARY.items()}
+#: equality token -> class
+_EQUALITIES = {"=": Equal, "!=": NotEqual}
 
 
 #: one token with the whitespace before it; a character that starts no token
@@ -635,18 +654,23 @@ class _Parser:
         applies the pending ones that bind tighter, or as tight unless it is
         ``->``, which nests right.  A ``(`` or ``[`` sets the pending
         operands and operators aside with the prefix before it until its
-        closer, so neither a chain nor nested parentheses recurse."""
+        closer, so neither a chain nor nested parentheses recurse.  An
+        operand that starts with a variable is an equality, read at once."""
         frames = []  # per open ( or [: (prefix, operands, operators, closer, position)
         operands, ops = [], []  # ops[i] (class, level) takes operands[i] on its left
         while True:
-            prefix = self.prefix()
-            kind, value, pos = self.peek()
-            if value in ("(", "["):
-                self.i += 1
-                frames.append((prefix, operands, ops, ")" if value == "(" else "]", pos))
-                operands, ops = [], []
-                continue
-            f = self.primary()
+            kind, value, _ = self.tokens[self.i]
+            if kind == "IDENT" and value not in _KEYWORDS:  # an equality, at once
+                prefix, f = (), self.equality()
+            else:
+                prefix = self.prefix()
+                kind, value, pos = self.peek()
+                if value in ("(", "["):
+                    self.i += 1
+                    frames.append((prefix, operands, ops, ")" if value == "(" else "]", pos))
+                    operands, ops = [], []
+                    continue
+                f = self.primary()
             while True:
                 for cls, fields in reversed(prefix):
                     f = cls(*fields, f)
@@ -741,13 +765,13 @@ class _Parser:
         return cls(name, tuple(args))
 
     def equality(self) -> Formula:
-        left = self.variable()
-        kind, value, pos = self.take()
-        if value == "=":
-            return Equal(left, self.variable())
-        if value == "!=":
-            return NotEqual(left, self.variable())
-        raise ParseError(f"expected '=' or '!=' after variable, found {value!r}", pos)
+        """``x = y`` or ``x != y``, at a variable that is not a keyword."""
+        i = self.i
+        _, value, pos = self.tokens[i + 1]
+        if value not in _EQUALITIES:
+            raise ParseError(f"expected '=' or '!=' after variable, found {value!r}", pos)
+        self.i = i + 2
+        return _EQUALITIES[value](self.tokens[i][1], self.variable())
 
     def atom(self, kind: str, pos: int, name: str | None = None) -> Formula:
         """'(' ';'-separated groups of variables ')', with ',' or

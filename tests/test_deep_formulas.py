@@ -5,8 +5,9 @@ long quantifier prefixes parse and print without recursing down the
 prefix, a long prefix of constancy-witnessed existentials evaluates
 quickly, a prefix of dependence-witnessed ones keeps its teams small, an
 existential over dep(x; z) on 60 rows searches functions of x, a
-subformula shared by many parents is walked once, and the command line
-answers anything deeper with exit code 2 and a one-line message, never a
+subformula shared by many parents is walked once, the weakenings of
+3,000-deep nests are made on first read without recursing, and the command
+line answers anything deeper with exit code 2 and a one-line message, never a
 traceback read as "false"."""
 
 import random
@@ -427,6 +428,33 @@ def test_3000_deep_forall_nest_over_ne_evaluates():
     f = ts.parse(" ".join(f"forall v{i}" for i in range(3000)) + " (NE)")
     assert ts.evaluate(ts.Model(2), ts.Team(("x",), [(0,), (1,)]), f)
     assert not ts.evaluate(ts.Model(2), ts.Team(("x",)), f)
+
+
+def _right_split_nest(n: int) -> str:
+    """n copies of x = y & NE joined by |, nested right."""
+    text = "x = y & NE"
+    for _ in range(n - 1):
+        text = f"x = y & NE | ({text})"
+    return text
+
+
+@pytest.mark.parametrize("text", [
+    "~" * 3000 + "(x = y & NE)",
+    " ".join(f"exists v{i}" for i in range(3000)) + " (x = y & NE)",
+    " | ".join(["x = y & NE"] * 3000),
+    _right_split_nest(3000),
+], ids=["negation", "exists", "split-left", "split-right"])
+def test_3000_deep_weakenings_are_made_on_first_read(text):
+    """The envelope and the downward part are made the first time they are
+    read, by a walk that does not recurse; a second read returns the same
+    node, and each weakening is the interned node its printed form parses
+    to."""
+    f = ts.parse(text)
+    for weakening in ("envelope", "downward_part"):
+        w = getattr(f, weakening)
+        assert getattr(f, weakening) is w
+        assert ts.parse(ts.pretty(w)) is w
+        assert w.first_order if weakening == "envelope" else w.downward
 
 
 def _shared_nest(leaf: ts.Formula, depth: int) -> ts.Formula:

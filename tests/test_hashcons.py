@@ -5,6 +5,7 @@ garbage collection that respect the interning table."""
 import gc
 import pickle
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -74,6 +75,10 @@ REGISTRIES = [
     .register(ts.DependencySpec("down", 1, UP_SENTENCE, down_claim))
     for up_claim in ("yes", "no") for down_claim in ("yes", "unknown")
 ]
+
+#: a registry stand-in under which every custom atom is upward closed:
+#: ref_up and ref_union under it are the built-in flags
+ALL_UP = SimpleNamespace(get=lambda name: SimpleNamespace(claimed_upward_closed="yes"))
 
 
 def corpus() -> list:
@@ -215,6 +220,20 @@ def ref_union(f, registry) -> bool:
     return ref_up(f, registry)
 
 
+def ref_custom_names(f) -> tuple:
+    """The custom atoms' names, first occurrence first, in a node that is
+    union closed given them, through &, | and quantifiers."""
+    match f:
+        case Atom("custom", _, _, name):
+            return (name,)
+        case And(l, r) | TensorOr(l, r) if ref_union(f, ALL_UP):
+            left = ref_custom_names(l)
+            return left + tuple(n for n in ref_custom_names(r) if n not in left)
+        case Exists(_, body) | Forall(_, body):
+            return ref_custom_names(body)
+    return ()
+
+
 def ref_simp_and(l, r):
     return r if l == ts.TOP else l if r == ts.TOP else And(l, r)
 
@@ -314,31 +333,100 @@ def test_table_shrinks_after_collection():
     assert len(_TABLE) == size
 
 
+def test_fields_stay_in_the_instance_dict():
+    """vars(node) holds exactly the constructor's fields, in their order,
+    before and after the weakenings are read: syntax._children and
+    syntax._map rebuild nodes from it, and the benchmark's tracer counts
+    nodes by it."""
+    eq, body = Equal("x", "y"), ts.parse("exists z R(z, z)", SIG)
+    samples = [(PositiveLiteral, ("P", ("x",))), (NegativeLiteral, ("R", ("x", "y"))),
+               (Equal, ("x", "y")), (NotEqual, ("y", "x")), (And, (eq, ts.NE)),
+               (TensorOr, (ts.NE, eq)), (ClassicalOr, (eq, ts.NE)), (IntImpl, (eq, ts.NE)),
+               (Exists, ("z", ts.NE)), (Forall, ("z", eq)), (ContraNeg, (eq,)),
+               (Possibly, (ts.NE,)), (Bracket, (body,)),
+               (Atom, ("custom", (("x", "y"),), None, "d")), (Atom, ("geq", (("x",),), 2, None))]
+    assert {cls for cls, _ in samples} == set(ts.Formula.__subclasses__())
+    for cls, args in samples:
+        node = cls(*args)
+        fields = list(zip(cls.__match_args__, args))
+        assert list(vars(node).items()) == fields, cls.__name__
+        assert node.envelope.first_order and node.downward_part.downward
+        assert list(vars(node).items()) == fields, cls.__name__
+
+
 def test_pickle_returns_the_interned_node():
     for f in corpus():
         assert pickle.loads(pickle.dumps(f)) is f
     assert pickle.loads(pickle.dumps([ts.NE, ts.TOP])) == [ts.NE, ts.TOP]
 
 
+def check_stored(node):
+    """Every stored property of the node, and both weakenings, equal their
+    references."""
+    label = ts.pretty(node)
+    assert node.free_vars == ref_free(node) == ts.free_variables(node), label
+    assert node.free_tuple == tuple(sorted(ref_free(node))), label
+    assert node.first_order is ref_fo(node) is ts.is_first_order(node), label
+    assert node.arities == ref_arities(node) == ts.syntax.relation_arities(node)
+    assert node.downward is ref_down(node), label
+    assert node.coherent is ref_coherent(node), label
+    assert not node.coherent or node.downward, label
+    assert node.determiners == ref_determiners(node), label
+    for v, d in node.determiners.items():
+        assert v not in d and {v, *d} <= node.free_vars, label
+    assert node.up_builtin is ref_up(node, ALL_UP), label
+    assert node.union_builtin is ref_union(node, ALL_UP), label
+    assert node.custom_names == ref_custom_names(node), label
+    assert node.envelope is ref_envelope(node), label
+    assert node.downward_part is ref_downward_part(node), label
+    assert node.envelope.first_order and node.downward_part.downward, label
+    for registry in REGISTRIES:
+        assert upward_closed(node, registry) is ref_up(node, registry), label
+        assert union_closed(node, registry) is ref_union(node, registry), label
+
+
 def test_stored_properties_match_references():
     for f in corpus():
         for node in nodes(f):
-            label = ts.pretty(node)
-            assert node.free_vars == ref_free(node) == ts.free_variables(node), label
-            assert node.first_order is ref_fo(node) is ts.is_first_order(node), label
-            assert node.arities == ref_arities(node) == ts.syntax.relation_arities(node)
-            assert node.downward is ref_down(node), label
-            assert node.coherent is ref_coherent(node), label
-            assert not node.coherent or node.downward, label
-            assert node.determiners == ref_determiners(node), label
-            for v, d in node.determiners.items():
-                assert v not in d and {v, *d} <= node.free_vars, label
-            assert node.envelope is ref_envelope(node), label
-            assert node.downward_part is ref_downward_part(node), label
-            assert node.envelope.first_order and node.downward_part.downward, label
-            for registry in REGISTRIES:
-                assert upward_closed(node, registry) is ref_up(node, registry), label
-                assert union_closed(node, registry) is ref_union(node, registry), label
+            check_stored(node)
+
+
+#: sentences for brackets, atoms of every kind and custom atoms, over x, y, z
+LAW_LEAVES = ["[exists a P(a)]", "[forall a exists b (R(a, b) | a = b)]", "NE",
+              "dep(x; y)", "dep(x y; z x)", "const(x y)", "inc(x; y)", "ind(x; y; z)",
+              "all(x y)", "ncon(x)", "ndep(x; y)", "geq(x y, 2)", "ninc(x; z)",
+              "nind(x; y; z)", "count_eq(x, 1)", "count_neq(y, 0)", "cocount_eq(z, 2)",
+              "cocount_neq(x, 1)", "D:up(x)", "D:down(y z)", "D:up(z)"]
+
+
+def test_stored_properties_law():
+    """A hypothesis law: on formulas over every constructor, every node's
+    stored properties and weakenings, read first at the root, equal the
+    recursive references.  Skipped where hypothesis is not installed."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    var = st.sampled_from(["x", "y", "z"])
+    leaf = st.one_of(
+        st.builds(PositiveLiteral, st.just("P"), st.tuples(var)),
+        st.builds(NegativeLiteral, st.just("R"), st.tuples(var, var)),
+        st.builds(Equal, var, var), st.builds(NotEqual, var, var),
+        st.sampled_from([ts.parse(text, SIG) for text in LAW_LEAVES]))
+    formulas = st.recursive(leaf, lambda sub: st.one_of(
+        st.builds(lambda cls, l, r: cls(l, r),
+                  st.sampled_from([And, TensorOr, ClassicalOr, IntImpl]), sub, sub),
+        st.builds(lambda cls, v, body: cls(v, body), st.sampled_from([Exists, Forall]),
+                  var, sub),
+        st.builds(lambda cls, body: cls(body), st.sampled_from([ContraNeg, Possibly]), sub)),
+        max_leaves=6)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(formulas)
+    def law(f):
+        for node in nodes(f):
+            check_stored(node)
+
+    law()
 
 
 @pytest.mark.parametrize("text, coherent", [

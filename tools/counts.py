@@ -16,10 +16,10 @@ each search passes it.  It prints one JSON object: workload -> {"_eval":
 calls, "_eval_raw": calls, "_kernel": calls, "_pick": calls, "_largest":
 calls, "_conflicts": calls, "_team": calls, one count per search route,
 "_exists_determined": calls, "_search_states": states, "tarski_eval":
-calls, "failed": jobs that raised, "top": [label, calls] of the job with
-the most ``_eval`` calls}.  A method, function or
-formula property the tree does not have counts 0, so older trees can be
-compared.
+calls, "_nodes_built": nodes, "failed": jobs that raised, "top": [label,
+calls] of the job with the most ``_eval`` calls}.  A method, function,
+counter or formula property the tree does not have counts 0, so older
+trees can be compared.
 
 ``_eval`` counts the evaluations asked for from outside the loop that
 decides a tree of ``&``, ``||`` and ``~``, not the memo hits that loop
@@ -57,7 +57,10 @@ every split, colouring and dependence witness search below their roots:
 a measure of search effort that does not depend on the host's speed.
 ``tarski_eval`` counts the calls made from the evaluator module (rows and
 sentences it restricts by, custom atoms it decides, upward-closure
-checks), not the function's calls on its own subformulas.  A job that
+checks), not the function's calls on its own subformulas.
+``_nodes_built`` counts the formula nodes the jobs create, not the hits of
+the interning table, read from ``syntax._UIDS``, the counter that numbers
+new nodes; a workload's jobs are built before the first read.  A job that
 raises is counted up to the point where it raised, and its exception is
 printed on stderr.
 """
@@ -84,7 +87,8 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
     from teamsem import evaluator
 
     calls = dict.fromkeys(COUNTED + ("_exists_determined", "_search_states")
-                          + FUNCTIONS, 0)
+                          + FUNCTIONS + ("_nodes_built",), 0)
+    uids = getattr(sys.modules.get("teamsem.syntax"), "_UIDS", None)
 
     def counted(name, method):
         def wrapper(*args, **kwargs):
@@ -118,6 +122,7 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
     for workload in names:
         jobs = workloads.WORKLOADS[workload](random.Random(seed))
         before, failed, top = dict(calls), 0, [None, -1]
+        first_uid = next(uids) if uids is not None else 0
         for job in jobs:
             start = calls["_eval"]
             try:
@@ -128,6 +133,8 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
                 traceback.print_exc()
             if calls["_eval"] - start > top[1]:
                 top = [job.label, calls["_eval"] - start]
+        if uids is not None:  # reading the counter takes one uid itself
+            calls["_nodes_built"] += next(uids) - first_uid - 1
         out[workload] = {**{name: calls[name] - before[name] for name in calls},
                          "failed": failed, "top": top}
     return out

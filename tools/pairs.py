@@ -26,9 +26,10 @@ and ``_conflicts`` call counts, its ``Team``-to-mask conversions
 ``_generic_split``), its ``_exists`` calls whose body forces
 ``dep(D; v)`` for the bound variable v and so search functions of D
 (``_exists_determined``), the states its ``_depth_first`` searches step
-to (``_search_states``), its evaluator-level ``tarski_eval`` calls, and its
-job with the most ``_eval`` calls, from the ``counts.py`` beside this
-file run on the tree at the same seed (``_eval`` does not count the memo
+to (``_search_states``), its evaluator-level ``tarski_eval`` calls, the
+formula nodes it creates, not counting the interning table's hits
+(``_nodes_built``), and its job with the most ``_eval`` calls, from the
+``counts.py`` beside this file run on the tree at the same seed (``_eval`` does not count the memo
 hits that the loop deciding a tree of ``&``, ``||`` and ``~`` reads
 itself; ``_eval_raw`` and ``_kernel`` are the fingerprint of a change
 that keeps the searches and the evaluations deciding them, and both fell
