@@ -31,8 +31,8 @@ search would be hopeless, so it prunes using nine structural facts:
     over a formula that fails on the upper bound, has no solution if the
     downward part fails on the forced rows, and a partial witness of the
     existential whose downward part fails is dropped, checked on the
-    witness's projection onto the downward part's variables, which grows
-    by the projection of one block's chosen part per step;
+    state, the witness's projection onto the (settled) body's variables,
+    grown by the projection of one block's chosen part per step;
   * first-order formulas, ``dep`` and ``const``, and ``&`` and ``forall``
     over these are 2-coherent: a team satisfies one iff every subteam of at
     most two rows does (J. Kontinen, "Coherence and computational
@@ -46,7 +46,9 @@ search would be hopeless, so it prunes using nine structural facts:
   * a body forcing ``dep(D; v)`` makes v a Skolem function of D (J.
     Väänänen, *Dependence Logic*, 2007): ``exists v`` holds on a nonempty
     X iff the body holds on X[F/v] for some F from X's D values to M, one
-    value per class of rows, not a set per row; ``const(v)`` is D = ();
+    value per class of rows, not a set per row; ``const(v)`` is D = ().
+    The search settles the body: it drops the conjuncts on its ``&`` spine
+    that every X[F/v] satisfies, such as ``dep(D'; v)`` with D' holding D;
   * a team satisfying a formula has at least as many rows as its size
     bound (``Evaluator._least``): an atom's :func:`witness_size`, the
     larger side's under ``&`` and ``|``, the smaller under ``||``, the
@@ -117,7 +119,9 @@ from .syntax import (
     TensorOr,
     TOP,
     _ATOM_SHAPES,
+    _map,
     _nodes,
+    _simp_and,
 )
 
 
@@ -435,6 +439,8 @@ class Evaluator:
         self._memo: dict[tuple[int, int], bool] = {}
         #: | node uid -> its _split_plan
         self._plans: dict[int, tuple] = {}
+        #: (body uid, v) -> the body as :meth:`_settled` leaves it
+        self._settle: dict[tuple[int, str], Formula] = {}
         self._sizes: dict[int, int] = {}
         #: (node uid, mask) -> the node's greatest satisfying subteam, or None
         self._greatest: dict[tuple[int, int], int | None] = {}
@@ -1046,21 +1052,42 @@ class Evaluator:
 
     # -- lax existential quantification
 
+    def _settled(self, body: Formula, v: str) -> Formula:
+        """The body less the conjuncts on its ``&`` spine that every X[F/v]
+        satisfies, F a function of v's D in ``body.determiners``: ``const(v)``
+        if D = (), ``dep(D'; v)`` if D' holds D.  A body that is no ``&`` is
+        kept.  Once per (body, v); the walk stays on the spine."""
+        if type(body) is not And:
+            return body
+        key = body.uid, v
+        if key not in self._settle:
+            det = set(body.determiners[v])
+
+            def leaf(g: Formula) -> Formula | None:  # None: rebuild the &
+                held = type(g) is Atom and g.parts[-1:] == ((v,),) and (
+                    det <= set(g.parts[0]) if g.kind == "dep" else g.kind == "const" and not det)
+                return None if type(g) is And else TOP if held else g
+
+            self._settle[key] = _map(body, leaf, lambda g, parts: _simp_and(*parts))
+        return self._settle[key]
+
     def _exists(self, u: _Universe, mask: int, v: str, body: Formula) -> bool:
         """Lax witness search: a satisfying Y inside the universal extension
         must hit the extension block of every original row.  The body is
         neither first order nor union closed.  If it forces ``dep(D; v)`` and
-        the team is nonempty, each step of :func:`_depth_first` extends the
-        rows of the next D value, in sorted order, by one value that the
-        envelope admits on all of them, values drawn as needed, since each
-        widens the universe by all of u's rows; one class, as for
-        ``const(v)``, is tried here.  Else, unless the full allowed extension
-        decides, each step chooses a nonempty part of the next row's allowed
-        block, rows in sorted order, one row for a downward body.  A class or
-        row with no option fails at once; a partial witness is dropped once
-        the downward part fails on its projection, which the state carries."""
+        the team is nonempty, the body is settled (:meth:`_settled`) and each
+        step of :func:`_depth_first` extends the rows of the next D value, in
+        sorted order, by one value that the envelope admits on all of them,
+        values drawn as needed, since each widens the universe by all of u's
+        rows; one class, as for ``const(v)``, is tried here.  Else, unless
+        the full allowed extension decides, each step chooses a nonempty part
+        of the next row's allowed block, rows in sorted order, one row for a
+        downward body.  A class or row with no option fails at once.  The
+        state is the partial witness's projection onto the body's variables:
+        dropped once the downward part fails on it, decided when full."""
         det = body.determiners.get(v) if mask else None
         if det is not None:
+            body = self._settled(body, v)
             if det:  # order: the rows of each D value, values sorted
                 at, classes = [u.vars.index(w) for w in det], {}
                 for bit in _bits(mask):
@@ -1081,7 +1108,8 @@ class Evaluator:
             allowed = self._restrict(wide, _image(mask, image), body.envelope)
             order = [image[bit.bit_length() - 1] & allowed  # blocks
                      for bit in sorted(_bits(mask), key=u.row_of)]
-        prune, most = body.downward_part, 1 if body.downward else None
+        prune, most, keep = body.downward_part, 1 if body.downward else None, body.free_tuple
+        pu = self._universe(keep)
 
         def parts(i: int) -> Iterator[int]:  # the options of step i, lazily
             if det is None:
@@ -1094,18 +1122,14 @@ class Evaluator:
         if det is None and self._eval(body, wide, allowed):
             return True
 
-        def choose(i: int, state: tuple[int, int]) -> Iterator[tuple[int, int]]:
-            acc, seen = state  # the partial witness, its projection for prune
+        def grow(i: int, seen: int) -> Iterator[int]:
             for chosen in parts(i):
-                if prune is TOP:
-                    yield acc | chosen, 0
-                    continue
-                pu, part = self._project(wide, chosen, prune.free_tuple)
-                if self._eval(prune, pu, seen | part):
-                    yield acc | chosen, seen | part
+                out = seen | self._project(wide, chosen, keep)[1]
+                if prune is TOP or self._eval(prune, *self._project(
+                        pu, out, prune.free_tuple)):
+                    yield out
 
-        return _depth_first((0, 0), len(order), choose,
-                            lambda state: self._eval(body, wide, state[0]))
+        return _depth_first(0, len(order), grow, lambda seen: self._eval(body, pu, seen))
 
 
 def evaluate(model: Model, team: Team, f: Formula,

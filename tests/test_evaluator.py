@@ -1347,10 +1347,13 @@ PROJECTED_PRUNE_BODIES = ["dep(x; z) & inc(y; z)", "dep(x; z) & P(z) & inc(z; y)
 
 def test_projected_witness_prune_against_naive_evaluator(monkeypatch):
     """The witness search of exists carries its partial witness's
-    projection onto the downward part's variables and grows it one block
-    at a time.  Random teams over (x, y) of at most 4 rows at |M| <= 3
-    agree with the oracle, and the prune is asked on teams over fewer
-    variables than the witness has."""
+    projection onto the body's variables, grows it one block at a time,
+    and asks the downward part on its projection.  Random teams over (x, y)
+    of at most 4 rows at |M| <= 3 agree with the oracle.  The two bodies
+    that force dep(x; z) are settled first: without dep(x; z), the first
+    has no prune, and the second's is P(z), asked on teams over (z,).  The
+    other two keep their prune, asked on teams over fewer variables than
+    the witness has."""
     sig = ts.Signature({"P": 1})
     formulas = [ts.Exists("z", ts.parse(text, sig)) for text in PROJECTED_PRUNE_BODIES]
     for f in formulas:
@@ -1367,10 +1370,16 @@ def test_projected_witness_prune_against_naive_evaluator(monkeypatch):
         t = ts.Team(("x", "y"), rng.sample(rows, min(len(rows), rng.randrange(0, 5))))
         assert ts.evaluate(m, t, f) == naive_eval(m, t, f), \
             (str(f), size, sorted(m.interp["P"]), sorted(t.rows))
+    dep_inc, dep_p_inc, *undetermined = (f.body for f in formulas)
+    # the body itself is asked on the empty team alone, which forces nothing
+    assert {g for body, g, _, _ in records if body is dep_inc} \
+        == {dep_inc, ts.parse("inc(y; z)", sig)}
+    assert {vs for body, g, vs, _ in records
+            if body is dep_p_inc and g is ts.parse("P(z)", sig)} == {("z",)}
     projected = [(r, body) for body, g, vs, r in records
                  if g is body.downward_part and vs == g.free_tuple != ("x", "y", "z")]
     assert {r for r, _ in projected} == {True, False}
-    assert {body for _, body in projected} == {f.body for f in formulas}
+    assert {body for _, body in projected} == set(undetermined)
 
 
 def test_generic_split_refutes_on_the_forced_rows(monkeypatch):

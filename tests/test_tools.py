@@ -41,7 +41,7 @@ def test_counts_reads_zero_for_a_method_the_tree_lacks(tmp_path):
         "_eval": 0, "_eval_raw": 0, "_kernel": 0, "_pick": 0, "_largest": 0,
         "_conflicts": 0, "_team": 0, "_exists_sat": 0, "_exists": 0,
         "_coherent_split": 0, "_down_split": 0, "_generic_split": 0,
-        "_exists_determined": 0, "_search_states": 0, "tarski_eval": 0,
+        "_exists_determined": 0, "_settled": 0, "_search_states": 0, "tarski_eval": 0,
         "_nodes_built": 0, "failed": 0, "top": ["job", 0]}
 
 

@@ -15,8 +15,8 @@ counting wrappers around ``Evaluator._eval``, ``Evaluator._eval_raw``,
 each search passes it.  It prints one JSON object: workload -> {"_eval":
 calls, "_eval_raw": calls, "_kernel": calls, "_pick": calls, "_largest":
 calls, "_conflicts": calls, "_team": calls, one count per search route,
-"_exists_determined": calls, "_search_states": states, "tarski_eval":
-calls, "_nodes_built": nodes, "failed": jobs that raised, "top": [label,
+"_exists_determined": calls, "_settled": calls, "_search_states": states,
+"tarski_eval": calls, "_nodes_built": nodes, "failed": jobs that raised, "top": [label,
 calls] of the job with the most ``_eval`` calls}.  A method, function,
 counter or formula property the tree does not have counts 0, so older
 trees can be compared.
@@ -51,7 +51,11 @@ chains with two or more such sides.  A route that reads 0 on every
 workload is guarded by the tests alone.  ``_exists_determined`` counts the
 ``_exists`` calls on a nonempty team whose body forces ``dep(D; v)`` for
 the bound variable v, read from the body's ``Formula.determiners`` as the
-tests' spy reads it; ``const(v)`` makes one class.  ``_search_states``
+tests' spy reads it; ``const(v)`` makes one class.  ``_settled`` counts
+those of them whose body ``Evaluator._settled`` changes: it drops the
+conjuncts on the body's ``&`` spine that every candidate satisfies by
+construction, ``const(v)`` and ``dep(D'; v)`` with D' holding D; it reads
+0 on a tree without that method.  ``_search_states``
 counts the states that the steps of ``_depth_first`` yield, the nodes of
 every split, colouring and dependence witness search below their roots:
 a measure of search effort that does not depend on the host's speed.
@@ -86,7 +90,7 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
     import workloads
     from teamsem import evaluator
 
-    calls = dict.fromkeys(COUNTED + ("_exists_determined", "_search_states")
+    calls = dict.fromkeys(COUNTED + ("_exists_determined", "_settled", "_search_states")
                           + FUNCTIONS + ("_nodes_built",), 0)
     uids = getattr(sys.modules.get("teamsem.syntax"), "_UIDS", None)
 
@@ -108,6 +112,14 @@ def count_calls(tree: Path, seed: int, names: list[str]) -> dict:
                 calls["_exists_determined"] += 1
             return exists(self, u, mask, v, body, *rest)
         evaluator.Evaluator._exists = determined
+    if hasattr(evaluator.Evaluator, "_settled"):
+        settle = evaluator.Evaluator._settled
+
+        def settled(self, body, *rest):
+            out = settle(self, body, *rest)
+            calls["_settled"] += out is not body
+            return out
+        evaluator.Evaluator._settled = settled
     if hasattr(evaluator, "_depth_first"):
         depth_first = evaluator._depth_first
 

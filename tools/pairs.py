@@ -25,7 +25,9 @@ and ``_conflicts`` call counts, its ``Team``-to-mask conversions
 (``_exists_sat``, ``_exists``, ``_coherent_split``, ``_down_split`` and
 ``_generic_split``), its ``_exists`` calls whose body forces
 ``dep(D; v)`` for the bound variable v and so search functions of D
-(``_exists_determined``), the states its ``_depth_first`` searches step
+(``_exists_determined``), those of them whose body ``Evaluator._settled``
+changes by dropping the conjuncts every candidate satisfies
+(``_settled``), the states its ``_depth_first`` searches step
 to (``_search_states``), its evaluator-level ``tarski_eval`` calls, the
 formula nodes it creates, not counting the interning table's hits
 (``_nodes_built``), and its job with the most ``_eval`` calls, from the
