@@ -550,8 +550,8 @@ class Evaluator:
         row of u, the images per mask if table is u.proj, else None)."""
         hit = table.get(cols)
         if hit is None:
-            hit = table[cols] = (self._universe(target),
-                                 [u.vars.index(v) for v in cols], [],
+            place = {v: i for i, v in enumerate(u.vars)}
+            hit = table[cols] = (self._universe(target), [place[v] for v in cols], [],
                                  {} if table is u.proj else None)
         target, idx, image, _ = hit
         if len(image) < len(u.rows):
@@ -1055,10 +1055,9 @@ class Evaluator:
     def _settled(self, body: Formula, v: str) -> Formula:
         """The body less the conjuncts on its ``&`` spine that every X[F/v]
         satisfies, F a function of v's D in ``body.determiners``: ``const(v)``
-        if D = (), ``dep(D'; v)`` if D' holds D.  A body that is no ``&`` is
-        kept.  Once per (body, v); the walk stays on the spine."""
-        if type(body) is not And:
-            return body
+        if D = (), ``dep(D'; v)`` if D' holds D; such a body that is no
+        ``&`` settles to T.  Once per (body, v); the walk stays on the
+        spine."""
         key = body.uid, v
         if key not in self._settle:
             det = set(body.determiners[v])

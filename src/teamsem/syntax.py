@@ -440,7 +440,8 @@ def _weakening(f: Formula, weakening: str) -> Formula:
     """f's weakening ("envelope" or "downward_part"), made on its first
     read and stored on f and on each node below it that it needs, children
     first, without recursing.  In the first-order envelope ``||`` becomes
-    ``|``."""
+    ``|``.  A quantifier whose weakened body lacks its variable free is that
+    body: domains are nonempty, and lax semantics is local."""
     slot, own = "_" + weakening, "first_order" if weakening == "envelope" else "downward"
 
     def known(g: Formula) -> Formula | None:
@@ -453,7 +454,8 @@ def _weakening(f: Formula, weakening: str) -> Formula:
     def build(g: Formula, parts: list) -> Formula:
         cls = type(g)
         _setattr(g, slot, _simp_and(*parts) if cls is And else TOP if TOP in parts else
-                 (TensorOr if cls is ClassicalOr and own == "first_order" else cls)(*parts))
+                 parts[1] if cls in (Exists, Forall) and parts[0] not in parts[1].free_vars
+                 else (TensorOr if cls is ClassicalOr and own == "first_order" else cls)(*parts))
         return getattr(g, slot)
 
     return _map(f, known, build)

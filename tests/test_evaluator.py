@@ -1434,3 +1434,22 @@ def test_generic_split_starts_each_part_at_its_size_bound(monkeypatch):
             checked += 1
     assert small == []
     assert generic and checked and verdicts == {True, False}
+
+
+def test_a_body_that_is_no_conjunction_settles(monkeypatch):
+    """exists z const(z) settles its body to T on a nonempty team, so
+    const(z) is never asked on a candidate."""
+    kernels = []
+    kernel = ts.Evaluator._kernel
+
+    def spy(self, u, mask, kind, a):
+        kernels.append(a)
+        return kernel(self, u, mask, kind, a)
+
+    monkeypatch.setattr(ts.Evaluator, "_kernel", spy)
+    f = ts.parse("exists z const(z)")
+    m = ts.Model(3)
+    for rows in ([(0,)], [(0,), (2,)], [(0,), (1,), (2,)]):
+        t = ts.Team(("x",), rows)
+        assert ts.evaluate(m, t, f) == naive_eval(m, t, f)
+    assert f.body not in kernels

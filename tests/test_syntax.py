@@ -305,3 +305,11 @@ def test_signature_validation():
         ts.Signature({"R": -1})
     sig = ts.Signature({"R": 2})
     assert "R" in sig and sig.arity("R") == 2
+
+
+def test_weakenings_drop_vacuous_quantifiers():
+    """A quantifier whose weakened body lacks its variable is that body."""
+    assert ts.parse("exists p (const(p) & x = x)").envelope is ts.parse("x = x")
+    assert ts.parse("forall p (dep(x; p) & x != y)").downward_part \
+        is ts.parse("forall p (dep(x; p) & x != y)")
+    assert ts.parse("forall p (NE & x != y)").downward_part is ts.parse("x != y")
