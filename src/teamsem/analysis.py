@@ -142,8 +142,8 @@ def _cells(signature: Signature, max_model: int, variables: tuple[str, ...],
     evaluator per model up to max_model, which numbers the rows over the
     sorted variables in the order whose subsets ``enumerate_teams`` yields
     by rank, so the k-th team is mask k; and the teams the filter keeps,
-    still built because the benchmark counts coverage on this module's
-    ``enumerate_teams``.  With ``orbits``, of a model of at most
+    drawn, cheaply, from this module's ``enumerate_teams``, where the
+    benchmark counts coverage.  With ``orbits``, of a model of at most
     ``_ORBIT_SIZE_CAP`` elements only the cells whose mask no automorphism
     (:func:`structures._automorphisms`, applied to the mask by its byte
     maps) sends to a smaller mask: the least of each orbit, which comes

@@ -439,8 +439,6 @@ class Evaluator:
         self._memo: dict[tuple[int, int], bool] = {}
         #: | node uid -> its _split_plan
         self._plans: dict[int, tuple] = {}
-        #: (body uid, v) -> the body as :meth:`_settled` leaves it
-        self._settle: dict[tuple[int, str], Formula] = {}
         self._sizes: dict[int, int] = {}
         #: (node uid, mask) -> the node's greatest satisfying subteam, or None
         self._greatest: dict[tuple[int, int], int | None] = {}
@@ -1056,10 +1054,13 @@ class Evaluator:
         """The body less the conjuncts on its ``&`` spine that every X[F/v]
         satisfies, F a function of v's D in ``body.determiners``: ``const(v)``
         if D = (), ``dep(D'; v)`` if D' holds D; such a body that is no
-        ``&`` settles to T.  Once per (body, v); the walk stays on the
-        spine."""
-        key = body.uid, v
-        if key not in self._settle:
+        ``&`` settles to T.  Once per (body, v), kept on the body node, None
+        for the body itself: refcounting cannot free a node in its own slot.
+        The walk stays on the spine."""
+        kept = getattr(body, "_settled", None)
+        if kept is None:
+            object.__setattr__(body, "_settled", kept := {})
+        if v not in kept:
             det = set(body.determiners[v])
 
             def leaf(g: Formula) -> Formula | None:  # None: rebuild the &
@@ -1067,8 +1068,9 @@ class Evaluator:
                     det <= set(g.parts[0]) if g.kind == "dep" else g.kind == "const" and not det)
                 return None if type(g) is And else TOP if held else g
 
-            self._settle[key] = _map(body, leaf, lambda g, parts: _simp_and(*parts))
-        return self._settle[key]
+            out = _map(body, leaf, lambda g, parts: _simp_and(*parts))
+            kept[v] = None if out is body else out
+        return kept[v] or body
 
     def _exists(self, u: _Universe, mask: int, v: str, body: Formula) -> bool:
         """Lax witness search: a satisfying Y inside the universal extension

@@ -122,10 +122,7 @@ class Team:
         return f"Team({self.variables}, {sorted(self.rows)})"
 
     def with_rows(self, rows: Iterable[tuple[int, ...]]) -> "Team":
-        t = Team.__new__(Team)
-        t.variables = self.variables
-        t.rows = frozenset(rows)
-        return t
+        return _team(self.variables, rows)
 
     def column_index(self, v: str) -> int:
         try:
@@ -143,10 +140,15 @@ class Team:
         if keep == self.variables:
             return self
         idx = [self.column_index(v) for v in keep]
-        t = Team.__new__(Team)
-        t.variables = keep
-        t.rows = frozenset(tuple(row[i] for i in idx) for row in self.rows)
-        return t
+        return _team(keep, (tuple(row[i] for i in idx) for row in self.rows))
+
+
+def _team(variables: tuple[str, ...], rows: Iterable[tuple[int, ...]]) -> Team:
+    """The team of rows aligned with sorted variables, made unchecked."""
+    t = object.__new__(Team)
+    t.variables = variables
+    t.rows = frozenset(rows)
+    return t
 
 
 def project(team: Team, vs: Iterable[str]) -> frozenset[tuple[int, ...]]:
@@ -209,12 +211,8 @@ def universal_extend(model: Model, team: Team, v: str) -> Team:
         return team.with_rows(rows)
     new_vars = tuple(sorted(team.variables + (v,)))
     i = new_vars.index(v)
-    rows = {row[:i] + (m,) + row[i:]
-            for row in team.rows for m in model.domain}
-    t = Team.__new__(Team)
-    t.variables = new_vars
-    t.rows = frozenset(rows)
-    return t
+    return _team(new_vars, {row[:i] + (m,) + row[i:]
+                            for row in team.rows for m in model.domain})
 
 
 def all_assignment_rows(size: int, width: int) -> list[tuple[int, ...]]:
@@ -247,21 +245,29 @@ def _check_caps(signature: Signature, size: int, width: int = 0):
             f"{size ** width} assignments exceed the cap of {_TEAM_ROW_CAP}")
 
 
-def _by_rank(items: list) -> Iterator[tuple]:
-    """Every subset of items in subset-rank order: the k-th holds items[i]
-    for each set bit i of k."""
-    count = len(items)
-    for mask in range(1 << count):
-        yield tuple(items[i] for i in range(count) if mask >> i & 1)
+@lru_cache(maxsize=None)
+def _subset_tables(size: int, width: int) -> tuple[list, list]:
+    """The subsets of ``all_assignment_rows(size, width)``, at most 16 rows,
+    as tuples, by rank: the k-th holds row i for each set bit i of k and is
+    ``low[k & 255] + high[k >> 8]``, one list per byte of k."""
+    rows = all_assignment_rows(size, width)
+    low, high = [()], [()]
+    for table, part in ((low, rows[:8]), (high, rows[8:])):
+        for row in part:
+            table += [subset + (row,) for subset in table]
+    return low, high
 
 
 def enumerate_teams(model: Model, variables: Iterable[str]) -> Iterator[Team]:
     """All teams over the given variables, empty team first, in subset-rank
-    order over the lexicographic assignment list, at most 16 assignments."""
+    order over the lexicographic assignment list (:func:`_subset_tables`),
+    at most 16 assignments."""
     vs = tuple(sorted(set(variables)))
     _check_caps(EMPTY_SIGNATURE, model.size, len(vs))
-    for rows in _by_rank(all_assignment_rows(model.size, len(vs))):
-        yield Team(vs, rows)
+    low, high = _subset_tables(model.size, len(vs))
+    for top in high:
+        for bottom in low:
+            yield _team(vs, bottom + top)
 
 
 @lru_cache(maxsize=None)
@@ -310,16 +316,17 @@ def _canonical_interp(model: Model) -> tuple:
 def enumerate_models(signature: Signature, size: int, *,
                      up_to_isomorphism: bool = False) -> Iterator[Model]:
     """All models of the given size: every interpretation of every relation,
-    in subset-rank order per relation.  With ``up_to_isomorphism`` only the
-    canonical representative of each isomorphism class is yielded.  Raises
-    :class:`EnumerationLimit` when the relations hold more than 16 tuples
-    together."""
+    in subset-rank order per relation (:func:`_subset_tables`).  With
+    ``up_to_isomorphism`` only the canonical representative of each
+    isomorphism class is yielded.  Raises :class:`EnumerationLimit` when the
+    relations hold more than 16 tuples together."""
     if size < 1:
         raise ValueError("model size must be >= 1")
     _check_caps(signature, size)
     names = signature.names
-    spaces = [list(_by_rank(all_assignment_rows(size, signature.arity(name))))
-              for name in names]
+    spaces = [[bottom + top for top in high for bottom in low]
+              for low, high in (_subset_tables(size, signature.arity(name))
+                                for name in names)]
     for combo in product(*spaces):
         model = Model(size, dict(zip(names, combo)), signature)
         if up_to_isomorphism:

@@ -155,11 +155,12 @@ class Formula:
     ``union_builtin`` unions of satisfying teams satisfy it, given the same:
                       ``inc`` and ``up_builtin`` nodes under &, |, quantifiers
     ``envelope``, ``downward_part``  the weakenings the search prunes with,
-                      made on their first read
+                      made on their first read; the slot ``_settled`` keeps
+                      what ``Evaluator._settled`` made of a node per variable
     """
 
     # the fields live in __dict__, the stored properties in slots
-    __slots__ = (*_STORED, "_envelope", "_downward_part", "__dict__", "__weakref__")
+    __slots__ = (*_STORED, "_envelope", "_downward_part", "_settled", "__dict__", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *args):

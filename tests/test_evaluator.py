@@ -1453,3 +1453,56 @@ def test_a_body_that_is_no_conjunction_settles(monkeypatch):
         t = ts.Team(("x",), rows)
         assert ts.evaluate(m, t, f) == naive_eval(m, t, f)
     assert f.body not in kernels
+
+
+def test_a_settled_body_is_made_once_per_process(monkeypatch):
+    """A second fresh evaluator deciding hard_check's existential builds no
+    node: it reads the settled body, and its weakenings, off the body."""
+    from teamsem import evaluator, syntax
+
+    f = ts.parse("exists z (dep(x; z) & inc(y; z))")
+    m, t = ts.Model(4), team(("x", "y"), (0, 1), (1, 2), (2, 2), (3, 0))
+    first = ts.Evaluator(m)
+    verdict = first.evaluate(t, f)
+    settled = first._settled(f.body, "z")
+    assert settled is ts.parse("inc(y; z)")
+    maps = []
+    real = syntax._map
+
+    def spy(*args):
+        maps.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(syntax, "_map", spy)
+    monkeypatch.setattr(evaluator, "_map", spy)
+    second = ts.Evaluator(m)
+    assert second.evaluate(t, f) == verdict == naive_eval(m, t, f)
+    assert second._settled(f.body, "z") is settled
+    assert maps == []
+
+
+@pytest.mark.parametrize("text, changes", [
+    ("exists z ((inc(y; z) & dep(x; z)) & x != z)", True),
+    ("exists z (inc(y; z) & forall w dep(x; z))", False)])
+def test_a_settled_body_is_freed_with_its_formula(text, changes):
+    """The settled body is kept on the body node, and a body that settles
+    to itself is not kept in its own slot, so refcounting alone frees both
+    once the formula is dropped."""
+    import gc
+    import weakref
+
+    m, t = ts.Model(3), team(("x", "y"), (0, 1), (1, 2), (2, 2))
+    gc.disable()
+    try:
+        f = ts.parse(text)
+        ev = ts.Evaluator(m)
+        assert ev.evaluate(t, f) == naive_eval(m, t, f)
+        settled = ev._settled(f.body, "z")
+        assert (settled is not f.body) == changes
+        if changes:
+            assert settled not in (f.body.left, f.body.right)  # built for it alone
+        gone = weakref.ref(f.body), weakref.ref(settled)
+        del f, ev, settled
+        assert [r() for r in gone] == [None, None]
+    finally:
+        gc.enable()

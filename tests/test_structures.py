@@ -1,5 +1,7 @@
 """Models, teams, Tarski evaluation, enumerators, and the file formats."""
 
+from itertools import permutations, product
+
 import pytest
 
 import teamsem as ts
@@ -128,6 +130,66 @@ def test_enumerate_models_counts():
     # isomorphism reduction keeps one model per orbit
     reduced = list(ts.enumerate_models(unary, 2, up_to_isomorphism=True))
     assert len(reduced) == 3  # empty, singleton, full
+
+
+def by_rank(items):
+    """Every subset of items, the k-th holding items[i] for each set bit i
+    of k."""
+    return [tuple(items[i] for i in range(len(items)) if k >> i & 1)
+            for k in range(1 << len(items))]
+
+
+def literal_models(sig, size):
+    """Every model of the signature and size, built by the public
+    constructor, in the enumerator's order."""
+    names = sig.names
+    spaces = [by_rank(all_assignment_rows(size, sig.arity(n))) for n in names]
+    return [ts.Model(size, dict(zip(names, combo)), sig) for combo in product(*spaces)]
+
+
+@pytest.mark.parametrize("size, variables", [
+    (2, ()), (3, ()), (3, ("x",)), (4, ("x",)), (2, ("y", "x")), (3, ("x", "y")),
+    (4, ("y", "x")), (2, ("z", "x", "y"))])
+def test_enumerate_teams_match_the_public_constructor(size, variables):
+    """The k-th team holds the rows of the set bits of k over the assignment
+    rows, equal, and hashing equal, to the team the public constructor
+    builds; (x, y) at |M| = 4 reaches the 16-row cap."""
+    vs = tuple(sorted(variables))
+    subsets = by_rank(all_assignment_rows(size, len(vs)))
+    teams = list(ts.enumerate_teams(ts.Model(size), variables))
+    assert len(teams) == len(subsets)
+    for team, rows in zip(teams, subsets):
+        want = ts.Team(vs, rows)
+        assert team == want and hash(team) == hash(want)
+        assert team.variables == vs
+
+
+@pytest.mark.parametrize("arities, sizes", [
+    ({"P": 1}, range(1, 5)), ({"R": 2}, range(1, 4)), ({"P": 1, "Q": 1}, range(1, 5))])
+def test_enumerate_models_match_the_public_constructor(arities, sizes):
+    sig = ts.Signature(arities)
+    for size in sizes:
+        assert list(ts.enumerate_models(sig, size)) == literal_models(sig, size)
+
+
+@pytest.mark.parametrize("arities, sizes", [
+    ({"P": 1}, range(1, 5)), ({"R": 2}, range(1, 4)),
+    ({"P": 1, "Q": 1}, range(1, 5)), ({"E": 0, "P": 1}, range(1, 4))])
+def test_isomorphism_representatives_are_lex_least(arities, sizes):
+    """up_to_isomorphism keeps exactly the models whose per-relation sorted
+    tuples are lex-least among their images under all n! permutations, in
+    the order of the full enumeration."""
+    sig = ts.Signature(arities)
+
+    def image(model, perm):
+        return tuple(tuple(sorted(tuple(perm[e] for e in t) for t in model.interp[n]))
+                     for n in sig.names)
+
+    for size in sizes:
+        want = [m for m in literal_models(sig, size)
+                if image(m, range(size)) == min(image(m, perm)
+                                                for perm in permutations(range(size)))]
+        assert list(ts.enumerate_models(sig, size, up_to_isomorphism=True)) == want
 
 
 def test_assignment_rows_deterministic():

@@ -36,9 +36,11 @@ hits that the loop deciding a tree of ``&``, ``||`` and ``~`` reads
 itself; ``_eval_raw`` and ``_kernel`` are the fingerprint of a change
 that keeps the searches and the evaluations deciding them, and both fell
 by design when the coherent split's pair evaluations gave way to
-``_conflicts``, which keeps the colouring search); and one short traced
-run, ``python3 perfbench/run.py --workload W --seed N --seconds 1 --trace
-1``, in each tree, whose ``correct`` and ``harness.share`` it records.  Each tree runs its own harness, and
+``_conflicts``, which keeps the colouring search); and short traced
+runs, ``python3 perfbench/run.py --workload W --seed N --seconds 1 --trace
+1``, in each tree, one at the pairs' seed and one at seed 1, the seed the
+harness's share limit has been quoted at, whose ``correct`` (both runs)
+and ``harness.share`` (per seed) it records.  Each tree runs its own harness, and
 ``counts.py`` its own workloads, in a process of their own; nothing under
 ``perfbench/`` is imported here.
 
@@ -69,6 +71,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+#: the seed of the second traced run, besides the pairs' seed
+TRACE_SEED = 1
 
 
 def run_script(tree: Path, script: str, workload: str, seed: int,
@@ -215,15 +219,18 @@ def main(argv=None) -> int:
                   for side in SIDES}
         print(f"{workload} calls parent {counts['parent']} change "
               f"{counts['change']}", flush=True)
-        traced = {}
+        traced = {side: {"correct": True, "harness_share": {}} for side in SIDES}
         for side in SIDES:
-            out = run_script(trees[side], "perfbench/run.py", workload, args.seed,
-                             "--seconds", "1", "--trace", "1", env=env)
-            traced[side] = {"correct": bool(out["correct"]) and not out["failed"],
-                            "harness_share": out["metrics"]["harness.share"]["value"]}
+            for seed in dict.fromkeys((args.seed, TRACE_SEED)):
+                out = run_script(trees[side], "perfbench/run.py", workload, seed,
+                                 "--seconds", "1", "--trace", "1", env=env)
+                correct = bool(out["correct"]) and not out["failed"]
+                share = out["metrics"]["harness.share"]["value"]
+                traced[side]["correct"] &= correct
+                traced[side]["harness_share"][str(seed)] = share
+                print(f"{workload} traced {side} seed {seed}: correct {correct} "
+                      f"harness.share {share:.4f}", flush=True)
             clean &= traced[side]["correct"]
-            print(f"{workload} traced {side}: correct {traced[side]['correct']} "
-                  f"harness.share {traced[side]['harness_share']:.4f}", flush=True)
         runs = {side: [] for side in SIDES}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
