@@ -124,6 +124,7 @@ def cmd_eval(args) -> int:
 
 def cmd_parse(args) -> int:
     sig = _signature(args.rel)
+    _registry(args.dep)  # unused here, but a bad --dep is an error as elsewhere
     formula = parse(_read_formula_arg(args.formula), sig)
     rendered = pretty(formula)
     if parse(rendered, sig) != formula:
@@ -160,11 +161,12 @@ def _run_transform(args, sig: Signature, reg: Registry):
                        + f" ({len(arg)} argument(s) given)")
     f = parse(_read_formula_arg(arg[0]), sig) if usage.startswith("FORMULA") else None
 
-    def same_as(source: Formula, out: Formula, only: str | None = None):
+    def same_as(source: Formula, out: Formula, only: str | None = None,
+                registry: Registry = reg):
         """out is equivalent to source, on ``only`` teams when given."""
         return lambda max_model, team_filter: analysis.equivalent(
             source, out, sorted(source.free_vars | out.free_vars), sig,
-            max_model, only or team_filter, reg)
+            max_model, only or team_filter, registry)
 
     def swept(out: Formula, want):
         """out takes the value ``want(ev, model, team)`` asks for."""
@@ -226,14 +228,10 @@ def _run_transform(args, sig: Signature, reg: Registry):
     if name == "compile-unary":
         desc, v = UnaryDepDescription.parse(arg[0]), arg[1]
         out = transforms.compile_unary_dependency(desc, v)
-
-        def verify(max_model, team_filter):  # against the described notion
-            sentence = transforms.unary_description_sentence(desc)
-            target = EMPTY_REGISTRY.register(DependencySpec("target", 1, sentence))
-            return analysis.equivalent(
-                Atom("custom", ((v,),), name="target"), out, (v,), Signature(),
-                max_model, "nonempty", target)
-        return [pretty(out)], verify
+        sentence = transforms.unary_description_sentence(desc)
+        target = EMPTY_REGISTRY.register(DependencySpec("target", 1, sentence))
+        return [pretty(out)], same_as(Atom("custom", ((v,),), name="target"), out,
+                                      "nonempty", target)
     # brackets
     sentences, core = transforms.extract_brackets(f)
     joined = core

@@ -99,7 +99,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .structures import (_TEAM_ROW_CAP, EnumerationLimit, Model, Team,
@@ -442,9 +442,8 @@ class Evaluator:
         self._sizes: dict[int, int] = {}
         #: (node uid, mask) -> the node's greatest satisfying subteam, or None
         self._greatest: dict[tuple[int, int], int | None] = {}
-        #: (arity, value mask) -> (the relation as a Model, custom atom
-        #: name -> its verdict there)
-        self._relations: dict[tuple[int, int], tuple[Model, dict[str, bool]]] = {}
+        #: (custom atom name, value mask) -> its verdict on that relation
+        self._custom_verdicts: dict[tuple[str, int], bool] = {}
 
     # -- public entry points: Team values in and out
 
@@ -731,15 +730,12 @@ class Evaluator:
             )
         if spec.arity == 0:  # a sentence with no relation: the team is ignored
             return self._sentence(spec.definition)
-        key = spec.arity, self._columns(u, mask, a.parts[0])
-        if key not in self._relations:
+        key = a.name, self._columns(u, mask, a.parts[0])
+        if key not in self._custom_verdicts:
             relation = self._universe(spec.arity).rows_of(key[1])
-            sig = Signature({"R": spec.arity})
-            self._relations[key] = Model(self.model.size, {"R": relation}, sig), {}
-        struct, verdicts = self._relations[key]
-        if a.name not in verdicts:
-            verdicts[a.name] = tarski_eval(struct, {}, spec.definition)
-        return verdicts[a.name]
+            struct = Model(self.model.size, {"R": relation}, Signature({"R": spec.arity}))
+            self._custom_verdicts[key] = tarski_eval(struct, {}, spec.definition)
+        return self._custom_verdicts[key]
 
     def _sentence(self, body: Formula) -> bool:
         """Whether the model satisfies the first-order sentence: the one row
@@ -1173,16 +1169,13 @@ def check_upward_closed(spec: DependencySpec, max_size: int) -> UpwardClosedVerd
             f"{max_size ** spec.arity} tuples exceed the cap of {_TUPLE_CAP}")
     sig = Signature({"R": spec.arity})
     for n in range(1, max_size + 1):
-        sat = {model.interp["R"]: tarski_eval(model, {}, spec.definition)
-               for model in enumerate_models(sig, n)}
-        space = list(product(range(n), repeat=spec.arity))
-        for rel, ok in sat.items():
-            if not ok:
-                continue
-            for extra in space:
-                if extra in rel:
-                    continue
-                grown = rel | {extra}
-                if not sat[grown]:
-                    return UpwardClosedVerdict(False, max_size, (n, rel, grown))
+        # the k-th model holds the i-th tuple in product order for each set
+        # bit i of k, so R plus that tuple is model k | 1 << i
+        models = list(enumerate_models(sig, n))
+        sat = [tarski_eval(model, {}, spec.definition) for model in models]
+        for k, ok in enumerate(sat):
+            for i in range(n ** spec.arity):
+                if ok and not sat[k | 1 << i]:
+                    return UpwardClosedVerdict(False, max_size, (
+                        n, models[k].interp["R"], models[k | 1 << i].interp["R"]))
     return UpwardClosedVerdict(True, max_size)

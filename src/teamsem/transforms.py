@@ -245,17 +245,9 @@ def _distinct(vars_: tuple[str, ...]) -> list[Formula]:
     return [NotEqual(a, b) for i, a in enumerate(vars_) for b in vars_[i + 1:]]
 
 
-def _at_most_k_elements(k: int) -> Formula:
-    """First-order sentence: the domain has at most k elements."""
-    xs = tuple(f"x{i}" for i in range(1, k + 2))
-    if k == 0:
-        return Forall(xs[0], NotEqual(xs[0], xs[0]))
-    return _prefix(Forall, xs, or_all(
-        Equal(a, b) for i, a in enumerate(xs) for b in xs[i + 1:]))
-
-
 def _at_least_k_elements(k: int) -> Formula:
-    """First-order sentence: the domain has at least k elements."""
+    """First-order sentence: the domain has at least k elements; its
+    ``dual_negate`` says at most k - 1."""
     if k == 0:
         return TOP
     xs = tuple(f"x{i}" for i in range(1, k + 1))
@@ -287,7 +279,7 @@ def counting_formula(kind: str, k: int, v: str) -> Formula:
         covered = or_all([Equal(q, p) for p in ps] + [Equal(q, v)])
         inner = Exists(q, And(Atom("all", ((q,),)), covered))
         body = _prefix(Exists, ps, and_all(consts + [inner]))
-        return ClassicalOr(Bracket(_at_most_k_elements(k)), body)
+        return ClassicalOr(Bracket(dual_negate(_at_least_k_elements(k + 1))), body)
     if kind == "co_ge":
         small = And(BOT, Bracket(_at_least_k_elements(k)))
         avoided = [NotEqual(v, p) for p in ps]

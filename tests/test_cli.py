@@ -392,3 +392,38 @@ def test_sweep_up_to_the_size_cap_runs(capsys, argv, last):
 def test_countdef_bad_k_names_the_argument(capsys):
     code, out, err = run(capsys, "transform", "countdef", "le", "x", "v")
     assert code == 2 and "countdef" in err and "K" in err
+
+
+@pytest.mark.parametrize("argv,files", [
+    (("equiv", "x = x", "x = x", "--rel", "bad"), {}),
+    (("eval", "NE", "--model", "m.model", "--dep", "garbage"),
+     {"m.model": "domain 2\n"}),
+    (("parse", "x = y", "--dep", "garbage"), {}),
+    (("bounds", "check", "NE", "--gamma", "ne=bad"), {}),
+    (("equiv", "x = x", "x = x", "--vars", ","), {}),
+    (("transform", "countdef", "xx", "1", "v"), {}),
+    (("bounds", "check", "P(x)", "--rel", "P:1"), {}),
+    (("bounds", "hierarchy", "2", "1", "0"), {}),
+    (("bounds", "hierarchy", "2", "1", "100"), {}),
+    (("eval", "NE", "--model", "m.model", "--rel", "P:1"),
+     {"m.model": "domain 2\nrel P 1 arity\nend\n"}),
+    (("eval", "NE", "--model", "m.model", "--rel", "P:1"),
+     {"m.model": "domain 2\nrel P arity 2\nend\n"}),
+    (("eval", "NE", "--model", "m.model", "--rel", "P:1"),
+     {"m.model": "domain 2\nrel P arity 1\n0\n"}),
+    (("eval", "x = x", "--model", "m.model", "--team", "t.team"),
+     {"m.model": "domain 2\n", "t.team": "0 1\n"}),
+], ids=["rel", "eval-dep", "parse-dep", "gamma", "empty-vars", "countdef-kind",
+        "bounds-signature", "hierarchy-q0", "hierarchy-q100", "model-rel-line",
+        "model-arity", "model-no-end", "team-no-vars"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
+    """A bad flag, argument or input file exits 2 with one error line and
+    prints nothing on stdout; ``parse`` reads ``--dep`` as every other
+    subcommand does."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1211,6 +1211,65 @@ def test_check_upward_closed():
         ts.check_upward_closed(binary, 4)
 
 
+def _upward_closed_by_sets(spec, max_size):
+    """check_upward_closed written over the relations as sets: each
+    satisfying relation grown by each tuple, in model and tuple order."""
+    sig = ts.Signature({"R": spec.arity})
+    for n in range(1, max_size + 1):
+        sat = {m.interp["R"]: ts.tarski_eval(m, {}, spec.definition)
+               for m in ts.enumerate_models(sig, n)}
+        for rel, ok in sat.items():
+            for extra in product(range(n), repeat=spec.arity):
+                grown = rel | {extra}
+                if ok and not sat[grown]:
+                    return False, (n, rel, grown)
+    return True, None
+
+
+@pytest.mark.parametrize("arity,text,max_size", [
+    (1, "forall x R(x)", 4),
+    (1, "exists x R(x)", 4),
+    (1, "forall x forall y (!R(x) | !R(y) | x = y)", 4),
+    (1, "exists x !R(x)", 4),
+    (1, "exists x exists y (x != y & R(x) & !R(y))", 4),
+    (2, "exists x R(x, x)", 3),
+    (2, "forall x exists y R(x, y)", 3),
+    (2, "forall x forall y (!R(x, y) | R(y, x))", 3),
+    (2, "exists x exists y (R(x, y) & !R(y, x))", 3),
+])
+def test_check_upward_closed_matches_the_set_loop(arity, text, max_size):
+    """Walking the relations by subset rank gives the set loop's verdict and
+    its first counterexample."""
+    spec = ts.DependencySpec("d", arity, ts.parse(text, ts.Signature({"R": arity})))
+    verdict = ts.check_upward_closed(spec, max_size)
+    assert (verdict.holds, verdict.counterexample) == \
+        _upward_closed_by_sets(spec, max_size)
+
+
+def test_custom_verdicts_are_decided_once_per_notion_and_relation(monkeypatch):
+    """Two unary notions read on one relation: each goes to tarski_eval once
+    for it, whichever variable carries the relation, and asking again
+    asks nothing."""
+    import teamsem.evaluator as evaluator
+
+    calls = []
+    tarski = evaluator.tarski_eval
+    monkeypatch.setattr(evaluator, "tarski_eval", lambda model, s, f: calls.append(
+        (f, model.interp["R"])) or tarski(model, s, f))
+    sig = ts.Signature({"R": 1})
+    some, total = ts.parse("exists x R(x)", sig), ts.parse("forall x R(x)", sig)
+    reg = ts.EMPTY_REGISTRY.register(ts.DependencySpec("some", 1, some)).register(
+        ts.DependencySpec("total", 1, total))
+    ev = ts.Evaluator(ts.Model(3), reg)
+    team = ts.Team(("x", "y"), [(0, 1), (1, 0)])
+    assert ev.evaluate(team, ts.parse("D:some(x) & ~D:total(x)"))
+    relation = frozenset({(0,), (1,)})
+    assert calls == [(some, relation), (total, relation)]
+    assert ev.evaluate(team, ts.parse("D:some(y)"))
+    assert not ev.evaluate(team, ts.parse("D:total(y)"))
+    assert len(calls) == 2
+
+
 def test_upward_claim_checked_up_to_the_model_size(monkeypatch):
     """A true "yes" claim is checked on the sizes the evaluation uses, not
     on every size up to the cap: at |M| = 2 a three-quantifier definition

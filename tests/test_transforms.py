@@ -419,3 +419,19 @@ def test_rewriters_are_deterministic():
     assert ts.neg_eliminate(f) == ts.neg_eliminate(f)
     assert ts.dep_via_neg_const(("v",), ("w",)) == ts.dep_via_neg_const(("v",), ("w",))
     assert ts.counting_formula("co_le", 2, "v") == ts.counting_formula("co_le", 2, "v")
+
+
+def test_co_le_bounds_the_domain_by_the_dual_of_at_least():
+    """co_le's bracket, "at most k elements", is the dual of "at least k + 1
+    elements": the same interned node as the sentence written out, forall
+    x1 ... x(k+1) over the equalities of their pairs (x1 != x1 at k = 0)."""
+    from teamsem.syntax import Equal, NotEqual, or_all
+
+    for k in range(7):
+        xs = [f"x{i}" for i in range(1, k + 2)]
+        body = NotEqual("x1", "x1") if k == 0 else or_all(
+            Equal(a, b) for i, a in enumerate(xs) for b in xs[i + 1:])
+        for x in reversed(xs):
+            body = Forall(x, body)
+        f = ts.counting_formula("co_le", k, "v")
+        assert f is ClassicalOr(Bracket(body), f.right), k

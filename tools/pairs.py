@@ -19,24 +19,8 @@ pair swapped every other pair so that a drift of the host's speed does
 not favour one side.  Before the pairs of a workload it runs one pass
 of ``python3 perfbench/worker.py --workload W --seed N`` in each tree and
 records both trees' ``verdict_digest``; under ``calls``, each tree's
-``Evaluator._eval``, ``_eval_raw``, ``_kernel``, ``_pick``, ``_largest``
-and ``_conflicts`` call counts, its ``Team``-to-mask conversions
-(``_team``), its calls of each search route
-(``_exists_sat``, ``_exists``, ``_coherent_split``, ``_down_split`` and
-``_generic_split``), its ``_exists`` calls whose body forces
-``dep(D; v)`` for the bound variable v and so search functions of D
-(``_exists_determined``), those of them whose body ``Evaluator._settled``
-changes by dropping the conjuncts every candidate satisfies
-(``_settled``), the states its ``_depth_first`` searches step
-to (``_search_states``), its evaluator-level ``tarski_eval`` calls, the
-formula nodes it creates, not counting the interning table's hits
-(``_nodes_built``), and its job with the most ``_eval`` calls, from the
-``counts.py`` beside this file run on the tree at the same seed (``_eval`` does not count the memo
-hits that the loop deciding a tree of ``&``, ``||`` and ``~`` reads
-itself; ``_eval_raw`` and ``_kernel`` are the fingerprint of a change
-that keeps the searches and the evaluations deciding them, and both fell
-by design when the coherent split's pair evaluations gave way to
-``_conflicts``, which keeps the colouring search); and short traced
+counts from the ``counts.py`` beside this file, run on the tree at the
+same seed (its docstring says what each key counts); and short traced
 runs, ``python3 perfbench/run.py --workload W --seed N --seconds 1 --trace
 1``, in each tree, one at the pairs' seed and one at seed 1, the seed the
 harness's share limit has been quoted at, whose ``correct`` (both runs)
